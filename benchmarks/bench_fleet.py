@@ -1,15 +1,11 @@
-"""Fleet trajectory points: parallel scaling, pool engines, cluster scale.
+"""Fleet trajectory points: parallel scaling and cluster scale.
 
-Three recorded entries in ``BENCH_fleet.json`` at the repo root:
+Two recorded entries in ``BENCH_fleet.json`` at the repo root:
 
 - ``fleet_campaign`` — the same small campaign at ``workers=1`` vs
   ``workers=N``; merged reports must be **bit-identical** (per-host
   seeds derive from host ids, never pool order) and the ≥2× speedup
   target is enforced when the machine can express it.
-- ``fleet_pool`` — the persistent warm worker pool vs the per-task
-  spawn path at the same worker count; digests must match (pool mode
-  is an execution detail) and both wall times are recorded so a pool
-  regression is visible run-over-run.
 - ``fleet_cluster`` — the cluster-scale campaign (1000 hosts / 100k VM
   arrivals through sharded admission over logical capacity twins) at
   ``workers=1`` scalar, ``workers=N`` scalar, and ``workers=N``
@@ -79,12 +75,12 @@ def _banner(title: str) -> str:
     return f"\n{rule}\n{title}\n{rule}"
 
 
-def _campaign(workers: int, pool: str = "persistent"):
+def _campaign(workers: int):
     config = CampaignConfig(
         hosts=HOSTS, vms=VMS, budget=BUDGET, workers=workers, seed=7
     )
     t0 = time.perf_counter()
-    report = run_campaign(config, pool=pool)
+    report = run_campaign(config)
     return time.perf_counter() - t0, report
 
 
@@ -158,36 +154,6 @@ def test_fleet_scaling() -> None:
         )
 
 
-def test_fleet_pool_engines() -> None:
-    """Persistent warm pool vs per-task spawn, same campaign, same
-    worker count: digests must match (pool mode is an execution detail,
-    scrubbed from nothing — simply never hashed) and both wall times
-    are recorded so a pool-engine regression is visible run-over-run."""
-    persistent_s, persistent = _campaign(WORKERS, "persistent")
-    spawn_s, spawn = _campaign(WORKERS, "spawn")
-
-    assert persistent.digest() == spawn.digest(), (
-        "persistent-pool and spawn merged reports diverged"
-    )
-    ratio = spawn_s / persistent_s
-    print(_banner(f"Fleet: pool engines at workers={WORKERS}"))
-    print(
-        f"persistent {persistent_s * 1e3:8.1f} ms   "
-        f"spawn {spawn_s * 1e3:8.1f} ms   spawn/persistent {ratio:.2f}x"
-    )
-    _record(
-        "fleet_pool",
-        {
-            "persistent_seconds": round(persistent_s, 6),
-            "spawn_seconds": round(spawn_s, 6),
-            "spawn_over_persistent": round(ratio, 3),
-            "workers": WORKERS,
-            "identical_results": True,
-            "merge_digest": persistent.digest(),
-        },
-    )
-
-
 def test_fleet_cluster() -> None:
     """Cluster scale: sharded admission over logical twins + streaming
     merge, digest-identical across worker counts AND backends, with the
@@ -250,5 +216,4 @@ def test_fleet_cluster() -> None:
 
 if __name__ == "__main__":
     test_fleet_scaling()
-    test_fleet_pool_engines()
     test_fleet_cluster()

@@ -10,15 +10,14 @@ continuously audited while failure is injected:
   idiom: all randomness resolved at build time, plans are replayable
   data.
 - :mod:`repro.chaos.supervisor` — :class:`CampaignSupervisor` gives
-  each host shard a timeout and bounded retries with backoff, detects
-  dead worker processes (a crashed worker used to kill the whole
-  ``pool.map`` campaign), and degrades to typed ``ok: False`` results
-  instead of crashing.
-- :mod:`repro.chaos.pool` — :class:`PersistentWorkerPool`, the default
-  parallel execution engine behind the supervisor: long-lived workers
-  pulling tasks over pipes with warm per-worker caches, shared across
-  campaigns via :func:`shared_pool`, under the same death/timeout/retry
-  contracts as the per-task spawn path.
+  each host shard a timeout and bounded retries with backoff (one retry
+  ladder for the serial and the pooled path), detects dead worker
+  processes, and degrades to typed ``ok: False`` results instead of
+  crashing.
+- :mod:`repro.chaos.pool` — :class:`PersistentWorkerPool`, the parallel
+  execution engine behind the supervisor: long-lived workers pulling
+  tasks over pipes with warm per-worker caches, shared across campaigns
+  via :func:`shared_pool`.
 - :mod:`repro.chaos.journal` — :class:`CampaignJournal`, the JSONL
   checkpoint log behind ``repro fleet --resume``: a SIGKILLed campaign
   resumes bit-identically, skipping completed shards.
@@ -43,7 +42,6 @@ from repro.chaos.pool import (
 )
 from repro.chaos.supervisor import (
     CampaignSupervisor,
-    POOL_MODES,
     SupervisionReport,
     SupervisorPolicy,
     TaskOutcome,
@@ -62,7 +60,6 @@ __all__ = [
     "ChaosSpec",
     "FLEET_KINDS",
     "IsolationAuditor",
-    "POOL_MODES",
     "PersistentWorkerPool",
     "SHARD_KINDS",
     "SupervisionReport",

@@ -1,31 +1,25 @@
 """Persistent worker pools: long-lived shard workers with warm state.
 
-The original supervised parallel path (:mod:`repro.chaos.supervisor`)
-spawned **one process per shard attempt**.  That bought clean failure
-isolation but paid the full process tax on every host task: a fork, an
-interpreter teardown, and — the expensive part at fleet scale — stone
-cold per-process caches (Skylake decode LUTs, geometry tables, memoized
-mapping state) rebuilt for every single host.
+The parallel engine behind :class:`~repro.chaos.supervisor.CampaignSupervisor`
+(``workers > 1``).  A :class:`PersistentWorkerPool` keeps ``workers``
+processes alive for the whole campaign (and, via :func:`shared_pool`,
+across campaigns in the same driver process).  Workers loop on a
+private duplex pipe pulling ``(task, attempt)`` messages and pushing
+result dicts back, so the per-task cost is one pickle round-trip while
+per-process caches (Skylake decode LUTs, geometry tables, memoized
+mapping state) stay warm from the first task onward.
 
-A :class:`PersistentWorkerPool` keeps ``workers`` processes alive for
-the whole campaign (and, via :func:`shared_pool`, across campaigns in
-the same driver process).  Workers loop on a private duplex pipe pulling
-``(task, attempt)`` messages and pushing result dicts back, so the
-per-task cost drops to one pickle round-trip while the decode caches
-stay warm from the first task onward.
+Chaos contracts:
 
-The chaos contracts survive unchanged — the pool is a drop-in for the
-per-task spawn path behind ``CampaignSupervisor``:
-
-- a planned ``WorkerDeathError`` still becomes a **real**
+- a planned ``WorkerDeathError`` becomes a **real**
   ``os._exit(WORKER_DEATH_EXIT)`` inside the worker, so the parent's
   dead-worker detection is exercised, not simulated;
-- an unexpected exception in the shard function still crash-exits the
-  worker (``WORKER_CRASH_EXIT``) rather than risking a poisoned loop;
-- a dead worker is **respawned** and its task requeued with an
-  incremented attempt counter, under the same bounded retry ladder and
-  doubling backoff;
-- a hung task is terminated at ``task_timeout_s`` and requeued the same
+- an unexpected exception in the shard function crash-exits the worker
+  (``WORKER_CRASH_EXIT``) rather than risking a poisoned loop;
+- a dead worker is **respawned** and its task goes through the
+  supervisor's :func:`~repro.chaos.supervisor.retry_ladder` — requeued
+  with an incremented attempt counter and doubling backoff, or given up;
+- a hung task is terminated at ``task_timeout_s`` and handled the same
   way (the replacement worker starts cold — chaos costs chaos);
 - results are returned in task order and the ``workers=1 ≡ workers=N``
   merge-digest invariant holds because the shard function is pure in
@@ -57,9 +51,7 @@ from repro.chaos.supervisor import (
     WORKER_CRASH_EXIT,
     WORKER_DEATH_EXIT,
     WorkerDeathError,
-    gave_up_result,
-    note_death,
-    note_timeout,
+    retry_ladder,
 )
 
 _log = get_logger("chaos.pool")
@@ -116,7 +108,6 @@ class _Assigned:
     attempt: int
     deadline: float
     outcome: TaskOutcome
-    index: int
 
 
 class _Worker:
@@ -234,7 +225,7 @@ class PersistentWorkerPool:
     ) -> Tuple[List[dict], SupervisionReport]:
         """Execute every task on the pool under *policy*.
 
-        Same contract as ``CampaignSupervisor._run_parallel``: results
+        Same contract as ``CampaignSupervisor._run_serial``: results
         in task order (empty list when ``collect=False`` — the
         streaming-merge path folds via *on_result* instead), plus the
         supervision report.  Tasks must carry ``.spec.host_id``.
@@ -259,23 +250,19 @@ class PersistentWorkerPool:
             if on_result is not None:
                 on_result(result)
 
-        def retire(assigned: _Assigned, *, timed_out: bool, detail: str) -> None:
-            if timed_out:
-                assigned.outcome.timeouts += 1
-                note_timeout(assigned.task.spec.host_id, assigned.attempt)
+        def retire(assigned: _Assigned, *, timed_out: bool, detail: str = "") -> None:
+            gave_up = retry_ladder(
+                assigned.task,
+                assigned.outcome,
+                assigned.attempt,
+                policy,
+                timed_out=timed_out,
+                detail=detail,
+            )
+            if gave_up is not None:
+                finish(assigned.task, gave_up)
             else:
-                assigned.outcome.worker_deaths += 1
-                note_death(assigned.task.spec.host_id, assigned.attempt, detail)
-            if assigned.attempt >= policy.max_attempts:
-                assigned.outcome.gave_up = True
-                finish(
-                    assigned.task,
-                    gave_up_result(assigned.task, assigned.outcome, policy),
-                )
-                return
-            self._sleep_backoff(policy, assigned.attempt)
-            assigned.outcome.attempts = assigned.attempt + 1
-            pending.append((assigned.task, assigned.attempt + 1))
+                pending.append((assigned.task, assigned.attempt + 1))
 
         def dispatch(worker: _Worker, task: Any, attempt: int) -> bool:
             """Send one task; ``False`` means the worker was dead (it is
@@ -290,7 +277,6 @@ class PersistentWorkerPool:
                 attempt=attempt,
                 deadline=time.monotonic() + policy.task_timeout_s,
                 outcome=outcomes[id(task)],
-                index=index_of[id(task)],
             )
             return True
 
@@ -351,15 +337,9 @@ class PersistentWorkerPool:
                 if assigned is not None and assigned.deadline <= now:
                     worker.proc.terminate()
                     self._respawn(worker)
-                    retire(assigned, timed_out=True, detail="timeout")
+                    retire(assigned, timed_out=True)
         ordered = [results[i] for i in sorted(results)] if collect else []
         return ordered, report
-
-    @staticmethod
-    def _sleep_backoff(policy: SupervisorPolicy, prior_attempts: int) -> None:
-        wait = policy.backoff_s * (2 ** (prior_attempts - 1))
-        if wait > 0:
-            time.sleep(wait)
 
 
 # ---------------------------------------------------------------------------

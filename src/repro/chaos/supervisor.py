@@ -1,19 +1,24 @@
 """Supervised execution of fleet host shards: timeouts, retries, and
 dead-worker detection.
 
-Before this module, :meth:`FleetCampaign._execute` handed every host
-task to ``pool.map`` — and a worker process that *died* (rather than
-raising) poisoned the pool and killed the whole campaign.  The
-:class:`CampaignSupervisor` replaces the pool with one dedicated
-process per in-flight task and a result pipe each, so the supervisor
-can tell the three failure modes apart and react:
+A fleet campaign hands its host tasks to a :class:`CampaignSupervisor`,
+which runs them one of two ways:
 
-- **Worker death** (the process exits without sending a result): the
-  shard is requeued with an incremented attempt counter, up to
-  ``max_attempts``, with doubling wall-clock backoff between attempts.
-- **Timeout** (no result within ``task_timeout_s``): the worker is
-  terminated and the shard requeued the same way — a hung supervisor
-  can never wedge a campaign (or CI).
+- **serially, in-process** for ``workers=1`` (or a single task); a
+  planned worker death surfaces as :class:`WorkerDeathError`;
+- **on the shared** :class:`~repro.chaos.pool.PersistentWorkerPool`
+  otherwise: long-lived workers with warm per-worker caches, where a
+  planned death is a *real* ``os._exit`` and hangs hit
+  ``task_timeout_s``.
+
+Either way a failed attempt goes through the one retry ladder,
+:func:`retry_ladder`:
+
+- **Worker death** (the attempt ends without a result) or **timeout**
+  (no result within ``task_timeout_s``; the pool terminates the
+  worker): the shard is requeued with an incremented attempt counter,
+  up to ``max_attempts``, with doubling wall-clock backoff between
+  attempts — a hung shard can never wedge a campaign (or CI).
 - **Giving up** (attempts exhausted): the shard resolves to a typed
   ``ok: False`` result dict, so the campaign degrades instead of
   crashing; the driver folds it into the report's ``degraded`` section.
@@ -21,29 +26,15 @@ can tell the three failure modes apart and react:
 Supervision metadata (attempt counts, deaths, timeouts) is collected in
 a :class:`SupervisionReport` which the report layer keeps *out* of the
 merge digest: how many times a shard had to run is an execution detail,
-the shard's result is the contract.  In the serial path (workers=1) a
-planned worker death surfaces as :class:`WorkerDeathError` instead of a
-real process exit; the retry ladder is identical, which is what keeps
-``--workers 1`` and ``--workers N`` merging bit-identically under the
-same chaos plan.
-
-Two parallel execution modes share that contract (``pool=``):
-
-- ``"persistent"`` (default) — a :class:`~repro.chaos.pool.PersistentWorkerPool`
-  of long-lived workers pulling tasks from the supervisor, reusing warm
-  per-worker state (geometry LUTs, decode caches) across tasks and
-  across campaigns.  This is the fast path.
-- ``"spawn"`` — the original one-process-per-task path, kept as an
-  escape hatch (``repro fleet --pool spawn``) so a pool regression can
-  be bisected against the old behaviour.
+the shard's result is the contract.  Because both paths share the
+ladder, ``--workers 1`` and ``--workers N`` merge bit-identically under
+the same chaos plan.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from multiprocessing import connection, get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -52,22 +43,19 @@ from repro.log import get_logger
 
 _log = get_logger("chaos.supervisor")
 
-#: Exit code a supervised worker uses for a planned chaos death.
+#: Exit code a pooled worker uses for a planned chaos death.
 WORKER_DEATH_EXIT = 70
-#: Exit code for an unexpected crash inside the supervised entry shim.
+#: Exit code for an unexpected crash inside a pooled worker.
 WORKER_CRASH_EXIT = 81
-
-#: Parallel execution modes (see module docstring).
-POOL_MODES = ("persistent", "spawn")
 
 
 class WorkerDeathError(ChaosError):
     """A planned worker-process death (chaos), surfaced in-process.
 
     Raised by the shard function when a ``WORKER_DEATH`` chaos spec
-    fires.  In a supervised subprocess the entry shim converts it into a
-    real ``os._exit`` so the parent exercises true dead-worker
-    detection; in the serial path the supervisor catches it directly.
+    fires.  A pooled worker converts it into a real ``os._exit`` so the
+    parent exercises true dead-worker detection; in the serial path the
+    supervisor catches it directly.
     """
 
 
@@ -143,82 +131,62 @@ class SupervisionReport:
         }
 
 
-def gave_up_result(task: Any, outcome: TaskOutcome, policy: SupervisorPolicy) -> dict:
-    """Typed degraded result for a shard that exhausted its budget.
+def retry_ladder(
+    task: Any,
+    outcome: TaskOutcome,
+    attempt: int,
+    policy: SupervisorPolicy,
+    *,
+    timed_out: bool = False,
+    detail: str = "",
+) -> Optional[dict]:
+    """Handle one failed shard attempt (death or timeout).
 
-    Deterministic given the chaos plan: the same plan kills the same
-    attempts, so the same shards give up with the same error text — in
-    either pool mode, at any worker count.
+    Counts and logs the failure, then either returns the typed degraded
+    result (attempts exhausted) or sleeps the doubling backoff, bumps
+    ``outcome.attempts`` and returns ``None`` — the caller then runs
+    attempt ``attempt + 1``.  Deterministic given the chaos plan: the
+    same plan kills the same attempts, so the same shards give up with
+    the same error text at any worker count.
     """
-    _log.warning(
-        "host %d shard gave up after %d attempt(s)",
-        task.spec.host_id, policy.max_attempts,
-    )
-    return {
-        "host_id": task.spec.host_id,
-        "ok": False,
-        "gave_up": True,
-        "vms": [s.name for s in task.vm_specs],
-        "placed_bytes": 0,
-        "error": (
-            f"supervisor: shard failed {policy.max_attempts} "
-            "attempt(s) (worker death/timeout); giving up"
-        ),
-    }
-
-
-def note_death(host_id: int, attempt: int, detail: str) -> None:
-    """Log + emit one dead-worker observation (shared with the pool)."""
-    _log.warning(
-        "host %d worker died on attempt %d (%s); requeueing",
-        host_id, attempt, detail,
-    )
-    if obs.ENABLED:
-        obs.emit(
-            obs.ChaosEvent(
-                chaos="worker-death", host=host_id,
-                detail=f"attempt {attempt}: {detail}",
-            )
+    host_id = task.spec.host_id
+    if timed_out:
+        outcome.timeouts += 1
+        _log.warning(
+            "host %d shard timed out on attempt %d; requeueing", host_id, attempt
         )
-
-
-def note_timeout(host_id: int, attempt: int) -> None:
-    """Log + emit one shard-timeout observation (shared with the pool)."""
-    _log.warning(
-        "host %d shard timed out on attempt %d; requeueing",
-        host_id, attempt,
-    )
-    if obs.ENABLED:
-        obs.emit(
-            obs.ChaosEvent(
-                chaos="timeout", host=host_id, detail=f"attempt {attempt}",
-            )
+        chaos, detail = "timeout", f"attempt {attempt}"
+    else:
+        outcome.worker_deaths += 1
+        _log.warning(
+            "host %d worker died on attempt %d (%s); requeueing",
+            host_id, attempt, detail,
         )
-
-
-def _supervised_entry(conn, run_fn, task, attempt: int) -> None:
-    """Subprocess shim: run the shard, pipe the result back, and turn a
-    planned chaos death into a *real* process death so the parent's
-    dead-worker detection is exercised, not simulated."""
-    try:
-        try:
-            result = run_fn(task, attempt=attempt)
-        except WorkerDeathError:
-            os._exit(WORKER_DEATH_EXIT)
-        conn.send(result)
-        conn.close()
-    except Exception:  # noqa: BLE001 — any shim failure is a crash exit
-        os._exit(WORKER_CRASH_EXIT)
-
-
-@dataclass
-class _InFlight:
-    proc: Any
-    conn: Any
-    task: Any
-    attempt: int
-    deadline: float
-    outcome: TaskOutcome
+        chaos, detail = "worker-death", f"attempt {attempt}: {detail}"
+    if obs.ENABLED:
+        obs.emit(obs.ChaosEvent(chaos=chaos, host=host_id, detail=detail))
+    if attempt >= policy.max_attempts:
+        outcome.gave_up = True
+        _log.warning(
+            "host %d shard gave up after %d attempt(s)",
+            host_id, policy.max_attempts,
+        )
+        return {
+            "host_id": host_id,
+            "ok": False,
+            "gave_up": True,
+            "vms": [s.name for s in task.vm_specs],
+            "placed_bytes": 0,
+            "error": (
+                f"supervisor: shard failed {policy.max_attempts} "
+                "attempt(s) (worker death/timeout); giving up"
+            ),
+        }
+    wait = policy.backoff_s * (2 ** (attempt - 1))
+    if wait > 0:
+        time.sleep(wait)
+    outcome.attempts = attempt + 1
+    return None
 
 
 class CampaignSupervisor:
@@ -234,19 +202,11 @@ class CampaignSupervisor:
         run_fn: Callable[..., dict],
         *,
         policy: Optional[SupervisorPolicy] = None,
-        pool: str = "persistent",
         warmup: Optional[Callable[[], None]] = None,
     ):
-        if pool not in POOL_MODES:
-            raise ChaosError(f"unknown pool mode {pool!r}; know {POOL_MODES}")
         self.run_fn = run_fn
         self.policy = policy or SupervisorPolicy()
-        self.pool = pool
         self.warmup = warmup
-
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
 
     def run(
         self,
@@ -267,18 +227,12 @@ class CampaignSupervisor:
         """
         if workers <= 1 or len(tasks) <= 1:
             return self._run_serial(tasks, on_result, collect)
-        if self.pool == "persistent":
-            from repro.chaos.pool import shared_pool
+        from repro.chaos.pool import shared_pool
 
-            worker_pool = shared_pool(self.run_fn, workers, warmup=self.warmup)
-            return worker_pool.run(
-                tasks, self.policy, on_result=on_result, collect=collect
-            )
-        return self._run_parallel(tasks, workers, on_result, collect)
-
-    # ------------------------------------------------------------------
-    # Serial path (workers=1): in-process, same retry ladder
-    # ------------------------------------------------------------------
+        worker_pool = shared_pool(self.run_fn, workers, warmup=self.warmup)
+        return worker_pool.run(
+            tasks, self.policy, on_result=on_result, collect=collect
+        )
 
     def _run_serial(
         self,
@@ -286,6 +240,7 @@ class CampaignSupervisor:
         on_result: Optional[Callable[[dict], None]],
         collect: bool = True,
     ) -> Tuple[List[dict], SupervisionReport]:
+        """In-process path (workers=1): same retry ladder as the pool."""
         report = SupervisionReport()
         results: List[dict] = []
         for task in tasks:
@@ -297,135 +252,14 @@ class CampaignSupervisor:
                     result = self.run_fn(task, attempt=attempt)
                     break
                 except WorkerDeathError as exc:
-                    outcome.worker_deaths += 1
-                    note_death(task.spec.host_id, attempt, str(exc))
-                    if attempt >= self.policy.max_attempts:
-                        outcome.gave_up = True
-                        result = gave_up_result(task, outcome, self.policy)
+                    result = retry_ladder(
+                        task, outcome, attempt, self.policy, detail=str(exc)
+                    )
+                    if result is not None:
                         break
-                    self._backoff(attempt)
                     attempt += 1
-                    outcome.attempts = attempt
             if collect:
                 results.append(result)
             if on_result is not None:
                 on_result(result)
         return results, report
-
-    # ------------------------------------------------------------------
-    # Parallel path: one process + pipe per in-flight shard
-    # ------------------------------------------------------------------
-
-    def _run_parallel(
-        self,
-        tasks: Sequence[Any],
-        workers: int,
-        on_result: Optional[Callable[[dict], None]],
-        collect: bool = True,
-    ) -> Tuple[List[dict], SupervisionReport]:
-        ctx = get_context()
-        report = SupervisionReport()
-        outcomes = {}
-        for task in tasks:
-            outcome = TaskOutcome(host_id=task.spec.host_id)
-            outcomes[id(task)] = outcome
-            report.outcomes.append(outcome)
-        pending: List[Tuple[Any, int]] = [(t, 1) for t in tasks]
-        inflight: Dict[Any, _InFlight] = {}  # sentinel -> state
-        results: Dict[int, dict] = {}  # index in `tasks` -> result
-        index_of = {id(t): i for i, t in enumerate(tasks)}
-
-        def finish(task: Any, result: dict) -> None:
-            results[index_of[id(task)]] = result
-            if on_result is not None:
-                on_result(result)
-
-        def spawn(task: Any, attempt: int) -> None:
-            parent, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_supervised_entry,
-                args=(child, self.run_fn, task, attempt),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            inflight[proc.sentinel] = _InFlight(
-                proc=proc,
-                conn=parent,
-                task=task,
-                attempt=attempt,
-                deadline=time.monotonic() + self.policy.task_timeout_s,
-                outcome=outcomes[id(task)],
-            )
-
-        def retire(state: _InFlight, *, timed_out: bool) -> None:
-            """A shard attempt failed without a result: retry or give up."""
-            if timed_out:
-                state.outcome.timeouts += 1
-                note_timeout(state.task.spec.host_id, state.attempt)
-            else:
-                state.outcome.worker_deaths += 1
-                note_death(
-                    state.task.spec.host_id,
-                    state.attempt,
-                    f"worker exit code {state.proc.exitcode}",
-                )
-            if state.attempt >= self.policy.max_attempts:
-                state.outcome.gave_up = True
-                finish(
-                    state.task,
-                    gave_up_result(state.task, state.outcome, self.policy),
-                )
-                return
-            self._backoff(state.attempt)
-            state.outcome.attempts = state.attempt + 1
-            pending.append((state.task, state.attempt + 1))
-
-        while pending or inflight:
-            while pending and len(inflight) < workers:
-                task, attempt = pending.pop(0)
-                spawn(task, attempt)
-            now = time.monotonic()
-            wait_s = max(
-                0.001,
-                min((s.deadline for s in inflight.values()), default=now) - now,
-            )
-            ready = connection.wait(list(inflight), timeout=wait_s)
-            for sentinel in ready:
-                state = inflight.pop(sentinel)
-                got: Optional[dict] = None
-                # Drain the pipe *before* join: a dead process with no
-                # buffered result is a worker death.
-                try:
-                    if state.conn.poll():
-                        got = state.conn.recv()
-                except (EOFError, OSError):
-                    got = None
-                state.proc.join()
-                state.conn.close()
-                if got is not None:
-                    finish(state.task, got)
-                else:
-                    retire(state, timed_out=False)
-            # Enforce deadlines on whatever is still running.
-            now = time.monotonic()
-            for sentinel in [
-                s for s, st in inflight.items() if st.deadline <= now
-            ]:
-                state = inflight.pop(sentinel)
-                state.proc.terminate()
-                state.proc.join()
-                state.conn.close()
-                retire(state, timed_out=True)
-
-        ordered = [results[i] for i in sorted(results)] if collect else []
-        return ordered, report
-
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-
-    def _backoff(self, prior_attempts: int) -> None:
-        wait = self.policy.backoff_s * (2 ** (prior_attempts - 1))
-        if wait > 0:
-            time.sleep(wait)

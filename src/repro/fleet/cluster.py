@@ -454,9 +454,8 @@ def _peak_rss_mib() -> float:
 class ClusterCampaign:
     """Sharded admission over logical twins + streaming supervised merge."""
 
-    def __init__(self, config: ClusterConfig, *, pool: str = "persistent"):
+    def __init__(self, config: ClusterConfig):
         self.config = config
-        self.pool = pool
         self.shards: list[ClusterShard] = []
         self.fold: StreamingMerge | None = None
 
@@ -526,9 +525,7 @@ class ClusterCampaign:
         assert fold is not None
         tasks = self.tasks()
 
-        supervisor = CampaignSupervisor(
-            run_host_task, pool=self.pool, warmup=warm_worker
-        )
+        supervisor = CampaignSupervisor(run_host_task, warmup=warm_worker)
         _, supervision = supervisor.run(
             tasks,
             cfg.workers,
@@ -566,11 +563,9 @@ class ClusterCampaign:
         return counts
 
 
-def run_cluster_campaign(
-    config: ClusterConfig, *, pool: str = "persistent"
-) -> ClusterReport:
+def run_cluster_campaign(config: ClusterConfig) -> ClusterReport:
     """One-call convenience used by the CLI and the scaling bench."""
-    return ClusterCampaign(config, pool=pool).run()
+    return ClusterCampaign(config).run()
 
 
 __all__ = [

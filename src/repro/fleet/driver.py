@@ -362,15 +362,12 @@ def run_host_task(task: HostTask, attempt: int = 1) -> dict:
 class FleetCampaign:
     """Placement + supervised per-host simulation + deterministic merge."""
 
-    def __init__(self, config: CampaignConfig, *, pool: str = "persistent"):
+    def __init__(self, config: CampaignConfig):
+        #: Host tasks run serially (``workers=1``) or on the shared
+        #: persistent worker pool; the execution path is never part of
+        #: the config, so journals, golden fixtures and merge digests
+        #: are independent of it by construction.
         self.config = config
-        #: Parallel execution engine: ``"persistent"`` (warm worker
-        #: pool, the default) or ``"spawn"`` (one process per task, the
-        #: pre-pool path kept as a bisection escape hatch).  Runtime
-        #: machinery only — deliberately *not* part of
-        #: :class:`CampaignConfig`, so journals, golden fixtures, and
-        #: merge digests are pool-mode independent by construction.
-        self.pool = pool
         self.fleet: Fleet | None = None
         self.admission: AdmissionController | None = None
         self._chaos_plan: ChaosPlan | None = None
@@ -526,9 +523,7 @@ class FleetCampaign:
             journal = CampaignJournal(journal_path or resume_path)
             journal.open(self.config_digest())
         try:
-            supervisor = CampaignSupervisor(
-                run_host_task, pool=self.pool, warmup=warm_worker
-            )
+            supervisor = CampaignSupervisor(run_host_task, warmup=warm_worker)
             results, supervision = supervisor.run(
                 pending,
                 cfg.workers,
@@ -654,9 +649,9 @@ def _make_corruptor(flip_offset: int):
     return corrupt
 
 
-def run_campaign(config: CampaignConfig, *, pool: str = "persistent") -> FleetReport:
+def run_campaign(config: CampaignConfig) -> FleetReport:
     """One-call convenience used by the CLI and the scaling bench."""
-    return FleetCampaign(config, pool=pool).run()
+    return FleetCampaign(config).run()
 
 
 __all__ = [

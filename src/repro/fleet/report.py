@@ -41,7 +41,7 @@ def scrub_host_result(result: dict) -> dict:
     The ``trace`` section (merged per-kind counter deltas shipped back
     by pool workers) depends on whether observability was enabled, not
     on the simulated machine, so it must not participate in the
-    workers=1 ≡ workers=N ≡ spawn/persistent digest contract.
+    workers=1 ≡ workers=N digest contract.
     """
     return {k: v for k, v in result.items() if k != "trace"}
 

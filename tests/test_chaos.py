@@ -166,7 +166,7 @@ class _MiniTask:
     hard_exit_attempts: int = 0
     #: Attempts that hang past any reasonable task timeout.
     hang_attempts: int = 0
-    #: Attempts that raise an unexpected exception (shim crash-exit).
+    #: Attempts that raise an unexpected exception (worker crash-exit).
     crash_attempts: int = 0
 
 
@@ -195,26 +195,6 @@ class TestSupervisorSerial:
         assert results == [{"host_id": 0, "ok": True, "attempt": 1}]
         assert report.retried == 0 and report.worker_deaths == 0
 
-    def test_worker_death_is_retried(self):
-        sup = CampaignSupervisor(_mini_run, policy=_fast_policy())
-        results, report = sup.run(
-            [_MiniTask(_MiniSpec(4), die_attempts=1)], workers=1
-        )
-        assert results[0]["ok"] and results[0]["attempt"] == 2
-        assert report.retried == 1 and report.worker_deaths == 1
-        assert report.outcomes[0].attempts == 2
-
-    def test_gives_up_after_max_attempts(self):
-        sup = CampaignSupervisor(
-            _mini_run, policy=_fast_policy(max_attempts=2)
-        )
-        task = _MiniTask(_MiniSpec(1), (_MiniVm("vm-a"),), die_attempts=99)
-        results, report = sup.run([task], workers=1)
-        assert results[0]["ok"] is False and results[0]["gave_up"]
-        assert results[0]["vms"] == ["vm-a"]
-        assert report.outcomes[0].gave_up
-        assert report.worker_deaths == 2
-
     def test_on_result_sees_each_completion(self):
         seen = []
         sup = CampaignSupervisor(_mini_run, policy=_fast_policy())
@@ -231,8 +211,75 @@ class TestSupervisorSerial:
             SupervisorPolicy(backoff_s=-1)
 
 
+#: ``WorkerDeathError`` ladder cases as (policy overrides, tasks).  Each
+#: has two tasks, so ``workers=2`` really runs on the worker pool.
+_LADDER_CASES = {
+    "retried": (
+        {},
+        (_MiniTask(_MiniSpec(4), die_attempts=1), _MiniTask(_MiniSpec(5))),
+    ),
+    "gives-up": (
+        {"max_attempts": 2},
+        (
+            _MiniTask(_MiniSpec(1), (_MiniVm("vm-a"),), die_attempts=99),
+            _MiniTask(_MiniSpec(2)),
+        ),
+    ),
+    "planned-death": (
+        {},
+        (
+            _MiniTask(_MiniSpec(0), die_attempts=1),
+            _MiniTask(_MiniSpec(1), die_attempts=2),
+        ),
+    ),
+}
+
+
+def _ladder(case: str, workers: int):
+    overrides, tasks = _LADDER_CASES[case]
+    sup = CampaignSupervisor(_mini_run, policy=_fast_policy(**overrides))
+    return sup.run(list(tasks), workers=workers)
+
+
+class TestRetryLadder:
+    """Planned deaths on both paths: raised in-process at ``workers=1``,
+    a real ``os._exit`` in a pooled worker at ``workers=2``."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_death_is_retried(self, workers):
+        results, report = _ladder("retried", workers)
+        assert results[0]["ok"] and results[0]["attempt"] == 2
+        assert results[1]["ok"] and results[1]["attempt"] == 1
+        assert report.retried == 1 and report.worker_deaths == 1
+        assert report.outcomes[0].attempts == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gives_up_after_max_attempts(self, workers):
+        results, report = _ladder("gives-up", workers)
+        assert results[0]["ok"] is False and results[0]["gave_up"]
+        assert results[0]["vms"] == ["vm-a"]
+        assert results[1]["ok"]
+        assert report.outcomes[0].gave_up
+        assert report.worker_deaths == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_planned_death_retries_every_attempt(self, workers):
+        results, report = _ladder("planned-death", workers)
+        assert results[0]["attempt"] == 2
+        assert results[1]["attempt"] == 3
+        assert report.worker_deaths == 3
+
+    @pytest.mark.parametrize("case", sorted(_LADDER_CASES))
+    def test_serial_and_pool_paths_agree(self, case):
+        serial_results, serial_report = _ladder(case, 1)
+        pool_results, pool_report = _ladder(case, 2)
+        assert pool_results == serial_results
+        assert pool_report.to_dict() == serial_report.to_dict()
+
+
 class TestSupervisorParallel:
-    """Real processes, real deaths: the pool.map replacement under fire."""
+    """Raw kills, crashes and hangs in pooled workers (``workers=2``
+    only: ``os._exit`` or a hang in-process would take pytest down)."""
 
     def test_results_keep_task_order(self):
         sup = CampaignSupervisor(_mini_run, policy=_fast_policy())
@@ -254,19 +301,6 @@ class TestSupervisorParallel:
         assert results[0]["ok"] and results[0]["attempt"] == 2
         assert results[1]["ok"] and results[1]["attempt"] == 1
         assert report.worker_deaths == 1 and report.retried == 1
-
-    def test_planned_death_exits_the_process_for_real(self):
-        sup = CampaignSupervisor(_mini_run, policy=_fast_policy())
-        results, report = sup.run(
-            [
-                _MiniTask(_MiniSpec(0), die_attempts=1),
-                _MiniTask(_MiniSpec(1), die_attempts=2),
-            ],
-            workers=2,
-        )
-        assert results[0]["attempt"] == 2
-        assert results[1]["attempt"] == 3
-        assert report.worker_deaths == 3
 
     def test_crash_in_shard_is_retried(self):
         # len(tasks) <= 1 falls back to serial; force parallel with two.

@@ -155,7 +155,6 @@ class TestClusterCampaign:
         variants = [
             run_cluster_campaign(_cluster_cfg(workers=2)),
             run_cluster_campaign(_cluster_cfg(workers=2, backend="vectorized")),
-            run_cluster_campaign(_cluster_cfg(workers=2), pool="spawn"),
         ]
         for v in variants:
             assert v.merge_digest == reference.merge_digest
@@ -295,11 +294,9 @@ class TestClusterCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["fleet"])
-        assert args.pool == "persistent" and args.shards == "auto"
-        args = build_parser().parse_args(
-            ["fleet", "--pool", "spawn", "--shards", "4"]
-        )
-        assert args.pool == "spawn" and args.shards == "4"
+        assert args.shards == "auto"
+        args = build_parser().parse_args(["fleet", "--shards", "4"])
+        assert args.shards == "4"
 
     def test_explicit_shards_runs_cluster_path(self, capsys):
         from repro.cli import main

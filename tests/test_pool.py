@@ -1,11 +1,11 @@
 """Persistent worker pool lifecycle edges (``repro.chaos.pool``).
 
-The pool is the default parallel engine behind ``CampaignSupervisor``;
-its contracts are already exercised wholesale by ``test_chaos.py``.
-This file pins the *pool-specific* edges the ISSUE calls out: worker
-death mid-task respawns + requeues with the digest unchanged, one pool
-serves two campaigns in the same process (same worker PIDs), and the
-spawn escape hatch merges bit-identically with the pool path.
+The pool is the parallel engine behind ``CampaignSupervisor``; its
+contracts are already exercised wholesale by ``test_chaos.py``.  This
+file pins the *pool-specific* edges: worker death mid-task respawns +
+requeues with the digest unchanged, one pool serves two campaigns in the
+same process (same worker PIDs), and a pooled campaign merges
+bit-identically with the serial path.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.chaos import (
-    CampaignSupervisor,
-    POOL_MODES,
     PersistentWorkerPool,
     SupervisorPolicy,
     WorkerDeathError,
@@ -181,7 +179,7 @@ class TestSharedPools:
 
 
 # ---------------------------------------------------------------------------
-# Supervisor integration: pool modes on a real campaign
+# Supervisor integration: the pool against the serial path on a real campaign
 # ---------------------------------------------------------------------------
 
 
@@ -192,18 +190,10 @@ def _small_config(**kw) -> CampaignConfig:
 
 
 class TestPoolModes:
-    def test_pool_mode_is_validated(self):
-        with pytest.raises(ChaosError):
-            CampaignSupervisor(_run, pool="threads")
-        assert POOL_MODES == ("persistent", "spawn")
-
-    def test_persistent_and_spawn_digests_match(self):
-        persistent = FleetCampaign(
-            _small_config(workers=2), pool="persistent"
-        ).run()
-        spawn = FleetCampaign(_small_config(workers=2), pool="spawn").run()
+    def test_persistent_and_serial_digests_match(self):
+        persistent = FleetCampaign(_small_config(workers=2)).run()
         serial = FleetCampaign(_small_config(workers=1)).run()
-        assert persistent.digest() == spawn.digest() == serial.digest()
+        assert persistent.digest() == serial.digest()
 
     def test_worker_death_under_pool_keeps_digest(self):
         # A seed whose chaos plan includes worker deaths: the pool must
@@ -221,7 +211,7 @@ class TestPoolModes:
         )
         cfg_parallel = _small_config(workers=2, chaos_seed=seed)
         cfg_serial = _small_config(workers=1, chaos_seed=seed)
-        parallel = FleetCampaign(cfg_parallel, pool="persistent").run()
+        parallel = FleetCampaign(cfg_parallel).run()
         serial = FleetCampaign(cfg_serial).run()
         assert parallel.digest() == serial.digest()
         assert parallel.supervision.get("worker_deaths", 0) >= 1, (
