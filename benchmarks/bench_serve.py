@@ -10,7 +10,7 @@ Two kinds of runs:
 - **Sustained** (scalar): one >=10k-request run — the headline
   throughput/latency measurement the ``serve_throughput`` trajectory
   gate consumes.
-- **Digest** (all three backends): smaller seeded runs whose final
+- **Digest** (both backends): smaller seeded runs whose final
   fleet state digest must be **bit-identical** to replaying the
   daemon's own request log through the synchronous
   :class:`~repro.serve.core.FleetStateMachine` — the proof that the
@@ -88,7 +88,7 @@ def test_serve_sustained() -> None:
 def test_serve_digest_all_backends() -> None:
     """Replay-digest equality on every backend (smaller seeded runs)."""
     print(_banner(f"Serve: replay digests, {DIGEST_REQUESTS} requests/backend"))
-    for backend in ("scalar", "batched", "vectorized"):
+    for backend in ("scalar", "vectorized"):
         report = _run(backend, DIGEST_REQUESTS)
         verdict = "MATCH" if report.replay_verified else "MISMATCH"
         print(

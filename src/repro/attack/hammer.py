@@ -46,8 +46,8 @@ def run_pattern(
     synchronize = sync_ref and decoy_rows and dram.trr is not None
     if not synchronize:
         # One batch for the whole pattern: the engine fast path (when
-        # the module runs the batched backend) amortizes the per-ACT
-        # dispatch over every round.
+        # the module runs the vectorized backend) folds every round
+        # into one whole-batch kernel.
         return dram.activate_batch(socket, bank, rows * pattern.rounds)
     flips: list[BitFlip] = []
     for _ in range(pattern.rounds):

@@ -61,15 +61,26 @@ _SHUTDOWN = None
 
 
 def _pool_worker_main(
-    conn: Any, run_fn: Callable[..., dict], warmup: Optional[Callable[[], None]]
+    conn: Any,
+    inherited: Sequence[Any],
+    run_fn: Callable[..., dict],
+    warmup: Optional[Callable[[], None]],
 ) -> None:
     """Worker process body: warm up once, then loop on the task pipe.
+
+    *inherited* are the driver-side pipe ends a forked worker holds
+    copies of: its own and every earlier worker's.  Closing them first
+    leaves the driver as the only holder of each, so when the driver
+    dies (even by SIGKILL) every worker reads EOF and exits instead of
+    blocking in ``recv`` forever.
 
     The chaos exits are deliberate: a planned :class:`WorkerDeathError`
     and an unexpected shard exception both kill the *process* (not just
     the task) so the parent exercises true dead-worker detection and a
     fresh worker replaces any possibly-corrupted interpreter state.
     """
+    for end in inherited:
+        end.close()
     if warmup is not None:
         try:
             warmup()
@@ -166,7 +177,7 @@ class PersistentWorkerPool:
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child, self.run_fn, self.warmup),
+            args=(child, [parent, *(w.conn for w in self._pool)], self.run_fn, self.warmup),
             daemon=True,
         )
         proc.start()

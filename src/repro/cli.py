@@ -551,9 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=tuple(b.value for b in SimBackend),
         default="scalar",
-        help="simulation hot path: 'scalar' reference, 'batched' engine, "
-        "or numpy 'vectorized' kernels (identical results, see README "
-        "Performance)",
+        help="simulation hot path: 'scalar' reference or numpy "
+        "'vectorized' kernels (identical results, see README Performance)",
     )
     parser.add_argument(
         "-v",

@@ -29,30 +29,16 @@ WORD_BITS: int = 64
 #: Below it the dict fold wins on constant factors.
 VECTOR_BITS_CUTOFF: int = 32
 
-_np = None  # lazy numpy handle; False once an import failed
-
-
-def _numpy():
-    global _np
-    if _np is None:
-        try:
-            import numpy
-
-            _np = numpy
-        except ImportError:  # pragma: no cover - numpy baked into CI
-            _np = False
-    return _np if _np is not False else None
-
-
 def _words_and_counts(flipped_bit_indexes: set[int]) -> list[tuple[int, int]]:
     """``(word, flip count)`` pairs in ascending word order.
 
     The numpy path (``np.unique`` on ``bit // WORD_BITS``) returns
     exactly what the dict fold plus sort returns — both are exercised
     by the ECC tests on the same flip sets."""
-    np = _numpy()
     n = len(flipped_bit_indexes)
-    if np is not None and n >= VECTOR_BITS_CUTOFF:
+    if n >= VECTOR_BITS_CUTOFF:
+        import numpy as np
+
         arr = np.fromiter(flipped_bit_indexes, dtype=np.int64, count=n)
         words, counts = np.unique(arr // WORD_BITS, return_counts=True)
         return list(zip(words.tolist(), counts.tolist()))
@@ -181,9 +167,10 @@ class EccEngine:
     def correctable_bits(self, flipped_bit_indexes: set[int]) -> set[int]:
         """The subset of flipped bits that SEC-DED would repair (exactly
         one flip in their word) — what a patrol scrub can heal."""
-        np = _numpy()
         n = len(flipped_bit_indexes)
-        if np is not None and n >= VECTOR_BITS_CUTOFF:
+        if n >= VECTOR_BITS_CUTOFF:
+            import numpy as np
+
             arr = np.sort(np.fromiter(flipped_bit_indexes, dtype=np.int64, count=n))
             _words, first, counts = np.unique(
                 arr // WORD_BITS, return_index=True, return_counts=True

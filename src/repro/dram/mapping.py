@@ -31,13 +31,10 @@ from repro.dram.media import MediaAddress
 from repro.errors import MappingError
 from repro.units import CACHE_LINE, MiB, is_aligned
 
-#: Entries kept in each per-mapping decode LRU.  Sized for the working
+#: Entries kept in each per-mapping flat-decode LRU.  Sized for the working
 #: sets of the perf experiments (thousands of distinct cache lines) while
 #: bounding memory on adversarial scans.
 DECODE_CACHE_SIZE = 1 << 16
-
-#: Sentinel distinguishing "not computed yet" from a cached ``None``.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -127,10 +124,11 @@ class SkylakeMapping:
         object.__setattr__(self, "_socket_bases", bases)
         # Hot-path memoization (repro.engine): the chunk permutation as
         # flat lookup tables, the derived shape as plain ints (the
-        # properties recompute products on every call), and LRU-wrapped
-        # decoders bound as instance attributes.  All are pure functions
-        # of the frozen fields, so caching cannot change results — the
-        # mapping property tests verify cached == uncached.
+        # properties recompute products on every call), and the
+        # LRU-wrapped flat decoder bound as an instance attribute.  All
+        # are pure functions of the frozen fields, so caching cannot
+        # change results — the mapping property tests verify cached ==
+        # uncached.
         n_chunks = 2 * self.chunks_per_range
         object.__setattr__(
             self,
@@ -150,11 +148,6 @@ class SkylakeMapping:
         object.__setattr__(self, "_c_banks_per_channel", g.banks_per_channel)
         object.__setattr__(self, "_c_socket_bytes", g.socket_bytes)
         object.__setattr__(self, "_c_total_bytes", g.total_bytes)
-        object.__setattr__(
-            self,
-            "decode_cached",
-            functools.lru_cache(maxsize=DECODE_CACHE_SIZE)(self.decode),
-        )
         object.__setattr__(
             self,
             "decode_flat",
@@ -263,22 +256,13 @@ class SkylakeMapping:
         socket_bank = (within // CACHE_LINE) % self._c_banks_per_socket
         return socket, socket_bank, socket_bank // self._c_banks_per_channel, row
 
-    def decode_batch(self, hpas) -> list[MediaAddress]:
-        """Decode a vector of HPAs through the shared LRU cache."""
-        cached = self.decode_cached
-        return [cached(hpa) for hpa in hpas]
-
     def _np_phys2rg_table(self):
-        """Chunk-permutation LUT as an int64 ndarray (lazy; ``None``
-        when numpy is unavailable, so callers can fall back)."""
-        tab = getattr(self, "_np_phys2rg_cached", _UNSET)
-        if tab is _UNSET:
-            try:
-                import numpy as np
+        """Chunk-permutation LUT as an int64 ndarray (built on first use)."""
+        tab = getattr(self, "_np_phys2rg_cached", None)
+        if tab is None:
+            import numpy as np
 
-                tab = np.asarray(self._phys2rg, dtype=np.int64)
-            except ImportError:  # pragma: no cover - numpy baked into CI
-                tab = None
+            tab = np.asarray(self._phys2rg, dtype=np.int64)
             object.__setattr__(self, "_np_phys2rg_cached", tab)
         return tab
 
@@ -287,8 +271,8 @@ class SkylakeMapping:
 
         Returns ``(socket, socket_bank, row, col)`` int64 ndarrays that
         agree element-wise with :meth:`decode` (the mapping property
-        tests enforce this).  Raises :class:`ImportError` without numpy
-        and :class:`MappingError` on any out-of-range address.
+        tests enforce this).  Raises :class:`MappingError` on any
+        out-of-range address.
         """
         import numpy as np
 
@@ -327,40 +311,6 @@ class SkylakeMapping:
         socket, socket_bank, row, _col = self.decode_media_batch(hpas)
         return socket, socket_bank, socket_bank // self._c_banks_per_channel, row
 
-    def decode_lines_batch(
-        self, hpa: int, length: int
-    ) -> list[tuple[int, int, int, int, int, int]]:
-        """Split ``[hpa, hpa+length)`` into per-cache-line pieces in one
-        vectorized decode: a list of ``(socket, socket_bank, row, col,
-        offset, take)``.  Raises :class:`ImportError` without numpy."""
-        import numpy as np
-
-        first = hpa // CACHE_LINE
-        n = (hpa + length - 1) // CACHE_LINE - first + 1
-        bounds = np.arange(first, first + n + 1, dtype=np.int64) * CACHE_LINE
-        starts = bounds[:-1].copy()
-        starts[0] = hpa
-        ends = bounds[1:]
-        ends[-1] = hpa + length
-        socket, socket_bank, row, col = self.decode_media_batch(starts)
-        return list(
-            zip(
-                socket.tolist(),
-                socket_bank.tolist(),
-                row.tolist(),
-                col.tolist(),
-                (starts - hpa).tolist(),
-                (ends - starts).tolist(),
-            )
-        )
-
-    def decode_cache_info(self) -> dict[str, object]:
-        """Hit/miss statistics of both decode LRUs (perf diagnostics)."""
-        return {
-            "decode": self.decode_cached.cache_info(),
-            "flat": self.decode_flat.cache_info(),
-        }
-
     def encode(self, media: MediaAddress) -> int:
         """Exact inverse of :meth:`decode`."""
         g = self.geom
@@ -389,8 +339,8 @@ class SkylakeMapping:
         The row-group index equals the bank-local row number, so the
         group is simply row // rows_per_subarray.
         """
-        media = self.decode_cached(hpa)
-        return media.socket, media.row // self.geom.rows_per_subarray
+        socket, _bank, _channel, row = self.decode_flat(hpa)
+        return socket, row // self.geom.rows_per_subarray
 
     def row_group_ranges(self, socket: int, row: int) -> list[AddressRange]:
         """HPA range(s) whose bytes live in row *row* of every bank.

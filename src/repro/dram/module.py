@@ -95,10 +95,9 @@ class SimulatedDram:
     backend:
         :class:`~repro.engine.backend.SimBackend` (or its string value)
         selecting the activation hot path: ``SCALAR`` is the golden
-        reference, ``BATCHED`` routes :meth:`activate_batch` through the
-        array-backed :mod:`repro.engine.batch` loop, ``VECTORIZED``
-        through the numpy :mod:`repro.engine.vector` kernels.  All three
-        produce bit-identical results (see ``tests/test_differential.py``).
+        reference, ``VECTORIZED`` routes :meth:`activate_batch` through
+        the numpy :mod:`repro.engine.vector` kernels.  Both produce
+        bit-identical results (see ``tests/test_differential.py``).
     """
 
     def __init__(
@@ -124,28 +123,15 @@ class SimulatedDram:
         if mapping.geom is not geom:
             raise DramError("mapping and module must share a geometry")
         self.mapping = mapping
-        # Vectorized whole-span line decode (repro.engine); None when the
-        # mapping implementation has no batch decoder or numpy is absent.
-        self._lines_fast = getattr(mapping, "decode_lines_batch", None)
         self.backend = SimBackend.parse(backend)
-        if self.backend is SimBackend.BATCHED:
-            # Imported lazily: repro.engine.batch itself imports the
+        if self.backend is SimBackend.VECTORIZED:
+            # Imported lazily: repro.engine.vector itself imports the
             # disturbance layer, so a top-level import would cycle.
-            from repro.engine.batch import BatchedDisturbanceModel
+            from repro.engine.vector import VectorizedDisturbanceModel
 
-            self.disturbance: DisturbanceModel = BatchedDisturbanceModel(
+            self.disturbance: DisturbanceModel = VectorizedDisturbanceModel(
                 geom, profile, seed=seed
             )
-        elif self.backend is SimBackend.VECTORIZED:
-            try:
-                from repro.engine.vector import VectorizedDisturbanceModel
-            except ImportError as exc:  # numpy not installed
-                raise DramError(
-                    "the vectorized backend requires numpy; install it or "
-                    "pick the scalar/batched backend"
-                ) from exc
-
-            self.disturbance = VectorizedDisturbanceModel(geom, profile, seed=seed)
         else:
             self.disturbance = DisturbanceModel(geom, profile, seed=seed)
         self.trr = Trr(geom, trr_config, seed=seed + 1) if trr_config else None
@@ -276,10 +262,10 @@ class SimulatedDram:
         """Issue a vector of ACTs to one (socket, bank).
 
         Semantically identical to ``for row in rows: activate(...)`` —
-        on the batched backend the loop runs through the inlined
-        :func:`repro.engine.batch.run_activation_batch` fast path; on
-        the scalar backend it falls back to per-access :meth:`activate`.
-        Returns the concatenated disturbance flips."""
+        on the vectorized backend the batch runs through
+        :func:`repro.engine.vector.run_activation_batch_vectorized`; on
+        the scalar backend it is per-access :meth:`activate`.  Returns
+        the concatenated disturbance flips."""
         rows = rows if isinstance(rows, list) else list(rows)
         if obs.ENABLED:
             obs.emit(
@@ -287,10 +273,6 @@ class SimulatedDram:
                     socket=socket, bank=bank, rows=len(rows), when=self.clock
                 )
             )
-        if self.backend is SimBackend.BATCHED:
-            from repro.engine.batch import run_activation_batch
-
-            return run_activation_batch(self, socket, bank, rows)
         if self.backend is SimBackend.VECTORIZED:
             from repro.engine.vector import run_activation_batch_vectorized
 
@@ -412,18 +394,33 @@ class SimulatedDram:
         """Split [hpa, hpa+length) into per-cache-line pieces, decoded to
         ``(socket, socket_bank, row, col, offset, take)`` tuples.
 
-        Multi-line spans go through the mapping's vectorized
-        ``decode_lines_batch`` when numpy is available; single lines and
-        numpy-less runs use the scalar decode.  Both agree exactly (the
-        mapping property tests compare them)."""
+        Spans longer than one line decode every line start in one
+        ``decode_media_batch`` call; shorter spans use the scalar
+        decode.  Both agree exactly (``tests/test_engine_vector.py``
+        compares them)."""
         if length <= 0:
             raise DramError(f"length must be positive, got {length}")
-        fast = self._lines_fast
-        if fast is not None and length > CACHE_LINE:
-            try:
-                return fast(hpa, length)
-            except ImportError:  # pragma: no cover - numpy baked into CI
-                self._lines_fast = None
+        if length > CACHE_LINE:
+            import numpy as np
+
+            first = hpa // CACHE_LINE
+            n = (hpa + length - 1) // CACHE_LINE - first + 1
+            bounds = np.arange(first, first + n + 1, dtype=np.int64) * CACHE_LINE
+            starts = bounds[:-1].copy()
+            starts[0] = hpa
+            ends = bounds[1:]
+            ends[-1] = hpa + length
+            socket, socket_bank, row, col = self.mapping.decode_media_batch(starts)
+            return list(
+                zip(
+                    socket.tolist(),
+                    socket_bank.tolist(),
+                    row.tolist(),
+                    col.tolist(),
+                    (starts - hpa).tolist(),
+                    (ends - starts).tolist(),
+                )
+            )
         out = []
         geom = self.geom
         decode = self.mapping.decode
@@ -481,7 +478,7 @@ class SimulatedDram:
         once, and runs a single ECC sweep per row over every touched
         word.  Returned bytes and healed bits match per-line
         :meth:`read` on the same span; only the ACT/clock accounting
-        differs (one ACT per touched row), identically across all three
+        differs (one ACT per touched row), identically on both
         backends.  Bulk consumers — migration snapshots, remediation
         copies — use this instead of :meth:`read`."""
         self.counters.reads += 1

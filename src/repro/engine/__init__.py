@@ -1,18 +1,18 @@
-"""Fast hot-path simulation engines (batched + vectorized).
+"""Fast hot-path simulation engine (vectorized).
 
 ``SimBackend`` selects between the scalar golden-reference path and the
-two fast paths; ``run_activation_batch`` is the inlined per-ACT loop and
-``run_activation_batch_vectorized`` the numpy whole-batch kernel, both
-used by :meth:`repro.dram.module.SimulatedDram.activate_batch`.
+numpy fast path; ``run_activation_batch_vectorized`` is the whole-batch
+kernel behind :meth:`repro.dram.module.SimulatedDram.activate_batch`.
 
-The vectorized names resolve lazily (PEP 562) so importing the engine
-package — which the batched path does — never requires numpy.
+The vectorized names resolve lazily (PEP 562): the DRAM layer imports
+``repro.engine.backend`` at module load, and importing the numpy engine
+there would cycle back into ``repro.dram`` (and pull numpy into every
+scalar-only run).
 """
 
 from typing import Any
 
 from repro.engine.backend import BackendError, SimBackend
-from repro.engine.batch import BatchedDisturbanceModel, run_activation_batch
 
 _VECTOR_NAMES = (
     "VectorizedDisturbanceModel",
@@ -22,9 +22,7 @@ _VECTOR_NAMES = (
 
 __all__ = [
     "BackendError",
-    "BatchedDisturbanceModel",
     "SimBackend",
-    "run_activation_batch",
     *_VECTOR_NAMES,
 ]
 

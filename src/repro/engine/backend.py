@@ -1,22 +1,19 @@
 """Simulation-backend selection for the hot activation path.
 
-Three backends drive the disturbance/TRR/refresh core of
+Two backends drive the disturbance/TRR/refresh core of
 :class:`~repro.dram.module.SimulatedDram`:
 
 - ``SCALAR`` — the original per-access object-graph walk.  It is the
   *golden reference*: every fast-path result is defined as "whatever the
   scalar path would have produced".
-- ``BATCHED`` — the :mod:`repro.engine.batch` fast path: flat per-bank
-  ``array('d')`` pressure/threshold tables, a memoized neighbor table,
-  and an inlined per-batch loop that consumes the same RNG streams in
-  the same order as the scalar path, so flip sets, TRR decisions, ECC
-  events and health escalations are bit-for-bit identical (enforced by
-  ``tests/test_differential.py``).
 - ``VECTORIZED`` — the :mod:`repro.engine.vector` numpy path: whole-batch
   pressure/TRR/clock math as float64 array kernels, dropping to the
   exact scalar code only at RNG-consuming events (first-touch threshold
-  draws, flip emission).  Same bit-identical contract, enforced by the
-  same differential suite, pairwise against both other backends.
+  draws, flip emission) and to an inlined per-ACT loop for hooked,
+  traced or short batches.  It consumes the same RNG streams in the
+  same order as the scalar path, so flip sets, TRR decisions, ECC
+  events and health escalations are bit-for-bit identical (enforced by
+  ``tests/test_differential.py``).
 
 The enum deliberately lives in a dependency-free module so the DRAM
 layer can import it without pulling the engine implementation (or
@@ -38,7 +35,6 @@ class SimBackend(Enum):
     """Which implementation services the activation hot path."""
 
     SCALAR = "scalar"
-    BATCHED = "batched"
     VECTORIZED = "vectorized"
 
     @classmethod

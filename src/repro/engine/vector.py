@@ -1,9 +1,8 @@
 """The vectorized (numpy) hot-path simulation engine.
 
-Third :class:`~repro.engine.backend.SimBackend`: the batched loop of
-:mod:`repro.engine.batch` already flattened the per-ACT call frames, but
-it still walks Python bytecode once per activation.  This module moves
-the RNG-free bulk math of a whole activation batch into numpy while
+The fast :class:`~repro.engine.backend.SimBackend`: it replays the
+scalar reference's disturbance, TRR and refresh semantics with the
+RNG-free bulk math of a whole activation batch moved into numpy, while
 keeping the repo's golden equivalence contract — every flip set, TRR
 decision, ECC event and health escalation is bit-identical to the scalar
 reference.  The design splits each batch into:
@@ -17,8 +16,8 @@ reference.  The design splits each batch into:
    subtraction form ``clock - last_refresh >= window`` elementwise.
 
 2. **Rare RNG-consuming events (exact scalar code).**  First-touch
-   threshold draws are handled by running the batched per-ACT loop over
-   a prefix of the batch until every victim has a drawn threshold;
+   threshold draws are handled by running the per-ACT loop over a
+   prefix of the batch until every victim has a drawn threshold;
    threshold-crossing flip emission replays the scalar draw sequence in
    global ``(ACT index, neighbor order)`` order.  Crucially the pressure
    trajectory itself is RNG-free (the crossing loop subtracts the
@@ -43,32 +42,32 @@ takes the generic whole-batch matrix path (:func:`_finals_generic`).
 Both produce identical state.
 
 Batches with registered fault hooks, with tracing enabled, or shorter
-than :data:`MIN_VECTOR_BATCH` delegate to the (equivalent) batched loop:
-hooks mutate mid-batch state, traces must interleave per ACT, and short
-vectors do not amortize the numpy set-up cost.
+than :data:`MIN_VECTOR_BATCH` run through :func:`_run_per_act`, the
+scalar path's exact operation sequence flattened into one loop: hooks
+mutate mid-batch state, traces must interleave per ACT, and short
+vectors do not amortize the numpy set-up cost.  The per-bank tables are
+``array('d')`` so that loop indexes plain Python floats; the numpy
+kernels work on cached zero-copy ``np.frombuffer`` views of the same
+memory.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.dram.disturbance import BitFlip, DisturbanceProfile
+from repro.dram.disturbance import BitFlip, DisturbanceModel, DisturbanceProfile
 from repro.dram.geometry import DRAMGeometry
-from repro.engine.batch import (
-    BatchedDisturbanceModel,
-    nan_row_template,
-    run_activation_batch,
-)
 from repro.errors import DramError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (module -> engine)
     from repro.dram.module import SimulatedDram
 
-#: Batches shorter than this run through the batched per-ACT loop (still
+#: Batches shorter than this run through the per-ACT loop (still
 #: bit-identical, just not vectorized).  Patchable in tests to force the
 #: vector path onto tiny batches.
 MIN_VECTOR_BATCH: int = 96
@@ -87,6 +86,26 @@ _PERIOD_WINDOW: int = 128
 _SCREEN_SLACK: float = 1e-9
 
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
+
+#: Per-geometry NaN row templates, keyed by rows_per_bank.  Building the
+#: template costs O(rows) per call; every model instance (one per host in
+#: fleet campaigns) would otherwise pay it in ``__init__``.  The template
+#: is read-only by convention — consumers copy before mutating.
+_NAN_TEMPLATES: dict[int, array] = {}
+
+#: One bank's state: pressure and threshold ``array('d')`` tables (the
+#: per-ACT loop's view) plus zero-copy float64 views of the same memory
+#: (the numpy kernels' view).
+BankTables = tuple[array, array, np.ndarray, np.ndarray]
+
+
+def _nan_row_template(rows: int) -> array:
+    """Shared all-NaN ``array('d')`` of length *rows* (copy before use)."""
+    got = _NAN_TEMPLATES.get(rows)
+    if got is None:
+        got = array("d", [float("nan")]) * rows
+        _NAN_TEMPLATES[rows] = got
+    return got
 
 
 def bulk_uniforms(rng: random.Random, n: int) -> np.ndarray:
@@ -108,16 +127,19 @@ def bulk_uniforms(rng: random.Random, n: int) -> np.ndarray:
     return out
 
 
-class VectorizedDisturbanceModel(BatchedDisturbanceModel):
-    """Numpy-backed disturbance state, RNG-compatible with both backends.
+class VectorizedDisturbanceModel(DisturbanceModel):
+    """Array-backed disturbance state, RNG-compatible with the scalar model.
 
-    Per touched (socket, bank) the model keeps accumulated pressure and
-    lazily-drawn victim thresholds (NaN = not drawn) in ``np.float64``
-    arrays.  IEEE-754 arithmetic on ``np.float64`` scalars matches
-    Python floats bit for bit, so the inherited scalar-compatible
-    methods and the batched fallback loop run unchanged on these tables;
-    only :func:`run_activation_batch_vectorized` exploits their numpy
-    nature.
+    Per touched (socket, bank) the model keeps two flat ``array('d')``
+    tables indexed by bank-local row: accumulated pressure, and the
+    lazily-drawn per-victim threshold (NaN = not drawn yet).  Thresholds
+    are drawn through the same ``random.Random`` stream in the same
+    first-touch order as the scalar model's dict, so both backends see
+    identical threshold values and identical downstream flip randomness.
+    Each bank also carries ``np.frombuffer`` views of its two tables,
+    built once with the tables, for the whole-batch kernels.  Every
+    table update is in place, so hoisted references held by an
+    in-flight batch stay valid.
     """
 
     def __init__(
@@ -129,35 +151,283 @@ class VectorizedDisturbanceModel(BatchedDisturbanceModel):
     ):
         super().__init__(geom, profile, seed=seed)
         rows = geom.rows_per_bank
-        # Reuse the per-geometry template hoisted in repro.engine.batch:
-        # frombuffer shares its memory, and .copy() below never mutates it.
-        self._np_nans = np.frombuffer(nan_row_template(rows), dtype=np.float64)
-        self._np_zeros = np.zeros(rows, dtype=np.float64)
+        self._zeros = array("d", bytes(8 * rows))
+        self._nans = _nan_row_template(rows)
+        self._banks: dict[tuple[int, int], BankTables] = {}
+        #: row -> tuple[(victim, weight), ...]; lazily filled memo of
+        #: the subarray-clipped spill targets (identical to _neighbors).
+        self._neighbor_table: list[tuple[tuple[int, float], ...] | None] = [None] * rows
         # Periodic-batch structures keyed on (subarray alignment, edge
         # anchor, shifted period rows): campaigns replay the same hammer
         # pattern at many base rows, so the victim tables and fold
         # templates are reused wholesale across banks and base rows.
         self._tile_cache: dict[tuple[int, int, bytes], dict[str, Any]] = {}
 
-    def _bank_arrays(self, socket: int, bank: int) -> tuple[Any, Any]:
+    # ------------------------------------------------------------------
+    # Flat state
+    # ------------------------------------------------------------------
+
+    def _bank_tables(self, socket: int, bank: int) -> BankTables:
         key = (socket, bank)
         got = self._banks.get(key)
         if got is None:
-            got = (self._np_zeros.copy(), self._np_nans.copy())
+            press = array("d", self._zeros)
+            thresh = array("d", self._nans)
+            got = (
+                press,
+                thresh,
+                np.frombuffer(press, dtype=np.float64),
+                np.frombuffer(thresh, dtype=np.float64),
+            )
             self._banks[key] = got
         return got
 
-    def on_refresh_all(self) -> None:
-        """Full refresh window: clear every bank's pressure table.
+    def _neighbor_tuple(self, row: int) -> tuple[tuple[int, float], ...]:
+        nb = self._neighbor_table[row]
+        if nb is None:
+            nb = tuple(self._neighbors(row))
+            self._neighbor_table[row] = nb
+        return nb
 
-        In-place (like the batched model) so hoisted references held by
-        an in-flight batch runner stay valid."""
-        for press, _ in self._banks.values():
-            press[:] = 0.0
+    def _add_pressure_flat(
+        self,
+        socket: int,
+        bank: int,
+        aggressor_row: int,
+        amount: float,
+        when: float,
+        press: array,
+        thresh: array,
+    ) -> list[BitFlip]:
+        """Mirror of the scalar ``_add_pressure`` over the flat tables."""
+        new_flips: list[BitFlip] = []
+        rng = self._rng
+        profile = self.profile
+        row_bits = self.geom.row_bytes * 8
+        inv_bits_mean = 1.0 / profile.flip_bits_mean
+        for victim, weight in self._neighbor_tuple(aggressor_row):
+            pressure = press[victim] + amount * weight
+            threshold = thresh[victim]
+            if threshold != threshold:  # NaN: first touch, draw like scalar
+                threshold = (
+                    rng.lognormvariate(0.0, profile.threshold_sigma)
+                    * profile.threshold_mean
+                )
+                thresh[victim] = threshold
+            while pressure >= threshold:
+                pressure -= threshold
+                n_bits = max(1, round(rng.expovariate(inv_bits_mean)))
+                for _ in range(n_bits):
+                    new_flips.append(
+                        BitFlip(
+                            socket=socket,
+                            bank=bank,
+                            row=victim,
+                            bit=rng.randrange(row_bits),
+                            aggressor_row=aggressor_row,
+                            when=when,
+                        )
+                    )
+            press[victim] = pressure
+        self.flips.extend(new_flips)
+        return new_flips
+
+    # ------------------------------------------------------------------
+    # DisturbanceModel interface (scalar-compatible overrides)
+    # ------------------------------------------------------------------
+
+    def on_activate(self, socket: int, bank: int, row: int, when: float) -> list[BitFlip]:
+        """One ACT: self-refresh the aggressor, spill unit pressure."""
+        self.geom.check_row(row)
+        press, thresh, _, _ = self._bank_tables(socket, bank)
+        press[row] = 0.0  # the ACT refreshes the activated row itself
+        return self._add_pressure_flat(socket, bank, row, 1.0, when, press, thresh)
+
+    def on_row_open_time(
+        self, socket: int, bank: int, row: int, seconds: float, when: float
+    ) -> list[BitFlip]:
+        """RowPress: extra pressure proportional to row-open time."""
+        if seconds < 0:
+            raise DramError(f"open time must be non-negative, got {seconds}")
+        amount = seconds * self.profile.effective_rowpress_rate
+        if amount == 0.0:
+            return []
+        press, thresh, _, _ = self._bank_tables(socket, bank)
+        return self._add_pressure_flat(socket, bank, row, amount, when, press, thresh)
+
+    def on_refresh_row(self, socket: int, bank: int, row: int) -> None:
+        """Targeted (TRR) refresh: drop the row's accumulated pressure."""
+        got = self._banks.get((socket, bank))
+        if got is not None:
+            got[0][row] = 0.0
+
+    def on_refresh_all(self) -> None:
+        """Full refresh window: clear every bank's pressure table."""
+        zeros = self._zeros
+        for tables in self._banks.values():
+            tables[0][:] = zeros
 
     def pressure_on(self, socket: int, bank: int, row: int) -> float:
+        """Accumulated pressure on one row (test observability)."""
         got = self._banks.get((socket, bank))
-        return float(got[0][row]) if got is not None else 0.0
+        return got[0][row] if got is not None else 0.0
+
+
+def _run_per_act(
+    dram: "SimulatedDram",
+    dist: VectorizedDisturbanceModel,
+    socket: int,
+    bank: int,
+    rows: list[int],
+) -> list[BitFlip]:
+    """Issue *rows* to (socket, bank) one ACT at a time.
+
+    The scalar ``activate`` loop with its call frames inlined: every
+    per-ACT side effect happens in the same order, and fault hooks
+    still fire per activation, so injected faults land mid-batch
+    exactly as they would mid-loop.
+    """
+    geom = dram.geom
+    check_row = geom.check_row
+    for row in rows:
+        check_row(row)
+
+    counters = dram.counters
+    hooks = dram._hooks
+    trr = dram.trr
+    act_s = dram.act_seconds
+    window = dram.refresh_window
+    clock = dram.clock
+    last_refresh = dram._last_full_refresh
+    bank_key = (socket, bank)
+    repairs_all = dram._repairs
+    repairs = repairs_all.get(bank_key)
+    press, thresh, _, _ = dist._bank_tables(socket, bank)
+    table = dist._neighbor_table
+    rng = dist._rng
+    profile = dist.profile
+    sigma = profile.threshold_sigma
+    mean = profile.threshold_mean
+    inv_bits_mean = 1.0 / profile.flip_bits_mean
+    row_bits = geom.row_bytes * 8
+    flips_model = dist.flips
+    apply_flips = dram._apply_internal_flips
+    out: list[BitFlip] = []
+    # Observability: one module-attribute read per batch, then a local
+    # bool per ACT — the zero-cost-when-disabled contract of repro.obs.
+    # Event payloads and ordering mirror the scalar path exactly, so
+    # traces are backend-independent (tests/test_obs.py asserts this).
+    trace_on = obs.ENABLED
+    emit = obs.emit
+
+    if trr is not None:
+        sampler = trr._sampler(socket, bank)
+        trr_random = trr._rng.random
+        s_counters = sampler._counters
+        cfg = trr.config
+        sampled_after = cfg.sampled_acts_after_ref
+        sample_prob = cfg.sample_prob
+        slots = cfg.slots
+        acts_since_ref = sampler._acts_since_ref
+        trr_every = dram.trr_ref_every
+        bank_acts = dram._acts_by_bank.get(bank_key, 0)
+
+    for row in rows:
+        if hooks:
+            counters.activations += 1
+        clock += act_s
+        if clock - last_refresh >= window:
+            dist.on_refresh_all()
+            last_refresh = clock
+            counters.refresh_windows += 1
+            if trace_on:
+                emit(obs.RefreshWindowEvent(when=clock))
+        if hooks:
+            dram.clock = clock
+            dram._last_full_refresh = last_refresh
+            for hook in hooks:
+                hook.on_activate(dram, socket, bank, row)
+            # A hook may advance time or plant a late repair; re-sync.
+            clock = dram.clock
+            last_refresh = dram._last_full_refresh
+            repairs = repairs_all.get(bank_key)
+        internal = repairs.get(row, row) if repairs else row
+
+        if trr is not None:
+            # Inlined TrrSampler.observe_maybe (same RNG short-circuit).
+            acts_since_ref += 1
+            if acts_since_ref <= sampled_after or trr_random() < sample_prob:
+                c = s_counters.get(internal)
+                if c is not None:
+                    s_counters[internal] = c + 1
+                elif len(s_counters) < slots:
+                    s_counters[internal] = 1
+                else:
+                    for tracked in list(s_counters):
+                        v = s_counters[tracked] - 1
+                        if v <= 0:
+                            del s_counters[tracked]
+                        else:
+                            s_counters[tracked] = v
+                if trace_on:
+                    emit(
+                        obs.TrrSampleEvent(
+                            socket=socket, bank=bank, row=internal, when=clock
+                        )
+                    )
+
+        # Inlined disturbance.on_activate: self-refresh, then spill.
+        press[internal] = 0.0
+        nb = table[internal]
+        if nb is None:
+            nb = dist._neighbor_tuple(internal)
+        new_flips = None
+        for victim, weight in nb:
+            pressure = press[victim] + weight  # amount == 1.0
+            threshold = thresh[victim]
+            if threshold != threshold:  # NaN: draw in scalar first-touch order
+                threshold = rng.lognormvariate(0.0, sigma) * mean
+                thresh[victim] = threshold
+            if pressure >= threshold:
+                if new_flips is None:
+                    new_flips = []
+                while pressure >= threshold:
+                    pressure -= threshold
+                    n_bits = max(1, round(rng.expovariate(inv_bits_mean)))
+                    for _ in range(n_bits):
+                        new_flips.append(
+                            BitFlip(
+                                socket=socket,
+                                bank=bank,
+                                row=victim,
+                                bit=rng.randrange(row_bits),
+                                aggressor_row=internal,
+                                when=clock,
+                            )
+                        )
+            press[victim] = pressure
+        if new_flips:
+            flips_model.extend(new_flips)
+            dram.clock = clock
+            out.extend(apply_flips(socket, bank, new_flips))
+
+        if trr is not None:
+            bank_acts += 1
+            if bank_acts % trr_every == 0:
+                counters.trr_refs += 1
+                sampler._acts_since_ref = acts_since_ref
+                for victim in trr.on_ref(socket, bank, when=clock):
+                    press[victim] = 0.0
+                acts_since_ref = sampler._acts_since_ref  # 0 after take_targets
+
+    dram.clock = clock
+    dram._last_full_refresh = last_refresh
+    if not hooks:
+        counters.activations += len(rows)
+    if trr is not None:
+        sampler._acts_since_ref = acts_since_ref
+        dram._acts_by_bank[bank_key] = bank_acts
+    return out
 
 
 def _find_period(arr: np.ndarray) -> int:
@@ -186,7 +456,7 @@ def run_activation_batch_vectorized(
     Requires the module's disturbance model to be a
     :class:`VectorizedDisturbanceModel`; callers go through
     :meth:`SimulatedDram.activate_batch`.  Produces bit-identical state
-    and results to the scalar and batched backends (enforced by
+    and results to the scalar backend (enforced by
     ``tests/test_differential.py``).
     """
     dist = dram.disturbance
@@ -196,14 +466,14 @@ def run_activation_batch_vectorized(
     if not rows or len(rows) < MIN_VECTOR_BATCH or dram._hooks or obs.ENABLED:
         # Fault hooks mutate mid-batch state, tracing must interleave
         # events per ACT, and short batches don't amortize the numpy
-        # set-up; the batched loop is exact for all three.
-        return run_activation_batch(dram, socket, bank, rows)
+        # set-up; the per-ACT loop is exact in all three cases.
+        return _run_per_act(dram, dist, socket, bank, rows)
 
     geom = dram.geom
     try:
         rows_arr = np.asarray(rows, dtype=np.int64)
     except (OverflowError, TypeError):
-        return run_activation_batch(dram, socket, bank, rows)
+        return _run_per_act(dram, dist, socket, bank, rows)
     minrow = int(rows_arr.min())
     maxrow = int(rows_arr.max())
     if minrow < 0 or maxrow >= geom.rows_per_bank:
@@ -211,7 +481,7 @@ def run_activation_batch_vectorized(
         geom.check_row(int(rows_arr[np.argmax(bad)]))  # raises the canonical error
 
     repairs = dram._repairs.get((socket, bank))
-    _, thresh = dist._bank_arrays(socket, bank)
+    _, thresh, _, thresh_v = dist._bank_tables(socket, bank)
     out: list[BitFlip] = []
 
     period = _find_period(rows_arr)
@@ -258,12 +528,12 @@ def run_activation_batch_vectorized(
         shift = iminrow - entry["minrow0"]
         if entry["V"]:
             vr = entry["vrows_arr"] + shift if shift else entry["vrows_arr"]
-            if bool(np.isnan(thresh[vr]).any()):
+            if bool(np.isnan(thresh_v[vr]).any()):
                 # First-touch threshold draws: run one whole period
                 # through the exact per-ACT loop (every aggressor —
                 # hence every victim — occurs in it, so every victim
                 # threshold gets drawn), then vectorize the other rounds.
-                out.extend(run_activation_batch(dram, socket, bank, rows[:period]))
+                out.extend(_run_per_act(dram, dist, socket, bank, rows[:period]))
                 rounds -= 1
                 if not rounds:
                     return out
@@ -290,7 +560,7 @@ def run_activation_batch_vectorized(
         if any(thresh[v] != thresh[v] for v, _w in dist._neighbor_tuple(int(r))):
             k = max(k, int(np.argmax(agg_idx == ai)) + 1)
     if k:
-        out.extend(run_activation_batch(dram, socket, bank, rows[:k]))
+        out.extend(_run_per_act(dram, dist, socket, bank, rows[:k]))
         if k == len(rows):
             return out
         # Keep the full `distinct`: absent aggressors simply never match
@@ -323,7 +593,7 @@ def _span_head(
     """Per-span refresh-window scan and TRR pass, shared by both spans.
 
     Returns ``(window_pos, trr_victims, last_refresh)`` and mutates the
-    TRR sampler/RNG/counter state exactly like the batched loop would.
+    TRR sampler/RNG/counter state exactly like the per-ACT loop would.
     Disturbance state never feeds back into TRR, so this whole pass is
     valid regardless of later crossing events.
     """
@@ -495,7 +765,7 @@ def _finals_generic(
     trajectories, exact re-walk of screened victims."""
     n = int(internal_arr.size)
     counters = dram.counters
-    press, thresh = dist._bank_arrays(socket, bank)
+    _, _, press, thresh = dist._bank_tables(socket, bank)
 
     # Victim structure: per-ACT contribution matrix Wt (n, V) and the
     # neighbor-order table used to sequence same-ACT crossing draws.
@@ -803,7 +1073,7 @@ def _span_tiled(
         )
 
     counters = dram.counters
-    press, thresh = dist._bank_arrays(socket, bank)
+    _, _, press, thresh = dist._bank_tables(socket, bank)
     V: int = entry["V"]
     flips_out: list[BitFlip] = []
     if V:

@@ -122,7 +122,7 @@ def run_ce_storm_scenario(
     """Run the injected CE-storm scenario end to end (see module doc).
 
     ``backend`` selects the simulation hot path (scalar reference or
-    the batched engine); the transcript and replay key are
+    the vectorized engine); the transcript and replay key are
     backend-independent — the differential tests assert exactly that.
     """
     machine = Machine.small(seed=seed, backend=backend)

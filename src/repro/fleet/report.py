@@ -137,7 +137,7 @@ class FleetReport:
         not results (the differential engine guarantees bit-identical
         outcomes), so both are scrubbed from the hashed form — that is
         precisely what lets ``--workers 4`` compare equal to
-        ``--workers 1`` and ``--backend batched`` to scalar.  The
+        ``--workers 1`` and ``--backend vectorized`` to scalar.  The
         ``supervision`` section is scrubbed for the same reason: retry
         counts depend on wall-clock scheduling, never on the simulated
         machine.  The chaos aftermath (``degraded``, ``audit``) IS

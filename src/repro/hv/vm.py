@@ -113,7 +113,7 @@ class VirtualMachine:
         socket, bank = media.socket, media.socket_bank_index(self.machine.geom)
         if open_seconds == 0.0:
             # Pure ACT storms go through the batch path (engine fast
-            # path on the batched backend, plain loop on scalar).
+            # path on the vectorized backend, plain loop on scalar).
             return dram.activate_batch(socket, bank, [media.row] * activations)
         flips = []
         for _ in range(activations):

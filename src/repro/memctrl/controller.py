@@ -146,7 +146,7 @@ class MemoryController:
         *,
         max_outstanding: int = 10,
         page_policy: str = "open",
-        backend: SimBackend | str = SimBackend.BATCHED,
+        backend: SimBackend | str = SimBackend.SCALAR,
     ):
         if max_outstanding < 1:
             raise MemCtrlError("max_outstanding must be >= 1")
@@ -166,9 +166,9 @@ class MemoryController:
         #: tRP); "closed" auto-precharges after every access (no hits,
         #: no conflicts — better for random traffic, worse for streams).
         self.page_policy = page_policy
-        #: SCALAR decodes per access; BATCHED bulk-decodes but keeps the
-        #: scalar timing loop; VECTORIZED runs the whole pipeline in
-        #: numpy.  All three are bit-identical (tests/test_differential).
+        #: SCALAR decodes per access and runs the timing loop;
+        #: VECTORIZED runs the whole pipeline in numpy.  Both are
+        #: bit-identical (tests/test_differential).
         self.backend = SimBackend.parse(backend)
 
     # ------------------------------------------------------------------
@@ -198,9 +198,9 @@ class MemoryController:
     def run_batch(self, batch: "AccessBatch") -> TraceResult:
         """Replay a structure-of-arrays trace (the fast-path entry).
 
-        On the vectorized backend the batch feeds numpy directly; other
-        backends expand it to :class:`MemoryAccess` objects and take the
-        scalar loop — same results either way.
+        On the vectorized backend the batch feeds numpy directly; the
+        scalar backend expands it to :class:`MemoryAccess` objects and
+        takes the scalar loop — same results either way.
         """
         if len(batch) == 0:
             raise MemCtrlError("empty trace")
@@ -232,21 +232,9 @@ class MemoryController:
         """Decode every access to ``(socket, socket_bank, channel, row)``.
 
         Decode is a pure function of the HPA, so hoisting it out of the
-        issue loop cannot change results; on the batched/vectorized
-        backends long traces go through the mapping's vectorized
-        ``decode_flat_batch`` (repro.engine), others through the flat
-        LRU or the MediaAddress reference path."""
-        if self.backend is not SimBackend.SCALAR and len(accesses) >= 8:
-            batch = getattr(self.mapping, "decode_flat_batch", None)
-            if batch is not None and self._decode_flat is not None:
-                try:
-                    socket, sbank, chan, row = batch([a.hpa for a in accesses])
-                except ImportError:  # pragma: no cover - numpy baked into CI
-                    pass
-                else:
-                    return list(
-                        zip(socket.tolist(), sbank.tolist(), chan.tolist(), row.tolist())
-                    )
+        issue loop cannot change results; accesses go through the flat
+        LRU or, for mappings without one, the MediaAddress reference
+        path."""
         decode_flat = self._decode_flat
         if decode_flat is not None:
             return [decode_flat(a.hpa) for a in accesses]

@@ -56,7 +56,7 @@ class FrFcfsController(MemoryController):
         *,
         window: int = 16,
         max_outstanding: int = 10,
-        backend: SimBackend | str = SimBackend.BATCHED,
+        backend: SimBackend | str = SimBackend.SCALAR,
     ):
         super().__init__(
             mapping, timings, max_outstanding=max_outstanding, backend=backend

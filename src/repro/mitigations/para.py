@@ -11,8 +11,8 @@ exactly that, seed-swept.
 Determinism contract: the hook consumes **exactly one** RNG draw per
 activation regardless of outcome, so the refresh stream is a pure
 function of ``(seed, activation stream)`` — identical across backends
-(the vectorized engine routes hooked ACTs through the scalar-faithful
-batched path) and worker counts.
+(the vectorized engine routes hooked ACTs through its scalar-faithful
+per-ACT loop) and worker counts.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """``repro.obs`` — structured tracing and metrics for the simulator.
 
 One process-wide switch, one tracer, one metrics registry.  The
-contract with the hot paths (``repro.dram``, ``repro.engine.batch``,
+contract with the hot paths (``repro.dram``, ``repro.engine.vector``,
 ``repro.memctrl``, ``repro.hv``, ``repro.faults``, ``repro.core``) is:
 
 .. code-block:: python

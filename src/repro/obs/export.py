@@ -130,7 +130,7 @@ def sequence_signature(
     events: Iterable[TraceEvent],
 ) -> List[Tuple[Any, ...]]:
     """Deterministic event sequence: the comparison key for differential
-    scalar-vs-batched runs (wall-clock spans excluded)."""
+    scalar-vs-vectorized runs (wall-clock spans excluded)."""
     out: List[Tuple[Any, ...]] = []
     for event in events:
         sig = signature_of(event)

@@ -6,7 +6,7 @@ CI runs ``pytest -m tier1`` as the gate and ``pytest -m tier2`` as a
 separate job; running pytest with no marker filter still runs
 everything.
 
-**Differential harness.**  The batched engine (:mod:`repro.engine`) is
+**Differential harness.**  The vectorized engine (:mod:`repro.engine`) is
 defined to be bit-for-bit equivalent to the scalar reference path.
 :func:`replay_program` drives one seeded program of mixed hammer
 patterns, fault injections, idle time, scrubs, and guest reads/writes
@@ -76,7 +76,7 @@ def _global_test_timeout(request):
 
 
 # ---------------------------------------------------------------------------
-# Differential replay harness (batched engine vs scalar golden reference)
+# Differential replay harness (vectorized engine vs scalar golden reference)
 # ---------------------------------------------------------------------------
 
 #: Geometry for differential replays: several subarrays per bank and
@@ -182,17 +182,17 @@ def replay_program(backend: str, seed: int) -> dict:
 def diff_transcripts(
     seed: int,
     scalar: dict,
-    batched: dict,
-    labels: tuple[str, str] = ("scalar", "batched"),
+    other: dict,
+    labels: tuple[str, str] = ("scalar", "vectorized"),
 ) -> list[str]:
     """Human-readable field-level differences (empty = equivalent)."""
     a_name, b_name = labels
     problems = []
     for key in scalar:
-        if scalar[key] != batched[key]:
+        if scalar[key] != other[key]:
             problems.append(
                 f"seed={seed}: field {key!r} diverged\n"
                 f"  {a_name}: {scalar[key]!r}\n"
-                f"  {b_name}: {batched[key]!r}"
+                f"  {b_name}: {other[key]!r}"
             )
     return problems

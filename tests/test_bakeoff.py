@@ -294,9 +294,8 @@ class TestBakeoffHarness:
 
     def test_digest_backend_independent(self):
         scalar = run_bakeoff(BakeoffConfig(**self.SMALL, backend="scalar"))
-        batched = run_bakeoff(BakeoffConfig(**self.SMALL, backend="batched"))
         vector = run_bakeoff(BakeoffConfig(**self.SMALL, backend="vectorized"))
-        assert scalar.digest() == batched.digest() == vector.digest()
+        assert scalar.digest() == vector.digest()
         for name in self.SMALL["mitigations"]:
             assert scalar.mitigation_digest(name) == vector.mitigation_digest(
                 name

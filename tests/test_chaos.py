@@ -709,11 +709,21 @@ class TestChaosCampaign:
 # ---------------------------------------------------------------------------
 
 
+def _running(pid: int) -> bool:
+    """True while *pid* runs; a zombie awaiting its reaper has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
 @pytest.mark.tier2
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cli_sigkill_and_resume_reproduces_digest(tmp_path, workers):
     """Kill a journaled chaos campaign mid-run with SIGKILL, resume it,
-    and require the merged digest to equal an uninterrupted run's."""
+    and require the merged digest to equal an uninterrupted run's.  No
+    pool worker may outlive the killed driver."""
     import signal
     import subprocess
     import sys
@@ -750,9 +760,20 @@ def test_cli_sigkill_and_resume_reproduces_digest(tmp_path, workers):
         else:
             pytest.fail("journal never got its first checkpoint")
         assert proc.poll() is None, "campaign finished before the kill"
+        children_file = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        workers_before_kill = []
+        if os.path.exists(children_file):
+            with open(children_file) as f:
+                workers_before_kill = [int(p) for p in f.read().split()]
         proc.send_signal(signal.SIGKILL)
     finally:
         proc.wait(timeout=60)
+
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline and any(map(_running, workers_before_kill)):
+        time.sleep(0.05)
+    orphans = [pid for pid in workers_before_kill if _running(pid)]
+    assert not orphans, f"pool workers {orphans} outlived the SIGKILLed driver"
 
     resumed = subprocess.run(
         base + ["--resume", str(journal)],

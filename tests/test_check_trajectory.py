@@ -18,7 +18,7 @@ def _bench_json(tmp_path, name: str, speedup: float | None) -> pathlib.Path:
     path = tmp_path / name
     doc = {"bench": "engine"}
     if speedup is not None:
-        doc["table3_containment"] = {"speedup": speedup}
+        doc["table3_containment"] = {"vectorized_scalar_speedup": speedup}
     path.write_text(json.dumps(doc))
     return path
 
@@ -59,8 +59,9 @@ class TestCheckTrajectory:
         check_trajectory.main([str(prev), str(cur)])
         doc = json.loads(cur.read_text())
         (point,) = doc["trajectory"]
-        assert point["previous_speedup"] == 2.5
-        assert point["current_speedup"] == 2.4
+        assert point["field"] == "vectorized_scalar_speedup"
+        assert point["previous_value"] == 2.5
+        assert point["current_value"] == 2.4
         assert point["ok"] is True
 
 
@@ -69,8 +70,7 @@ def _full_bench_json(tmp_path, name: str, **overrides) -> pathlib.Path:
     doc = {
         "bench": "engine",
         "table3_containment": {
-            "speedup": overrides.get("speedup", 4.0),
-            "vectorized_speedup": overrides.get("vectorized_speedup", 2.5),
+            "vectorized_scalar_speedup": overrides.get("containment", 12.0),
         },
         "fig5_throughput": {"speedup": overrides.get("fig5", 2.2)},
         "tracing": {
@@ -88,13 +88,13 @@ class TestTrackedMetrics:
         cur = _full_bench_json(tmp_path, "cur.json")
         assert check_trajectory.main([str(prev), str(cur)]) == 0
         out = capsys.readouterr().out
-        assert "table3_containment.vectorized_speedup" in out
+        assert "table3_containment.vectorized_scalar_speedup" in out
         assert "fig5_throughput" in out
         assert "tracing.disabled_overhead_pct" in out
 
     def test_vectorized_speedup_regression_fails(self, tmp_path, capsys):
-        prev = _full_bench_json(tmp_path, "prev.json", vectorized_speedup=3.0)
-        cur = _full_bench_json(tmp_path, "cur.json", vectorized_speedup=2.0)
+        prev = _full_bench_json(tmp_path, "prev.json", containment=13.0)
+        cur = _full_bench_json(tmp_path, "cur.json", containment=9.5)
         assert check_trajectory.main([str(prev), str(cur)]) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
@@ -120,8 +120,8 @@ class TestTrackedMetrics:
 
     def test_unclamped_metric_floor_still_ratchets(self, tmp_path):
         # table3 has no clamp entry: the plain relative floor applies.
-        prev = _full_bench_json(tmp_path, "prev.json", speedup=3.0)
-        cur = _full_bench_json(tmp_path, "cur.json", speedup=2.0)
+        prev = _full_bench_json(tmp_path, "prev.json", containment=30.0)
+        cur = _full_bench_json(tmp_path, "cur.json", containment=20.0)
         assert check_trajectory.main([str(prev), str(cur)]) == 1
 
     def test_tracing_ceiling_clamped_against_lucky_negative_point(
@@ -147,7 +147,7 @@ class TestTrackedMetrics:
         assert check_trajectory.main([str(prev), str(cur)]) == 0
 
     def test_new_metric_without_previous_is_accepted(self, tmp_path, capsys):
-        # Old points predate vectorized_speedup; first run must pass.
+        # Old points predate the other tracked metrics; first run must pass.
         prev = _bench_json(tmp_path, "prev.json", 4.0)
         cur = _full_bench_json(tmp_path, "cur.json")
         assert check_trajectory.main([str(prev), str(cur)]) == 0
@@ -156,10 +156,10 @@ class TestTrackedMetrics:
     def test_single_key_mode_unchanged(self, tmp_path, capsys):
         prev = _full_bench_json(tmp_path, "prev.json")
         cur = _full_bench_json(tmp_path, "cur.json")
-        argv = [str(prev), str(cur), "--key", "table3_containment"]
+        argv = [str(prev), str(cur), "--key", "fig5_throughput"]
         assert check_trajectory.main(argv) == 0
         out = capsys.readouterr().out
-        assert "vectorized_speedup" not in out
+        assert "table3_containment" not in out
 
 
 def _skip_bench_json(tmp_path, name: str, entry: dict | None) -> pathlib.Path:

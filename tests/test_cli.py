@@ -35,6 +35,14 @@ class TestParser:
         assert args.chrome_trace == "c.json"
         assert args.metrics is True
 
+    def test_backend_offers_scalar_and_vectorized_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--backend", "batched", "health"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'batched'" in err
+        assert "scalar" in err and "vectorized" in err
+
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace"])
         assert args.scenario == "health"

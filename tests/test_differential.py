@@ -1,14 +1,17 @@
 """Differential harness: the fast engines vs the scalar golden reference.
 
-The ``SimBackend.BATCHED`` and ``SimBackend.VECTORIZED`` fast paths
-(:mod:`repro.engine`) are only admissible because they are
-*observationally identical* to the scalar path: same flip sets, same TRR decisions, same ECC events, same
-health-monitor escalations, same clocks and counters.  These tests
+The ``SimBackend.VECTORIZED`` fast path (:mod:`repro.engine`) is only
+admissible because it is *observationally identical* to the scalar
+path: same flip sets, same TRR decisions, same ECC events, same
+health-monitor escalations, same clocks and counters.  Its private
+per-ACT fallback (hooked, traced and short batches) is held to the
+same contract: fault plans and short batches reach it here, tracing
+in ``tests/test_obs.py``.  These tests
 enforce that contract on three levels:
 
 1. seeded mixed programs (hammer shapes + fault plans + scrubs + guest
    I/O) through :func:`conftest.replay_program`, compared pairwise
-   across all three backends — a handful of seeds in tier1, ~50 seeds
+   across both backends — a handful of seeds in tier1, ~50 seeds
    in the tier2 fuzz job (every failure names the seed to replay);
 2. the end-to-end CE-storm scenario, whose transcript/replay key must
    be backend-independent;
@@ -25,7 +28,7 @@ from conftest import diff_transcripts, replay_program
 from repro.units import MiB
 
 
-BACKENDS = ("scalar", "batched", "vectorized")
+BACKENDS = ("scalar", "vectorized")
 
 
 def _assert_equivalent(seed: int) -> None:
@@ -129,7 +132,7 @@ class TestAttackStack:
 class TestMitigationDifferential:
     """Every registered mitigation must keep the bit-identity contract:
     one micro fleet campaign per mitigation, same merged
-    :class:`BakeoffReport` digest on all three backends."""
+    :class:`BakeoffReport` digest on both backends."""
 
     def _micro(self, mitigation: str, backend: str, seed: int = 0):
         from repro.mitigations.bakeoff import BakeoffConfig, run_bakeoff
@@ -163,7 +166,7 @@ class TestMitigationDifferentialFuzz:
     """Satellite: seed-swept mitigation bit-identity (separate CI job).
 
     Each seed exercises one mitigation (round-robin) on scalar vs
-    vectorized — the pair that actually shares no hot-path code."""
+    vectorized."""
 
     @pytest.mark.parametrize("seed", range(200, 250))
     def test_bakeoff_digest_fuzz_seed(self, seed):
@@ -264,7 +267,7 @@ class TestWorkloadStreams:
 
 
 class TestMemctrlBackends:
-    """Controller timing across all three backends: identical
+    """Controller timing across both backends: identical
     TraceResult (every counter and every float) per configuration."""
 
     def _trace(self, workload_env, accesses=700):

@@ -1,7 +1,7 @@
 """Unit + edge-case tests for the vectorized engine and its kernels.
 
 The broad equivalence evidence lives in ``tests/test_differential.py``
-(seeded mixed programs, all three backends pairwise).  This module pins
+(seeded mixed programs, vectorized vs the scalar reference).  This module pins
 the corners that random programs rarely hit — empty and single-element
 batches, batches spanning a refresh-window boundary — plus the exactness
 contracts of the individual numpy kernels: the MT19937 bulk-uniform
@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 import repro.engine.vector as vec
 from repro.dram.disturbance import DisturbanceProfile
@@ -23,9 +22,10 @@ from repro.dram.ecc import VECTOR_BITS_CUTOFF, WORD_BITS, EccEngine, _words_and_
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.mapping import SkylakeMapping
 from repro.dram.module import SimulatedDram
+from repro.engine import BackendError, SimBackend
 from repro.units import CACHE_LINE
 
-BACKENDS = ("scalar", "batched", "vectorized")
+BACKENDS = ("scalar", "vectorized")
 
 
 def _dram(backend: str, *, seed: int = 11, refresh_window: float | None = None):
@@ -54,7 +54,7 @@ def _run_on_all_backends(ops, monkeypatch) -> None:
     """Apply *ops* to one DRAM per backend; assert identical snapshots.
 
     The vector path is forced (``MIN_VECTOR_BATCH = 0``) so even tiny
-    batches exercise the numpy kernels instead of the batched fallback.
+    batches exercise the numpy kernels instead of the per-ACT loop.
     """
     monkeypatch.setattr(vec, "MIN_VECTOR_BATCH", 0)
     snaps = {}
@@ -65,6 +65,18 @@ def _run_on_all_backends(ops, monkeypatch) -> None:
         snaps[backend] = _snapshot(dram)
     for backend in BACKENDS[1:]:
         assert snaps[backend] == snaps["scalar"], backend
+
+
+class TestBackendParse:
+    def test_members(self):
+        assert [b.value for b in SimBackend] == ["scalar", "vectorized"]
+        assert SimBackend.parse("vectorized") is SimBackend.VECTORIZED
+
+    def test_retired_name_is_a_typed_error(self):
+        with pytest.raises(BackendError) as exc:
+            SimBackend.parse("batched")
+        assert "'batched'" in str(exc.value)
+        assert "'scalar'" in str(exc.value) and "'vectorized'" in str(exc.value)
 
 
 class TestBulkUniforms:
@@ -105,7 +117,7 @@ class TestFindPeriod:
 
 
 class TestBatchEdgeCases:
-    """Identical behavior across all three backends on corner batches."""
+    """Identical behavior on both backends on corner batches."""
 
     def test_empty_batch(self, monkeypatch):
         _run_on_all_backends({"batches": [(0, [])]}, monkeypatch)
@@ -171,10 +183,15 @@ class TestVectorizedDecode:
         for _ in range(50):
             hpa = rng.randrange(self.geom.total_bytes - 4096)
             length = rng.randrange(1, 4096 - 1)
-            fast = self.mapping.decode_lines_batch(hpa, length)
-            dram._lines_fast = None
-            assert fast == dram._lines(hpa, length), (hpa, length)
-            dram._lines_fast = self.mapping.decode_lines_batch
+            expect, offset = [], 0
+            while offset < length:
+                take = min(CACHE_LINE - (hpa + offset) % CACHE_LINE, length - offset)
+                m = self.mapping.decode(hpa + offset)
+                expect.append(
+                    (m.socket, m.socket_bank_index(self.geom), m.row, m.col, offset, take)
+                )
+                offset += take
+            assert dram._lines(hpa, length) == expect, (hpa, length)
 
     def test_decode_batch_range_check(self):
         with pytest.raises(Exception):

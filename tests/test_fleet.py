@@ -361,9 +361,9 @@ class TestCampaignDriver:
     def test_backends_merge_bit_identically(self):
         base = dict(hosts=2, vms=4, budget=1, seed=3)
         scalar = run_campaign(CampaignConfig(backend="scalar", **base))
-        batched = run_campaign(CampaignConfig(backend="batched", **base))
-        assert scalar.decisions == batched.decisions
-        assert scalar.host_results == batched.host_results
+        vector = run_campaign(CampaignConfig(backend="vectorized", **base))
+        assert scalar.decisions == vector.decisions
+        assert scalar.host_results == vector.host_results
 
     def test_worker_failure_is_graceful(self):
         task = HostTask(

@@ -6,8 +6,9 @@ Three properties the engine fast path leans on:
    MediaAddress ranges, at test, medium, and paper scale;
 2. 2 MiB pages never straddle subarray groups (§4.2's key observation,
    and the reason Siloz can provision VMs at 2 MiB granularity);
-3. the memoized decoders (``decode_cached``, ``decode_flat``,
-   ``decode_batch``) agree exactly with the uncached reference decode.
+3. the memoized ``decode_flat`` and the vectorized
+   ``decode_media_batch`` agree exactly with the uncached reference
+   decode.
 
 Sampling is driven by ``random.Random(seed)`` so any failure reproduces
 from the printed seed alone.
@@ -124,7 +125,6 @@ class TestDecodeMemoization:
         hpas += hpas[: len(hpas) // 2]  # re-queries must hit, not drift
         for hpa in hpas:
             ref = mapping.decode(hpa)
-            assert mapping.decode_cached(hpa) == ref, f"seed={SEED + 4} hpa={hpa:#x}"
             flat = mapping.decode_flat(hpa)
             assert flat == (
                 ref.socket,
@@ -137,22 +137,27 @@ class TestDecodeMemoization:
     def test_decode_batch_equals_scalar_decode(self, mapping):
         rng = random.Random(SEED + 5)
         hpas = [rng.randrange(mapping.geom.total_bytes) for _ in range(200)]
-        assert mapping.decode_batch(hpas) == [mapping.decode(h) for h in hpas]
+        socket, bank, row, col = mapping.decode_media_batch(hpas)
+        assert list(
+            zip(socket.tolist(), bank.tolist(), row.tolist(), col.tolist())
+        ) == [
+            (m.socket, m.socket_bank_index(mapping.geom), m.row, m.col)
+            for m in (mapping.decode(h) for h in hpas)
+        ]
 
     def test_cache_info_reports_hits(self):
         mapping = SkylakeMapping.for_small_geometry(DRAMGeometry.small())
-        mapping.decode_cached(0)
-        mapping.decode_cached(0)
-        info = mapping.decode_cache_info()
-        assert info["decode"].hits >= 1
+        mapping.decode_flat(0)
+        mapping.decode_flat(0)
+        assert mapping.decode_flat.cache_info().hits >= 1
 
     def test_cached_decoders_still_validate(self):
         mapping = SkylakeMapping.for_small_geometry(DRAMGeometry.small())
         bad = mapping.geom.total_bytes
         with pytest.raises(MappingError):
-            mapping.decode_cached(bad)
-        with pytest.raises(MappingError):
             mapping.decode_flat(bad)
+        with pytest.raises(MappingError):
+            mapping.subarray_group_of_hpa(bad)
 
     def test_two_instances_do_not_share_cache(self):
         g1 = DRAMGeometry.small()
@@ -160,8 +165,9 @@ class TestDecodeMemoization:
         m1 = SkylakeMapping.for_small_geometry(g1)
         m2 = SkylakeMapping.for_small_geometry(g2)
         hpa = g1.total_bytes - 64
-        assert m1.decode_cached(hpa) == m1.decode(hpa)
-        assert m2.decode_cached(hpa) == m2.decode(hpa)
+        d1, d2 = m1.decode(hpa), m2.decode(hpa)
+        assert m1.decode_flat(hpa) == (d1.socket, d1.socket_bank_index(g1), d1.channel, d1.row)
+        assert m2.decode_flat(hpa) == (d2.socket, d2.socket_bank_index(g2), d2.channel, d2.row)
         # Each instance owns its own LRU: one miss each, no cross-talk.
-        assert m1.decode_cache_info()["decode"].currsize == 1
-        assert m2.decode_cache_info()["decode"].currsize == 1
+        assert m1.decode_flat.cache_info().currsize == 1
+        assert m2.decode_flat.cache_info().currsize == 1

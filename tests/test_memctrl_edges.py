@@ -1,4 +1,4 @@
-"""Memory-controller edge cases, parameterized over all three backends.
+"""Memory-controller edge cases, parameterized over both backends.
 
 The vectorized pipeline's closed forms (cumsum + running max) have their
 own degenerate-input hazards — empty segments, single elements, blackout
@@ -20,7 +20,7 @@ from repro.memctrl import (
     MemoryController,
 )
 
-BACKENDS = ("scalar", "batched", "vectorized")
+BACKENDS = ("scalar", "vectorized")
 GEOM = DRAMGeometry.small()
 MAPPING = SkylakeMapping.for_small_geometry(GEOM)
 T = DDR4Timings.ddr4_2933()
@@ -155,7 +155,8 @@ class TestInterleaveBoundaries:
 
 class TestAccessBatchValidation:
     def test_mismatched_columns_rejected(self):
-        np = pytest.importorskip("numpy")
+        import numpy as np
+
         from repro.memctrl.pipeline import AccessBatch
 
         with pytest.raises(MemCtrlError):

@@ -3,7 +3,7 @@
 Covers the ring-buffered tracer, histogram bucket math, the
 zero-cost-when-disabled contract of the hot-path instrumentation, the
 JSONL / Chrome exporters, and the differential guarantee that the
-scalar and batched backends emit identical deterministic event
+scalar and vectorized backends emit identical deterministic event
 sequences for the same seed.
 """
 
@@ -184,7 +184,7 @@ class TestDisabledPath:
 
         calls = []
         monkeypatch.setattr(obs, "emit", lambda e: calls.append(e))
-        dram = Machine.small(seed=1, backend="batched").dram
+        dram = Machine.small(seed=1, backend="vectorized").dram
         dram.activate_batch(0, 0, [10, 12] * 500)
         dram.patrol_scrub()
         assert calls == []
@@ -284,7 +284,7 @@ class TestInstrumentation:
         from repro.hv.machine import Machine
 
         obs.enable(reset=True)
-        dram = Machine.small(seed=11, backend="batched").dram
+        dram = Machine.small(seed=11, backend="vectorized").dram
         dram.activate_batch(0, 0, [100, 102] * 3000)
         kinds = summarize(obs.tracer().events())["by_kind"]
         assert kinds["act_batch"] == 1
@@ -308,7 +308,7 @@ class TestInstrumentation:
         from repro.faults.scenario import run_ce_storm_scenario
 
         obs.enable(reset=True)
-        result = run_ce_storm_scenario(seed=7, backend="batched")
+        result = run_ce_storm_scenario(seed=7, backend="vectorized")
         assert result.success
         kinds = summarize(obs.tracer().events())["by_kind"]
         for expected in (
@@ -326,36 +326,37 @@ class TestInstrumentation:
 
 
 class TestBackendEquivalence:
-    """Scalar and batched backends emit identical deterministic traces."""
+    """Scalar and vectorized backends emit identical deterministic traces
+    (tracing routes every vectorized batch through its per-ACT loop)."""
 
     @pytest.mark.parametrize("seed", [7, 21])
     def test_ce_storm_sequences_match(self, seed):
         from repro.faults.scenario import run_ce_storm_scenario
 
         sigs = {}
-        for backend in ("scalar", "batched"):
+        for backend in ("scalar", "vectorized"):
             obs.enable(reset=True)
             run_ce_storm_scenario(seed=seed, backend=backend)
             sigs[backend] = sequence_signature(obs.tracer().events())
             obs.disable(reset=True)
         assert sigs["scalar"], "scenario emitted no deterministic events"
-        assert sigs["scalar"] == sigs["batched"]
+        assert sigs["scalar"] == sigs["vectorized"]
 
     @pytest.mark.parametrize("seed", [3, 12])
     def test_replay_program_sequences_match(self, seed):
         sigs = {}
-        for backend in ("scalar", "batched"):
+        for backend in ("scalar", "vectorized"):
             obs.enable(reset=True)
             replay_program(backend, seed)
             sigs[backend] = sequence_signature(obs.tracer().events())
             obs.disable(reset=True)
         assert sigs["scalar"], "replay emitted no deterministic events"
-        assert sigs["scalar"] == sigs["batched"]
+        assert sigs["scalar"] == sigs["vectorized"]
 
     def test_tracing_does_not_perturb_results(self):
         """Tracing must not consume RNG: same transcript on or off."""
-        plain = replay_program("batched", 5)
+        plain = replay_program("vectorized", 5)
         obs.enable(reset=True)
-        traced = replay_program("batched", 5)
+        traced = replay_program("vectorized", 5)
         obs.disable(reset=True)
         assert plain == traced
