@@ -269,16 +269,30 @@ def _fleet_config(args: argparse.Namespace):
 CLUSTER_AUTO_HOSTS = 64
 
 
+def _shards_arg(text: str) -> str:
+    """argparse type for ``--shards``: ``auto`` or a positive int."""
+    if text != "auto" and not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or a positive integer, got {text!r}"
+        )
+    return text
+
+
 def _cluster_shards(args: argparse.Namespace) -> int:
     """Resolve ``--shards`` to an effective shard count (0 = classic)."""
     raw = getattr(args, "shards", "auto")
     if raw == "auto":
-        # Chaos/journal/resume are classic-campaign features; auto never
-        # silently switches them onto the cluster path.
+        # Chaos/journal/resume and shared-pool mitigations are
+        # classic-campaign features; auto never silently switches them
+        # onto the cluster path.
+        from repro.mitigations import MITIGATIONS
+
+        mitigation = MITIGATIONS.get(getattr(args, "mitigation", "siloz"))
         classic_only = (
             getattr(args, "chaos_seed", None) is not None
             or getattr(args, "journal", None) is not None
             or getattr(args, "resume", None) is not None
+            or getattr(mitigation, "shared_domains", False)
         )
         if classic_only or args.hosts < CLUSTER_AUTO_HOSTS:
             return 0
@@ -696,11 +710,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--shards",
+        type=_shards_arg,
         default="auto",
         help="admission shards for cluster mode (>1 switches to sharded "
         "admission over logical capacity twins with a streaming merge; "
         "'auto' = cluster mode at >= 64 hosts unless chaos/journal/resume "
-        "is requested; 1 forces the classic campaign)",
+        "or a shared-pool mitigation is requested; 1 forces the classic "
+        "campaign)",
     )
 
     bakeoff = sub.add_parser(

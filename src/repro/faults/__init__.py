@@ -7,13 +7,14 @@ The package splits cleanly in three:
   when), serialisable for replay;
 - :mod:`repro.faults.injector` — :class:`FaultInjector`, the
   :class:`~repro.dram.module.DramHook` that fires a plan against a live
-  :class:`~repro.dram.module.SimulatedDram`;
+  :class:`~repro.dram.module.SimulatedDram`, and :func:`run_ecc_storm`,
+  the storm driver every CE/UE storm runs through;
 - :mod:`repro.faults.scenario` — the end-to-end CE-storm scenario that
   exercises monitoring, live migration, and offlining, and verifies the
   isolation invariant afterwards.
 """
 
-from repro.faults.injector import FaultEvent, FaultInjector
+from repro.faults.injector import FaultEvent, FaultInjector, run_ecc_storm
 from repro.faults.plan import FaultKind, FaultPlan, FaultPlanError, FaultSpec
 from repro.faults.scenario import ScenarioResult, run_ce_storm_scenario
 
@@ -26,4 +27,5 @@ __all__ = [
     "FaultSpec",
     "ScenarioResult",
     "run_ce_storm_scenario",
+    "run_ecc_storm",
 ]

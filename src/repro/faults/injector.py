@@ -177,3 +177,46 @@ class FaultInjector(DramHook):
             if current != spec.stuck_value:
                 self.dram.inject_bit_error(spec.socket, spec.bank, spec.row, spec.bit)
                 self._record("enforce", spec.describe())
+
+
+#: Simulated seconds between storm errors (and between patrol scrubs).
+STORM_INTERVAL = 0.004
+
+
+def run_ecc_storm(
+    dram: SimulatedDram,
+    monitor,
+    socket: int,
+    bank: int,
+    row: int,
+    *,
+    errors: int,
+    seed: int,
+    uncorrectable: bool = False,
+    interval: float = STORM_INTERVAL,
+) -> FaultInjector:
+    """Plant an ECC storm on one row and let a health *monitor* watch it.
+
+    One error (single-bit, or two-bit when *uncorrectable*) fires every
+    *interval* seconds of idle time; a patrol scrub after each step
+    reports it, and two spare steps let the last one land before the
+    monitor polls.  Returns the detached injector (``plan``, ``events``).
+    """
+    make_plan = FaultPlan.ue_storm if uncorrectable else FaultPlan.ce_storm
+    plan = make_plan(
+        socket,
+        bank,
+        row,
+        errors=errors,
+        words_per_row=dram.geom.row_bytes * 8 // 64,
+        start=dram.clock + interval,
+        interval=interval,
+        seed=seed,
+    )
+    injector = FaultInjector(dram, plan).attach()
+    for _ in range(errors + 2):
+        dram.advance_time(interval)
+        dram.patrol_scrub()
+    monitor.poll()
+    injector.detach()
+    return injector

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from repro.core.policy import audit_hypervisor
 from repro.core.siloz import SilozHypervisor
 from repro.dram.mapping import AddressRange
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.injector import STORM_INTERVAL, run_ecc_storm
 from repro.hv.health import HealthPolicy, HealthState
 from repro.hv.machine import Machine
 from repro.hv.hypervisor import VmSpec
@@ -114,7 +113,7 @@ def run_ce_storm_scenario(
     *,
     seed: int = 0,
     storm_errors: int = 20,
-    interval: float = 0.004,
+    interval: float = STORM_INTERVAL,
     vm_bytes: int = 2 * MiB,
     policy: HealthPolicy | None = None,
     backend: str = "scalar",
@@ -164,29 +163,14 @@ def run_ce_storm_scenario(
     say(f"scenario seed={seed} storm_errors={storm_errors} interval={interval}")
     say(f"target row group (s{socket} r{row}) at {rg}")
 
-    plan = FaultPlan.ce_storm(
-        socket,
-        bank,
-        row,
-        errors=storm_errors,
-        words_per_row=machine.geom.row_bytes * 8 // 64,
-        start=dram.clock + interval,
-        interval=interval,
-        seed=seed,
-    )
-    for spec in plan.specs:
-        say(f"plan t={spec.at_clock:.6f} {spec.describe()}")
-    injector = FaultInjector(dram, plan).attach()
-
     # The storm: idle time passes, faults fire, patrol scrubbing finds
     # and heals them — each heal is one corrected-error event feeding
     # the monitor's leaky bucket.
-    for _ in range(storm_errors + 2):
-        dram.advance_time(interval)
-        dram.patrol_scrub()
-    monitor.poll()
-    injector.detach()
-
+    injector = run_ecc_storm(
+        dram, monitor, socket, bank, row, errors=storm_errors, seed=seed, interval=interval
+    )
+    for spec in injector.plan.specs:
+        say(f"plan t={spec.at_clock:.6f} {spec.describe()}")
     for event in injector.events:
         say(str(event))
     result.transcript.extend(monitor.timeline)

@@ -24,8 +24,13 @@ Cluster mode replaces driver-side hosts with **logical capacity twins**:
 Trust but verify: the twins only *admit*; every worker re-runs the real
 placement (``Host.boot`` + ``create_vm`` replay) for its host.  If a
 twin ever admits something the real hypervisor rejects, the worker
-returns a typed failed-host result and the campaign reports it loudly —
-divergence can never be silent.
+returns a typed failed-host result and the campaign reports it loudly.
+The opposite divergence — a twin rejecting what a real host would
+admit — is invisible to workers, which only replay admitted VMs.  The
+twin arithmetic holds only for mitigations that give each tenant whole
+group nodes, so :class:`ClusterConfig` refuses the shared-pool ones
+(``shared_domains``: ``none``, ``para``, ``guard-rows``), whose single
+pool node a twin would hand entirely to the first tenant.
 
 Saturation fast path: cluster capacity is monotone (no VM ever leaves),
 so once a request needing ``N`` bytes exhausts its retries in a shard,
@@ -36,8 +41,9 @@ the ~90k post-saturation arrivals of a 100k-VM trace into O(1) each
 (:func:`tests.test_cluster` asserts the bypass is bit-equivalent to the
 scanned path).
 
-Chaos, journals, and resume are campaign-driver features; cluster mode
-rejects them explicitly rather than half-supporting them.
+Chaos, journals, resume and shared-pool mitigations are classic
+campaign features; cluster mode rejects them explicitly rather than
+half-supporting them.
 """
 
 from __future__ import annotations
@@ -57,8 +63,8 @@ from repro.fleet.admission import (
     iter_arrival_trace,
 )
 from repro.fleet.driver import (
-    SCENARIOS,
     HostTask,
+    check_campaign_fields,
     run_host_task,
     warm_worker,
 )
@@ -101,14 +107,16 @@ class ClusterConfig:
     shards: int = 16
 
     def __post_init__(self) -> None:
-        if self.hosts <= 0 or self.vms < 0:
-            raise FleetError("need at least one host and a non-negative VM count")
-        if self.workers <= 0:
-            raise FleetError("workers must be positive")
-        if self.scenario not in SCENARIOS:
-            raise FleetError(f"unknown scenario {self.scenario!r}; know {SCENARIOS}")
+        check_campaign_fields(self)
         if not 0 < self.shards <= self.hosts:
             raise FleetError("shards must be in 1..hosts")
+        from repro.mitigations import MITIGATIONS
+
+        if MITIGATIONS[self.mitigation].shared_domains:
+            raise FleetError(
+                "cluster mode cannot model the shared guest pool of "
+                f"mitigation {self.mitigation!r}; run it with --shards 1"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +228,9 @@ class LogicalHost:
     fully reserved for its single tenant even when partially used).
     ``host_fits``'s documented sufficient-and-necessary condition is
     exactly ``free bytes >= needed``, which is what makes this twin
-    faithful; workers re-verify against the real hypervisor anyway.
+    faithful for one-tenant-per-group mitigations (the only ones
+    :class:`ClusterConfig` accepts); workers re-verify every admission
+    against the real hypervisor.
     """
 
     __slots__ = ("spec", "shape", "hv", "free_nodes", "vm_specs")

@@ -90,21 +90,30 @@ class CampaignConfig:
     chaos_events: int = 4
 
     def __post_init__(self) -> None:
-        if self.hosts <= 0 or self.vms < 0:
-            raise FleetError("need at least one host and a non-negative VM count")
-        if self.workers <= 0:
-            raise FleetError("workers must be positive")
-        if self.scenario not in SCENARIOS:
-            raise FleetError(f"unknown scenario {self.scenario!r}; know {SCENARIOS}")
+        check_campaign_fields(self)
         if self.chaos_events < 0:
             raise FleetError("chaos_events must be non-negative")
-        from repro.mitigations import mitigation_names
 
-        if self.mitigation not in mitigation_names():
-            raise FleetError(
-                f"unknown mitigation {self.mitigation!r}; "
-                f"know {mitigation_names()}"
-            )
+
+def check_campaign_fields(config) -> None:
+    """Validation shared by :class:`CampaignConfig` and ``ClusterConfig``."""
+    if config.hosts <= 0 or config.vms < 0:
+        raise FleetError("need at least one host and a non-negative VM count")
+    if config.workers <= 0:
+        raise FleetError("workers must be positive")
+    if config.scenario not in SCENARIOS:
+        raise FleetError(f"unknown scenario {config.scenario!r}; know {SCENARIOS}")
+    if config.queue_depth <= 0:
+        raise FleetError("queue_depth must be positive")
+    if config.max_retries < 0:
+        raise FleetError("max_retries must be non-negative")
+    from repro.mitigations import mitigation_names
+
+    if config.mitigation not in mitigation_names():
+        raise FleetError(
+            f"unknown mitigation {config.mitigation!r}; "
+            f"know {mitigation_names()}"
+        )
 
 
 @dataclass(frozen=True)
@@ -145,33 +154,23 @@ def _attack_result(host: Host, task: HostTask) -> dict:
 def _health_result(host: Host, task: HostTask) -> dict:
     """CE-storm drill: inject, let the monitor escalate, record the
     escalation transcript digest (backend-independent, PR 1)."""
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan
+    from repro.faults import run_ecc_storm
     from repro.hv.health import HealthState
 
     vms = list(host.hv.vms.values())
     if not vms:
         return {"idle": True, "offlined": False, "migrated_blocks": 0}
     dram = host.hv.machine.dram
-    geom = host.hv.machine.geom
     media = dram.mapping.decode(vms[0].backing[0].start)
-    interval = 0.004
-    plan = FaultPlan.ce_storm(
+    run_ecc_storm(
+        dram,
+        host.monitor,
         media.socket,
-        media.socket_bank_index(geom),
+        media.socket_bank_index(host.hv.machine.geom),
         media.row,
         errors=task.storm_errors,
-        words_per_row=geom.row_bytes * 8 // 64,
-        start=dram.clock + interval,
-        interval=interval,
         seed=task.spec.seed,
     )
-    injector = FaultInjector(dram, plan).attach()
-    for _ in range(task.storm_errors + 2):
-        dram.advance_time(interval)
-        dram.patrol_scrub()
-    host.monitor.poll()
-    injector.detach()
     timeline = "\n".join(host.monitor.timeline)
     return {
         "idle": False,
@@ -213,29 +212,19 @@ def _apply_ue_storm(host: Host, spec: ChaosSpec) -> dict:
     """Inject a DIMM UE storm (two-bit words, uncorrectable) on a free
     row group and let the health monitor escalate through its
     ``ue_weight`` ladder; returns the deterministic aftermath."""
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan
+    from repro.faults import run_ecc_storm
 
-    dram = host.hv.machine.dram
-    geom = host.hv.machine.geom
     socket, bank, row = _free_storm_target(host)
-    interval = 0.004
-    plan = FaultPlan.ue_storm(
+    run_ecc_storm(
+        host.hv.machine.dram,
+        host.monitor,
         socket,
         bank,
         row,
         errors=spec.ue_errors,
-        words_per_row=geom.row_bytes * 8 // 64,
-        start=dram.clock + interval,
-        interval=interval,
         seed=host.spec.seed,
+        uncorrectable=True,
     )
-    injector = FaultInjector(dram, plan).attach()
-    for _ in range(spec.ue_errors + 2):
-        dram.advance_time(interval)
-        dram.patrol_scrub()
-    host.monitor.poll()
-    injector.detach()
     return {
         "chaos": "ue-storm",
         "target": [socket, row],

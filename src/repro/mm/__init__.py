@@ -8,21 +8,18 @@ above is a port of the paper's design rather than a sketch:
 - :mod:`repro.mm.numa` — physical and logical NUMA nodes + topology,
 - :mod:`repro.mm.cgroup` — cpuset-style control groups (mems + tasks),
 - :mod:`repro.mm.offline` — page offlining (guard rows, repaired rows),
-- :mod:`repro.mm.hugepages` — reserved 2 MiB huge-page pools backing
-  guests.
+- :mod:`repro.mm.vmstat` — per-node stat updates (§5.3 skipping).
 """
 
 from repro.mm.buddy import BuddyAllocator
 from repro.mm.numa import NodeKind, NumaNode, NumaTopology
 from repro.mm.cgroup import Cgroup, CgroupManager, Process
 from repro.mm.offline import OfflineRegistry
-from repro.mm.hugepages import HugePagePool
 
 __all__ = [
     "BuddyAllocator",
     "Cgroup",
     "CgroupManager",
-    "HugePagePool",
     "NodeKind",
     "NumaNode",
     "NumaTopology",

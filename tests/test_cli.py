@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -175,6 +182,41 @@ class TestFleetCommand:
         assert events
         kinds = {e.kind for e in events}
         assert "placement" in kinds and "admission" in kinds
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(
+                ["--vms", "40", "--shards", "2", "--mitigation", "none"],
+                id="cluster-shared-pool-mitigation",
+            ),
+            pytest.param(
+                ["--shards", "2", "--mitigation", "bogus"],
+                id="cluster-unknown-mitigation",
+            ),
+            pytest.param(["--queue-depth", "0"], id="classic-queue-depth"),
+            pytest.param(
+                ["--shards", "2", "--queue-depth", "0"], id="cluster-queue-depth"
+            ),
+            pytest.param(["--max-retries", "-1"], id="classic-max-retries"),
+            pytest.param(
+                ["--shards", "2", "--max-retries", "-1"], id="cluster-max-retries"
+            ),
+            pytest.param(["--shards", "abc"], id="shards-not-a-number"),
+        ],
+    )
+    def test_bad_input_exits_2_without_traceback(self, flags):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "fleet", "--hosts", "4",
+             "--budget", "1", *flags],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert any(
+            line.startswith("repro fleet: ") for line in proc.stderr.splitlines()
+        ), proc.stderr
 
     def test_invalid_policy_via_config_is_reported(self, capsys):
         # argparse catches bad --policy; a bad scenario reaching

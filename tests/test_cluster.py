@@ -52,19 +52,22 @@ def _decision_tuple(d) -> tuple:
 
 
 class TestLogicalTwins:
+    @pytest.mark.parametrize("mitigation", ["siloz", "catt", "domain-buddy"])
     @pytest.mark.parametrize("policy", ["first-fit", "best-fit", "spread"])
-    def test_twin_admission_matches_real_fleet(self, policy):
+    def test_twin_admission_matches_real_fleet(self, policy, mitigation):
         # Drive an oversubscribed trace through admission twice — once
         # against real booted hosts, once against the logical twins —
         # with the same drain-per-arrival cadence.  Decisions and
         # per-host VM lists must be identical: the twin replays the
-        # §5.3 arithmetic, it does not approximate it.
+        # §5.3 arithmetic, it does not approximate it, for every
+        # mitigation that gives each tenant whole group nodes.
         hosts, vms, seed = 3, 40, 7
-        shape = measure_host_shape()
-        real_fleet = Fleet.boot(hosts, seed=seed)
+        shape = measure_host_shape(mitigation=mitigation)
+        real_fleet = Fleet.boot(hosts, seed=seed, mitigation=mitigation)
         real = AdmissionController(real_fleet, make_scheduler(policy))
         cfg = ClusterConfig(
-            hosts=hosts, vms=vms, seed=seed, policy=policy, shards=1
+            hosts=hosts, vms=vms, seed=seed, policy=policy, shards=1,
+            mitigation=mitigation,
         )
         logical_fleet = LogicalFleet.build(range(hosts), shape, cfg)
         logical = AdmissionController(
@@ -133,6 +136,19 @@ class TestLogicalTwins:
             ClusterConfig(shards=0)
         with pytest.raises(FleetError):
             ClusterConfig(scenario="nope")
+        with pytest.raises(FleetError, match="unknown mitigation"):
+            ClusterConfig(mitigation="bogus")
+        with pytest.raises(FleetError, match="queue_depth"):
+            ClusterConfig(queue_depth=0)
+        with pytest.raises(FleetError, match="max_retries"):
+            ClusterConfig(max_retries=-1)
+
+    @pytest.mark.parametrize("mitigation", ["none", "para", "guard-rows"])
+    def test_shared_pool_mitigations_refused(self, mitigation):
+        # One shared pool node per host: a twin would hand all of it to
+        # the first tenant and silently reject the rest.
+        with pytest.raises(FleetError, match="cannot model"):
+            ClusterConfig(hosts=4, vms=40, shards=2, mitigation=mitigation)
 
     def test_iter_arrival_trace_matches_list_form(self):
         assert list(iter_arrival_trace(7, 25)) == generate_arrival_trace(7, 25)
@@ -297,6 +313,9 @@ class TestClusterCli:
         assert args.shards == "auto"
         args = build_parser().parse_args(["fleet", "--shards", "4"])
         assert args.shards == "4"
+        for bad in ("abc", "0", "-2"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fleet", "--shards", bad])
 
     def test_explicit_shards_runs_cluster_path(self, capsys):
         from repro.cli import main
@@ -339,5 +358,12 @@ class TestClusterCli:
             "auto must never silently switch a chaos campaign to cluster mode"
         )
         _Args.chaos_seed = None
+        for shared in ("none", "para", "guard-rows"):
+            _Args.mitigation = shared
+            assert _cluster_shards(_Args()) == 0, (
+                "auto must keep shared-pool mitigations on the classic path"
+            )
+        _Args.mitigation = "catt"
+        assert _cluster_shards(_Args()) == 16
         _Args.shards = "1"
         assert _cluster_shards(_Args()) == 0

@@ -332,20 +332,6 @@ class TestMemctrlBackends:
                 )
             ), backend
 
-    def test_profile_batch_matches_profile_trace(self, workload_env):
-        from repro.memctrl.pipeline import AccessBatch
-        from repro.memctrl.stats import profile_batch, profile_trace
-
-        hv, _, _ = workload_env
-        trace = self._trace(workload_env)
-        scalar = profile_trace(hv.machine.mapping, trace)
-        batch = profile_batch(hv.machine.mapping, AccessBatch.from_accesses(trace))
-        assert scalar.total == batch.total
-        assert scalar.per_bank.keys() == batch.per_bank.keys()
-        for key, activity in scalar.per_bank.items():
-            assert activity.accesses == batch.per_bank[key].accesses
-            assert activity.distinct_rows == batch.per_bank[key].distinct_rows
-
 
 class TestEndToEndBackends:
     """The whole workload→memctrl pipeline through run_in_vm: a machine

@@ -5,16 +5,40 @@ docstring (deliverable (e): doc comments on every public item), and the
 repo-level documents must exist and reference each other.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import repro
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: A backticked dotted path into the package, e.g. `repro.hv.mce`.
+REPRO_PATH = re.compile(r"`(repro(?:\.\w+)+)`")
+#: A backticked pytest id, e.g. `tests/test_mce.py::TestX::test_y`.
+TEST_ID = re.compile(r"`(tests/\w+\.py)::(\w+)::(\w+)`")
+
+
+def _resolves(path: str) -> bool:
+    """True if *path* names an importable module or an attribute
+    reachable from the longest importable prefix."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
 
 
 def _walk_modules():
@@ -88,3 +112,32 @@ class TestRepoDocs:
         readme = (REPO_ROOT / "README.md").read_text()
         for bench in (REPO_ROOT / "benchmarks").glob("bench_*.py"):
             assert bench.name in readme, bench.name
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
+    def test_repro_paths_resolve(self, doc):
+        # A deleted module or renamed attribute must not live on in prose.
+        text = (REPO_ROOT / doc).read_text()
+        missing = sorted(
+            {path for path in REPRO_PATH.findall(text) if not _resolves(path)}
+        )
+        assert not missing, f"{doc} names unknown paths: {missing}"
+
+    def test_cited_test_ids_exist(self):
+        # EXPERIMENTS ties claims to tests by id; a renamed test must
+        # take its citation with it.
+        text = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+        cited = TEST_ID.findall(text)
+        assert cited
+        missing = []
+        for path, cls, func in cited:
+            tree = ast.parse((REPO_ROOT / path).read_text())
+            methods = {
+                item.name
+                for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == cls
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            }
+            if func not in methods:
+                missing.append(f"{path}::{cls}::{func}")
+        assert not missing, missing

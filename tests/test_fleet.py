@@ -401,6 +401,10 @@ class TestCampaignDriver:
             CampaignConfig(workers=0)
         with pytest.raises(FleetError):
             CampaignConfig(scenario="bogus")
+        with pytest.raises(FleetError, match="queue_depth"):
+            CampaignConfig(queue_depth=0)
+        with pytest.raises(FleetError, match="max_retries"):
+            CampaignConfig(max_retries=-1)
 
     def test_digest_ignores_worker_count(self):
         a = FleetReport.build(

@@ -1,5 +1,7 @@
 """Unit tests for the Skylake-like physical-to-media mapping (§4.2)."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,23 @@ class TestInterleaving:
             for i in range(PAGE_4K // CACHE_LINE)
         }
         assert len(banks) == min(SMALL.banks_per_socket, PAGE_4K // CACHE_LINE)
+
+    def test_group_confined_lines_spread_like_unconfined(self):
+        """§4.1: a trace confined to one subarray group keeps full
+        bank-level parallelism — it touches every bank, exactly as
+        evenly as the same trace from address 0."""
+
+        def bank_counts(base):
+            return Counter(
+                SMALL_MAP.decode(base + i * CACHE_LINE).socket_bank_index(SMALL)
+                for i in range(512)
+            )
+
+        group_base = SMALL.subarray_group_bytes
+        assert SMALL_MAP.subarray_group_of_hpa(group_base) == (0, 1)
+        confined, unconfined = bank_counts(group_base), bank_counts(0)
+        assert set(confined) == set(range(SMALL.banks_per_socket))
+        assert confined == unconfined
 
     def test_paper_4k_page_touches_64_banks(self):
         mapping = SkylakeMapping(DRAMGeometry.paper_default())

@@ -1,4 +1,4 @@
-"""Tests for the FR-FCFS scheduler and bank-profile statistics."""
+"""Tests for the FR-FCFS scheduler and the page policies."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.dram.mapping import SkylakeMapping
 from repro.errors import MemCtrlError
 from repro.memctrl import MemoryAccess, MemoryController
 from repro.memctrl.frfcfs import FrFcfsController
-from repro.memctrl.stats import profile_trace
 from repro.units import CACHE_LINE
 
 GEOM = DRAMGeometry.small(sockets=1)
@@ -92,33 +91,3 @@ class TestPagePolicy:
     def test_unknown_policy_rejected(self):
         with pytest.raises(MemCtrlError):
             MemoryController(MAPPING, page_policy="adaptive")
-
-
-class TestBankProfile:
-    def test_sequential_covers_all_banks_evenly(self):
-        profile = profile_trace(MAPPING, seq_trace(GEOM.banks_per_socket * 8))
-        assert profile.banks_touched == GEOM.banks_per_socket
-        assert profile.imbalance == pytest.approx(1.0)
-        assert profile.coverage(GEOM) == 1.0
-
-    def test_single_line_touches_one_bank(self):
-        profile = profile_trace(MAPPING, [MemoryAccess(0)] * 10)
-        assert profile.banks_touched == 1
-        (activity,) = profile.per_bank.values()
-        assert activity.accesses == 10
-        assert activity.row_reuse == 10.0
-
-    def test_group_confined_trace_same_coverage_as_unconfined(self):
-        """The §4.1 punchline, statically: a subarray-group-confined
-        trace touches exactly as many banks as an unconfined one."""
-        unconfined = profile_trace(MAPPING, seq_trace(512))
-        group_base = GEOM.subarray_group_bytes  # group 1
-        confined = profile_trace(
-            MAPPING, [MemoryAccess(group_base + i * CACHE_LINE) for i in range(512)]
-        )
-        assert confined.banks_touched == unconfined.banks_touched
-        assert confined.imbalance == pytest.approx(unconfined.imbalance)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(MemCtrlError):
-            profile_trace(MAPPING, [])

@@ -1,4 +1,4 @@
-"""Unit tests for NUMA topology, cgroups, offlining, and hugepage pools."""
+"""Unit tests for NUMA topology, cgroups, and offlining."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.errors import CgroupError, MmError, OfflineError, OutOfMemoryError
 from repro.mm import (
     Cgroup,
     CgroupManager,
-    HugePagePool,
     NodeKind,
     NumaNode,
     NumaTopology,
@@ -231,67 +230,3 @@ class TestOfflineRegistry:
         assert self.registry.ranges_for(OfflineReason.GUARD_ROW) == [
             AddressRange(0, 8 * KiB)
         ]
-
-
-class TestHugePagePool:
-    def setup_method(self):
-        self.node = make_node(size=16 * MiB)
-
-    def test_reserves_at_construction(self):
-        pool = HugePagePool(self.node, pages=4)
-        assert pool.free_pages == 4
-        assert self.node.free_bytes == 16 * MiB - 4 * PAGE_2M
-
-    def test_take_and_give_back(self):
-        pool = HugePagePool(self.node, pages=4)
-        addr = pool.take()
-        assert pool.taken_pages == 1
-        pool.give_back(addr)
-        assert pool.free_pages == 4
-
-    def test_take_lowest_first(self):
-        pool = HugePagePool(self.node, pages=4)
-        assert pool.take() < pool.take()
-
-    def test_exhaustion(self):
-        pool = HugePagePool(self.node, pages=2)
-        pool.take()
-        pool.take()
-        with pytest.raises(OutOfMemoryError):
-            pool.take()
-
-    def test_give_back_foreign_rejected(self):
-        pool = HugePagePool(self.node, pages=2)
-        with pytest.raises(MmError):
-            pool.give_back(0xDEAD000)
-
-    def test_take_contiguous(self):
-        pool = HugePagePool(self.node, pages=8)
-        r = pool.take_contiguous(4)
-        assert r.size == 4 * PAGE_2M
-        assert pool.taken_pages == 4
-
-    def test_take_contiguous_insufficient(self):
-        pool = HugePagePool(self.node, pages=2)
-        with pytest.raises(OutOfMemoryError):
-            pool.take_contiguous(3)
-
-    def test_oversubscribed_reservation_rolls_back(self):
-        with pytest.raises(OutOfMemoryError):
-            HugePagePool(self.node, pages=1000)
-        assert self.node.free_bytes == 16 * MiB
-
-    def test_release_all(self):
-        pool = HugePagePool(self.node, pages=4)
-        pool.release_all()
-        assert self.node.free_bytes == 16 * MiB
-
-    def test_release_all_with_taken_rejected(self):
-        pool = HugePagePool(self.node, pages=4)
-        pool.take()
-        with pytest.raises(MmError):
-            pool.release_all()
-
-    def test_rejects_zero_pages(self):
-        with pytest.raises(MmError):
-            HugePagePool(self.node, pages=0)

@@ -1,4 +1,4 @@
-"""Tests for refresh/retention modeling and §8.1 fragmentation math."""
+"""Tests for the §8.1 fragmentation math."""
 
 import pytest
 
@@ -10,100 +10,8 @@ from repro.core.fragmentation import (
     stranding_report,
     sweep_group_sizes,
 )
-from repro.dram.geometry import DRAMGeometry
-from repro.dram.retention import (
-    MAX_POSTPONED,
-    REFS_PER_WINDOW,
-    TREFI_S,
-    RefreshScheduler,
-    RetentionModel,
-)
-from repro.errors import DramError, ReproError
-from repro.units import GiB, MS, MiB
-
-GEOM = DRAMGeometry.paper_default()
-
-
-class TestRefreshScheduler:
-    def test_nominal_window_is_64ms(self):
-        sched = RefreshScheduler(GEOM)
-        assert sched.window_seconds() == pytest.approx(64 * MS, rel=0.01)
-
-    def test_refs_issued_at_trefi_rate(self):
-        sched = RefreshScheduler(GEOM)
-        slices = sched.advance(100 * TREFI_S)
-        assert len(slices) == 100
-        assert sched.refs_issued == 100
-
-    def test_slices_cover_distinct_rows(self):
-        sched = RefreshScheduler(GEOM)
-        slices = sched.advance(10 * TREFI_S)
-        starts = [s.start for s in slices]
-        assert len(set(starts)) == len(starts)
-
-    def test_all_rows_covered_in_one_window(self):
-        sched = RefreshScheduler(GEOM)
-        covered = set()
-        # +2 tREFI of slack absorbs float accumulation at the boundary.
-        for s in sched.advance((REFS_PER_WINDOW + 2) * TREFI_S):
-            covered.update(s)
-        assert covered == set(range(GEOM.rows_per_bank))
-
-    def test_postponement_stretches_window(self):
-        eager = RefreshScheduler(GEOM)
-        lazy = RefreshScheduler(GEOM, postpone_budget=MAX_POSTPONED)
-        assert lazy.window_seconds() > eager.window_seconds()
-
-    def test_postponed_refs_eventually_issued(self):
-        sched = RefreshScheduler(GEOM, postpone_budget=4)
-        slices = sched.advance(100 * TREFI_S)
-        # 4 deferred at the start, then catch-up: still ~100 total - 4.
-        assert len(slices) >= 92
-        assert sched.postponed <= 4
-
-    def test_budget_validated(self):
-        with pytest.raises(DramError):
-            RefreshScheduler(GEOM, postpone_budget=MAX_POSTPONED + 1)
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(DramError):
-            RefreshScheduler(GEOM).advance(-1.0)
-
-
-class TestRetentionModel:
-    def test_no_failures_at_nominal_window(self):
-        model = RetentionModel(GEOM, seed=1)
-        # Weak cells are drawn with retention >= 0.8 * 64 ms.
-        assert model.failure_rate(50 * MS) == 0.0
-
-    def test_failures_grow_with_gap(self):
-        model = RetentionModel(GEOM, seed=1)
-        f1 = model.failure_rate(64 * MS)
-        f2 = model.failure_rate(128 * MS)
-        f3 = model.failure_rate(300 * MS)
-        assert f1 <= f2 <= f3
-        assert f3 > 0.0
-
-    def test_postponement_interaction(self):
-        """Stretched windows (postponed REFs) expose weak cells — the
-        §2.3 reason thresholds are per-window quantities."""
-        model = RetentionModel(GEOM, seed=2)
-        eager = RefreshScheduler(GEOM)
-        lazy = RefreshScheduler(GEOM, postpone_budget=MAX_POSTPONED)
-        assert len(model.failures(lazy.window_seconds())) >= len(
-            model.failures(eager.window_seconds())
-        )
-
-    def test_deterministic(self):
-        a = RetentionModel(GEOM, seed=3).cells
-        b = RetentionModel(GEOM, seed=3).cells
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(DramError):
-            RetentionModel(GEOM, weak_ppm=-1)
-        with pytest.raises(DramError):
-            RetentionModel(GEOM).failures(-1)
+from repro.errors import ReproError
+from repro.units import GiB, MiB
 
 
 class TestFragmentation:
