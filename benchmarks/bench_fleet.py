@@ -2,21 +2,23 @@
 
 Two recorded entries in ``BENCH_fleet.json`` at the repo root:
 
-- ``fleet_campaign`` — the same small campaign at ``workers=1`` vs
-  ``workers=N``; merged reports must be **bit-identical** (per-host
-  seeds derive from host ids, never pool order) and the ≥2× speedup
-  target is enforced when the machine can express it.
-- ``fleet_cluster`` — the cluster-scale campaign (1000 hosts / 100k VM
-  arrivals through sharded admission over logical capacity twins) at
+- ``fleet_campaign`` — the same small one-shard campaign at
+  ``workers=1`` vs ``workers=N``; merge digests must be
+  **bit-identical** (per-host seeds derive from host ids, never pool
+  order) and the ≥2× speedup target is enforced when the machine can
+  express it.
+- ``fleet_cluster`` — the same campaign path at cluster scale (1000
+  hosts / 100k VM arrivals through 16 admission shards) at
   ``workers=1`` scalar, ``workers=N`` scalar, and ``workers=N``
   vectorized; all three merge digests must be bit-identical, and the
   best hosts/sec throughput plus driver peak RSS are recorded (gated by
   ``check_trajectory.py --key fleet_cluster --field hosts_per_sec``).
 
 The ≥2× speedup target only makes sense with cores to scale onto, so
-the assertion is gated on ``os.cpu_count() >= WORKERS``: a 1-core dev
-box records its honest (≈1×) measurement without failing, while CI's
-multi-core runners enforce the target.  The identical-results assertion
+the assertion is gated on ``os.cpu_count() >= WORKERS``: a runner with
+fewer CPUs records its honest measurement (or, on one CPU, a skip
+marker) without failing, while runners with ``WORKERS`` CPUs enforce
+the target.  The identical-results assertion
 is unconditional — it is the half of the contract that must hold
 everywhere.
 
@@ -32,12 +34,7 @@ import os
 import pathlib
 import time
 
-from repro.fleet import (
-    CampaignConfig,
-    ClusterConfig,
-    run_campaign,
-    run_cluster_campaign,
-)
+from repro.fleet import ClusterConfig, run_cluster_campaign
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH_JSON = REPO_ROOT / "BENCH_fleet.json"
@@ -61,7 +58,7 @@ CLUSTER_BUDGET = 2
 _RESULTS: dict = {
     "bench": "fleet",
     "note": "parallel fleet campaign (workers=N) vs serial (workers=1); "
-    "merged reports must be bit-identical",
+    "merge digests must be bit-identical",
 }
 
 
@@ -76,12 +73,19 @@ def _banner(title: str) -> str:
 
 
 def _campaign(workers: int):
-    config = CampaignConfig(
+    config = ClusterConfig(
         hosts=HOSTS, vms=VMS, budget=BUDGET, workers=workers, seed=7
     )
     t0 = time.perf_counter()
-    report = run_campaign(config)
+    report = run_cluster_campaign(config)
     return time.perf_counter() - t0, report
+
+
+def _not_enforced(cpus: int) -> str:
+    """Why the scaling target is not enforced on this runner."""
+    if cpus <= 1:
+        return f"single-core runner ({cpus} cpu)"
+    return f"{cpus}-CPU runner, fewer CPUs than the {WORKERS} workers"
 
 
 def _cluster(workers: int, backend: str):
@@ -103,7 +107,7 @@ def test_fleet_scaling() -> None:
     serial_s, serial = _campaign(1)
     parallel_s, parallel = _campaign(WORKERS)
 
-    assert serial.digest() == parallel.digest(), (
+    assert serial.merge_digest == parallel.merge_digest, (
         "workers=1 and workers=%d merged reports diverged" % WORKERS
     )
     assert serial.hosts_failed == 0, "campaign had host failures"
@@ -115,7 +119,7 @@ def test_fleet_scaling() -> None:
         f"serial {serial_s * 1e3:8.1f} ms   parallel {parallel_s * 1e3:8.1f} ms"
         f"   speedup {speedup:.2f}x "
         f"(target >= {SCALING_TARGET}x, "
-        f"{'enforced' if enforced else f'not enforced: only {cpus} CPU(s)'})"
+        f"{'enforced' if enforced else 'not enforced: ' + _not_enforced(cpus)})"
     )
     payload = {
         "serial_seconds": round(serial_s, 6),
@@ -127,7 +131,7 @@ def test_fleet_scaling() -> None:
         "identical_results": True,
         "hosts": HOSTS,
         "vms": VMS,
-        "merge_digest": serial.digest(),
+        "merge_digest": serial.merge_digest,
     }
     if cpus > 1:
         payload["speedup"] = round(speedup, 3)
@@ -137,7 +141,7 @@ def test_fleet_scaling() -> None:
         # trajectory baseline for real runners.  Write a loud skip
         # marker instead; check_trajectory --key passes it through
         # without gating.
-        payload["skipped"] = f"single-core runner ({cpus} cpu)"
+        payload["skipped"] = _not_enforced(cpus)
     _record("fleet_campaign", payload)
     if enforced:
         assert speedup >= SCALING_TARGET, (
@@ -148,9 +152,9 @@ def test_fleet_scaling() -> None:
         # One loud, grep-able line: the CI fleet-smoke job lifts it into
         # the job summary so a skipped target never passes silently.
         print(
-            f"WARNING: fleet scaling target SKIPPED — only {cpus} CPU(s) "
-            f"(< {WORKERS} workers); speedup {speedup:.2f}x was NOT enforced "
-            f"against the {SCALING_TARGET}x target (target_enforced: false)"
+            f"WARNING: fleet scaling target SKIPPED — {_not_enforced(cpus)}; "
+            f"speedup {speedup:.2f}x was NOT enforced against the "
+            f"{SCALING_TARGET}x target (target_enforced: false)"
         )
 
 

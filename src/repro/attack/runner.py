@@ -142,3 +142,25 @@ def attack_from_vm(
                 outcome.victim_flips[name] = outcome.victim_flips.get(name, 0) + 1
     _log.info("%s", outcome.summary())
     return outcome
+
+
+def first_tenant_attack(
+    hv: Hypervisor, *, seed: int, pattern_budget: int
+) -> tuple[dict, AttackOutcome | None]:
+    """Containment campaign from *hv*'s first tenant, condensed to the
+    result keys the fleet host task and ``repro serve``'s ``run_attack``
+    share (each caller adds its own).  An idle host has no outcome."""
+    vms = list(hv.vms.values())
+    if not vms:
+        return {"idle": True, "flips": 0, "contained": True}, None
+    outcome = attack_from_vm(
+        hv, vms[0], seed=seed, pattern_budget=pattern_budget
+    )
+    return {
+        "idle": False,
+        "attacker": vms[0].name,
+        "flips": len(outcome.flips_inside) + len(outcome.flips_escaped),
+        "escaped": len(outcome.flips_escaped),
+        "victim_flips": sum(outcome.victim_flips.values()),
+        "contained": outcome.contained,
+    }, outcome

@@ -110,7 +110,7 @@ class IsolationAuditor:
     def _audit_host(self, host) -> List[AuditFinding]:
         findings: List[AuditFinding] = []
         findings.extend(self._check_tenant_groups(host))
-        findings.extend(self._check_guard_rows(host))
+        findings.extend(self.check_guard_rows(host))
         # Only the audit kinds the host's mitigation *enforces* are
         # violations; the rest (e.g. co-location under a shared-pool
         # baseline) are that mitigation's documented exposure, measured
@@ -154,8 +154,9 @@ class IsolationAuditor:
         return findings
 
     @staticmethod
-    def _check_guard_rows(host) -> List[AuditFinding]:
-        """Guard rows stay retired and un-backed."""
+    def check_guard_rows(host) -> List[AuditFinding]:
+        """Guard rows stay retired and un-backed (also run by every
+        fleet host task on its own host)."""
         findings: List[AuditFinding] = []
         guards = host.hv.offline.ranges_for(OfflineReason.GUARD_ROW)
         for r in guards:

@@ -37,6 +37,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro.errors import ReproError
 from repro.units import MiB, fmt_bytes
 
 
@@ -169,18 +170,14 @@ def _cmd_overheads(args: argparse.Namespace) -> int:
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.faults import FaultPlanError, run_ce_storm_scenario
+    from repro.faults import run_ce_storm_scenario
 
-    try:
-        result = run_ce_storm_scenario(
-            seed=args.seed,
-            storm_errors=args.storm_errors,
-            interval=args.interval,
-            backend=args.backend,
-        )
-    except FaultPlanError as exc:
-        print(f"repro health: invalid fault plan: {exc}", file=sys.stderr)
-        return 2
+    result = run_ce_storm_scenario(
+        seed=args.seed,
+        storm_errors=args.storm_errors,
+        interval=args.interval,
+        backend=args.backend,
+    )
     if args.transcript:
         for line in result.transcript:
             print(line)
@@ -244,10 +241,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_config(args: argparse.Namespace):
-    from repro.fleet import CampaignConfig
+def _positive_int(text: str) -> int:
+    """argparse type for ``--shards``: a positive int."""
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return int(text)
 
-    return CampaignConfig(
+
+def _cmd_fleet(args: argparse.Namespace) -> int:
+    from repro.chaos import ChaosPlan
+    from repro.fleet import ClusterCampaign, ClusterConfig
+
+    config = ClusterConfig(
         hosts=args.hosts,
         vms=args.vms,
         policy=args.policy,
@@ -258,119 +265,31 @@ def _fleet_config(args: argparse.Namespace):
         budget=args.budget,
         queue_depth=args.queue_depth,
         max_retries=args.max_retries,
-        chaos_seed=getattr(args, "chaos_seed", None),
-        chaos_events=getattr(args, "chaos_events", 4),
-        mitigation=getattr(args, "mitigation", "siloz"),
+        mitigation=args.mitigation,
+        shards=args.shards,
     )
-
-
-#: ``--shards auto``: campaigns at or above this host count take the
-#: cluster path (sharded admission over logical twins, streaming merge).
-CLUSTER_AUTO_HOSTS = 64
-
-
-def _shards_arg(text: str) -> str:
-    """argparse type for ``--shards``: ``auto`` or a positive int."""
-    if text != "auto" and not (text.isdigit() and int(text) > 0):
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {text!r}"
+    chaos = None
+    if args.chaos_seed is not None:
+        chaos = ChaosPlan.generate(
+            args.chaos_seed, args.hosts, events=args.chaos_events,
+            arrivals=args.vms,
         )
-    return text
-
-
-def _cluster_shards(args: argparse.Namespace) -> int:
-    """Resolve ``--shards`` to an effective shard count (0 = classic)."""
-    raw = getattr(args, "shards", "auto")
-    if raw == "auto":
-        # Chaos/journal/resume and shared-pool mitigations are
-        # classic-campaign features; auto never silently switches them
-        # onto the cluster path.
-        from repro.mitigations import MITIGATIONS
-
-        mitigation = MITIGATIONS.get(getattr(args, "mitigation", "siloz"))
-        classic_only = (
-            getattr(args, "chaos_seed", None) is not None
-            or getattr(args, "journal", None) is not None
-            or getattr(args, "resume", None) is not None
-            or getattr(mitigation, "shared_domains", False)
-        )
-        if classic_only or args.hosts < CLUSTER_AUTO_HOSTS:
-            return 0
-        return min(16, args.hosts)
-    shards = int(raw)
-    return 0 if shards <= 1 else shards
-
-
-def _cmd_fleet_cluster(args: argparse.Namespace, shards: int) -> int:
-    from repro.errors import FleetError
-    from repro.fleet import ClusterConfig, run_cluster_campaign
-
-    for flag in ("chaos_seed", "journal", "resume"):
-        if getattr(args, flag, None) is not None:
-            print(
-                f"repro fleet: --{flag.replace('_', '-')} is not supported "
-                "in cluster mode (--shards > 1)",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        config = ClusterConfig(
-            hosts=args.hosts,
-            vms=args.vms,
-            policy=args.policy,
-            scenario=args.scenario,
-            backend=args.backend,
-            seed=args.seed,
-            workers=args.workers,
-            budget=args.budget,
-            queue_depth=args.queue_depth,
-            max_retries=args.max_retries,
-            mitigation=getattr(args, "mitigation", "siloz"),
-            shards=shards,
-        )
-        report = run_cluster_campaign(config)
-    except FleetError as exc:
-        print(f"repro fleet: {exc}", file=sys.stderr)
-        return 2
-    print(report.render_text())
-    return 0 if report.hosts_failed == 0 else 1
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.errors import ChaosError, FleetError
-    from repro.fleet import FleetCampaign
-
-    shards = _cluster_shards(args)
-    if shards:
-        return _cmd_fleet_cluster(args, shards)
-    resume = getattr(args, "resume", None)
-    try:
-        campaign = FleetCampaign(_fleet_config(args))
-        report = campaign.run(
-            journal_path=getattr(args, "journal", None), resume_path=resume
-        )
-    except ChaosError as exc:
-        print(f"repro fleet: {exc}", file=sys.stderr)
-        return 2
-    except FleetError as exc:
-        print(f"repro fleet: {exc}", file=sys.stderr)
-        return 2
+    campaign = ClusterCampaign(config, chaos)
+    report = campaign.run(journal_path=args.journal, resume_path=args.resume)
     if campaign.resumed_shards:
         print(
             f"resume: {campaign.resumed_shards} shard(s) replayed from "
-            f"journal {resume}"
+            f"journal {args.resume}"
         )
     print(report.render_text())
-    print(f"merge digest: {report.digest()}")
     # Chaos-planned crashes are handled (evacuated + audited) outcomes,
     # not campaign failures; unplanned host failures or a dirty audit
     # still fail the run.
-    unplanned = report.hosts_failed - report.hosts_crashed
-    return 0 if unplanned == 0 and report.audit_clean else 1
+    clean = report.unplanned_failures == 0 and report.summary["audit_clean"]
+    return 0 if clean else 1
 
 
 def _cmd_bakeoff(args: argparse.Namespace) -> int:
-    from repro.errors import FleetError, MitigationError
     from repro.mitigations.bakeoff import BakeoffConfig, run_bakeoff
 
     mitigations: tuple = ()
@@ -378,23 +297,19 @@ def _cmd_bakeoff(args: argparse.Namespace) -> int:
         mitigations = tuple(
             name.strip() for name in args.mitigations.split(",") if name.strip()
         )
-    try:
-        config = BakeoffConfig(
-            mitigations=mitigations,
-            hosts=args.hosts,
-            vms=args.vms,
-            seed=args.seed,
-            backend=args.backend,
-            workers=args.workers,
-            budget=args.budget,
-            policy=args.policy,
-            scenario=args.scenario,
-            storm_errors=args.storm_errors,
-        )
-        report = run_bakeoff(config)
-    except (MitigationError, FleetError) as exc:
-        print(f"repro bakeoff: {exc}", file=sys.stderr)
-        return 2
+    config = BakeoffConfig(
+        mitigations=mitigations,
+        hosts=args.hosts,
+        vms=args.vms,
+        seed=args.seed,
+        backend=args.backend,
+        workers=args.workers,
+        budget=args.budget,
+        policy=args.policy,
+        scenario=args.scenario,
+        storm_errors=args.storm_errors,
+    )
+    report = run_bakeoff(config)
     print(report.render_table())
     print(f"bakeoff digest: {report.digest()}")
     return 0 if report.clean else 1
@@ -430,19 +345,14 @@ def _serve_config(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ServeError
     from repro.serve import main_serve
 
-    try:
-        return main_serve(
-            _serve_config(args),
-            host=args.bind,
-            port=args.port,
-            socket_path=args.socket,
-        )
-    except ServeError as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
+    return main_serve(
+        _serve_config(args),
+        host=args.bind,
+        port=args.port,
+        socket_path=args.socket,
+    )
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -451,20 +361,18 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.errors import ServeError
     from repro.serve import LoadMix, LoadgenConfig, run_loadgen, serve_and_load
 
+    config = LoadgenConfig(
+        requests=args.requests,
+        connections=args.connections,
+        window=args.window,
+        seed=args.seed,
+        mix=LoadMix.parse(args.mix),
+        attack_budget=args.attack_budget,
+        verify_replay=not args.no_verify,
+    )
     try:
-        config = LoadgenConfig(
-            requests=args.requests,
-            connections=args.connections,
-            window=args.window,
-            seed=args.seed,
-            mix=LoadMix.parse(args.mix),
-            attack_budget=args.attack_budget,
-            verify_replay=not args.no_verify,
-        )
         if args.spawn:
-            report = asyncio.run(
-                serve_and_load(_serve_config(args), config)
-            )
+            report = asyncio.run(serve_and_load(_serve_config(args), config))
         else:
             if args.port == 0 and args.socket is None:
                 raise ServeError(
@@ -478,9 +386,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                     socket_path=args.socket,
                 )
             )
-    except ServeError as exc:
-        print(f"repro loadgen: {exc}", file=sys.stderr)
-        return 2
     except (ConnectionRefusedError, FileNotFoundError) as exc:
         print(f"repro loadgen: cannot connect: {exc}", file=sys.stderr)
         return 2
@@ -710,13 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--shards",
-        type=_shards_arg,
-        default="auto",
-        help="admission shards for cluster mode (>1 switches to sharded "
-        "admission over logical capacity twins with a streaming merge; "
-        "'auto' = cluster mode at >= 64 hosts unless chaos/journal/resume "
-        "or a shared-pool mitigation is requested; 1 forces the classic "
-        "campaign)",
+        type=_positive_int,
+        default=1,
+        help="admission shards: contiguous host ranges, each with its own "
+        "bounded queue (arrival i goes to shard i %% shards); part of the "
+        "merge digest",
     )
 
     bakeoff = sub.add_parser(
@@ -853,7 +756,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro import obs
 
         obs.enable(reset=True)
-    code = _HANDLERS[args.command](args)
+    try:
+        code = _HANDLERS[args.command](args)
+    except ReproError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        code = 2
     if observing:
         from repro import obs
         from repro.obs.export import write_chrome_trace, write_jsonl

@@ -25,7 +25,7 @@ from repro.core.groups import ProvisionResult, provision
 from repro.ept.integrity import SecureEptChecker
 from repro.ept.table import ExtendedPageTable
 from repro.errors import OutOfMemoryError, PlacementError
-from repro.hv.hypervisor import Hypervisor, VmSpec
+from repro.hv.hypervisor import Hypervisor, VmSpec, admission_bytes
 from repro.hv.machine import Machine
 from repro.hv.vm import VirtualMachine
 from repro.mm.numa import NodeKind
@@ -207,7 +207,7 @@ class SilozHypervisor(Hypervisor):
     def _place_vm(self, spec: VmSpec) -> tuple[tuple[int, ...], frozenset]:
         """Pick enough free guest-reserved nodes, preferring the VM's
         socket (physical-NUMA locality, §5.2), falling back remote."""
-        needed = spec.memory_bytes + 2 * self.backing_page_bytes  # + ROM slack
+        needed = admission_bytes(spec, self.backing_page_bytes)
         chosen: list[int] = []
         total = 0
         reserved = self._reserved_node_ids()

@@ -11,13 +11,14 @@ The package scales PR 0–3's one-server simulation out to a cluster:
   backpressure, retries, and typed eviction reasons.
 - :mod:`repro.fleet.migration` — cross-host live migration and
   degraded-host evacuation (unblocks deferred offlinings).
-- :mod:`repro.fleet.driver` — parallel campaign execution with
-  deterministic merging (workers=N ≡ workers=1, bit for bit).
-- :mod:`repro.fleet.cluster` — cluster-scale campaigns (1000 hosts /
-  100k VMs): sharded admission over logical capacity twins, streaming
-  merge, bounded driver memory.
-- :mod:`repro.fleet.report` — the merged, digestible campaign artifact,
-  plus the incremental :class:`~repro.fleet.report.StreamingMerge` fold.
+- :mod:`repro.fleet.cluster` — the fleet campaign, 2 to 1000 hosts:
+  sharded admission (over logical capacity twins, or booted hosts for
+  shared-pool mitigations and chaos), supervised per-host execution,
+  journal/resume, chaos evacuation, bounded driver memory.
+- :mod:`repro.fleet.driver` — the per-host task a worker runs
+  (workers=N ≡ workers=1, bit for bit).
+- :mod:`repro.fleet.report` — the incremental
+  :class:`~repro.fleet.report.StreamingMerge` fold and its merge digest.
 """
 
 from repro.fleet.admission import (
@@ -36,14 +37,7 @@ from repro.fleet.cluster import (
     measure_host_shape,
     run_cluster_campaign,
 )
-from repro.fleet.driver import (
-    CampaignConfig,
-    FleetCampaign,
-    HostTask,
-    SCENARIOS,
-    run_campaign,
-    run_host_task,
-)
+from repro.fleet.driver import HostTask, SCENARIOS, run_host_task
 from repro.fleet.host import Fleet, Host, HostSpec, derive_host_seed
 from repro.fleet.migration import (
     MigrationError,
@@ -53,7 +47,7 @@ from repro.fleet.migration import (
     migrate_vm,
     region_extents,
 )
-from repro.fleet.report import FleetReport, StreamingMerge
+from repro.fleet.report import StreamingMerge
 from repro.fleet.scheduler import (
     BestFitScheduler,
     FirstFitScheduler,
@@ -62,7 +56,6 @@ from repro.fleet.scheduler import (
     SpreadScheduler,
     host_fits,
     make_scheduler,
-    needed_bytes,
     spec_page_aligned,
 )
 
@@ -70,13 +63,10 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "BestFitScheduler",
-    "CampaignConfig",
     "ClusterCampaign",
     "ClusterConfig",
     "ClusterReport",
     "Fleet",
-    "FleetCampaign",
-    "FleetReport",
     "FirstFitScheduler",
     "LogicalFleet",
     "LogicalHost",
@@ -100,9 +90,7 @@ __all__ = [
     "make_scheduler",
     "measure_host_shape",
     "migrate_vm",
-    "needed_bytes",
     "region_extents",
-    "run_campaign",
     "run_cluster_campaign",
     "run_host_task",
     "spec_page_aligned",

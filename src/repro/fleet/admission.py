@@ -22,15 +22,39 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro import obs
-from repro.errors import HvError, PlacementError
+from repro.errors import FleetError, HvError, PlacementError
 from repro.hv.hypervisor import VmSpec
 from repro.log import get_logger
 from repro.units import MiB
 
 from repro.fleet.host import Fleet
-from repro.fleet.scheduler import PlacementScheduler, spec_page_aligned
+from repro.fleet.scheduler import SCHEDULERS, PlacementScheduler, spec_page_aligned
 
 _log = get_logger("fleet.admission")
+
+
+def check_fleet_fields(config, error: type[Exception] = FleetError) -> None:
+    """Validation shared by every config that boots and admits into a
+    fleet (campaigns and the serve daemon): host count, placement
+    policy, admission queue, retries and mitigation, raised as *error*."""
+    from repro.mitigations import mitigation_names
+
+    if config.hosts <= 0:
+        raise error("need at least one host")
+    if config.policy not in SCHEDULERS:
+        raise error(
+            f"unknown placement policy {config.policy!r}; "
+            f"know {sorted(SCHEDULERS)}"
+        )
+    if config.queue_depth <= 0:
+        raise error("queue_depth must be positive")
+    if config.max_retries < 0:
+        raise error("max_retries must be non-negative")
+    if config.mitigation not in mitigation_names():
+        raise error(
+            f"unknown mitigation {config.mitigation!r}; "
+            f"know {mitigation_names()}"
+        )
 
 
 class RejectReason(Enum):

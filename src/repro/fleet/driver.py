@@ -1,36 +1,18 @@
-"""The fleet campaign driver: place fleet-wide, simulate per host, in
-parallel, deterministically — and survivably, under injected chaos.
+"""The per-host task of a fleet campaign: what one worker runs.
 
-A :class:`FleetCampaign` runs in three phases:
-
-1. **Placement** (main process): boot the fleet, generate the seeded
-   tenant arrival trace, and push it through admission control + the
-   chosen scheduler.  Every host ends up with an ordered list of
-   admitted :class:`VmSpec`\\ s.  A chaos plan's queue-stall events
-   fire here: the admission daemon wedges for a window of arrivals and
-   backpressure must reject instead of blocking.
-2. **Campaign** (supervised workers): each host's simulation — boot,
-   replay its placements, apply its shard-phase chaos events, run the
-   scenario — is sharded across worker processes under a
-   :class:`~repro.chaos.supervisor.CampaignSupervisor`: per-shard
-   timeout, bounded retries with backoff, and real dead-worker
-   detection (a killed worker used to kill the whole ``pool.map``
-   campaign).  A host task is a pure function of ``(HostSpec, vm
-   specs, scenario, chaos specs, attempt)``: the host's DRAM seed
-   derives from the *host id* (:func:`~repro.fleet.host.derive_host_seed`),
-   never from worker count or pool order, so ``--workers 4`` merges
-   bit-identically with ``--workers 1`` — chaos plan and all.
-   Completed shards are checkpointed to an optional
-   :class:`~repro.chaos.journal.CampaignJournal`, and ``--resume``
-   loads them back instead of re-running.
-3. **Merge** (main process): crashed hosts' tenants are evacuated to
-   survivors (digest-corruption chaos bites here and must roll back),
-   the :class:`~repro.chaos.audit.IsolationAuditor` re-verifies the
-   one-tenant-per-group and guard-row invariants after placement,
-   after every evacuation, and at campaign end, and results are
-   ordered by host id and folded into a
-   :class:`~repro.fleet.report.FleetReport` whose digest is the
-   determinism contract CI checks.
+:class:`~repro.fleet.cluster.ClusterCampaign` admits every arrival
+fleet-wide, then hands each host to a supervised worker as a picklable
+:class:`HostTask`.  :func:`run_host_task` boots the host, replays its
+admitted VMs in placement order, applies its shard-phase chaos (worker
+deaths, host crashes, UE storms), runs the scenario, and re-checks the
+host's isolation invariants — including the
+:class:`~repro.chaos.audit.IsolationAuditor`'s guard-row check, so a
+campaign admitted against logical twins still gets a real audit of
+every host.  A task is a pure function of ``(HostTask, attempt)``: the
+host's DRAM seed derives from the *host id*
+(:func:`~repro.fleet.host.derive_host_seed`), never from worker count or
+pool order, so ``--workers 4`` merges bit-identically with
+``--workers 1`` — chaos plan and all.
 """
 
 from __future__ import annotations
@@ -40,80 +22,17 @@ import traceback
 from dataclasses import dataclass
 
 from repro import obs
-from repro.chaos.plan import ChaosKind, ChaosPlan, ChaosSpec
+from repro.chaos.audit import IsolationAuditor
+from repro.chaos.plan import ChaosKind, ChaosSpec
 from repro.chaos.supervisor import WorkerDeathError
 from repro.errors import FleetError
 from repro.hv.hypervisor import VmSpec
-from repro.log import get_logger
 from repro.mm.numa import NodeKind
 
-from repro.fleet.admission import AdmissionController, generate_arrival_trace
-from repro.fleet.host import Fleet, Host, HostSpec, derive_host_seed
-from repro.fleet.report import FleetReport, _config_dict
-from repro.fleet.scheduler import make_scheduler
-
-_log = get_logger("fleet.driver")
+from repro.fleet.host import Host, HostSpec, derive_host_seed
 
 #: Scenarios a campaign can run on every host.
 SCENARIOS = ("attack", "health")
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """One fleet campaign, fully described (and picklable)."""
-
-    hosts: int = 4
-    vms: int = 12
-    policy: str = "best-fit"
-    scenario: str = "attack"
-    backend: str = "scalar"
-    seed: int = 0
-    workers: int = 1
-    #: Attack-scenario fuzzer patterns per host.
-    budget: int = 6
-    #: Health-scenario injected correctable errors per host.
-    storm_errors: int = 20
-    sockets: int = 1
-    queue_depth: int = 64
-    max_retries: int = 2
-    vm_sizes_mib: tuple[int, ...] = (1, 2, 2, 3, 4)
-    #: Registered mitigation every host boots under ("siloz", "none",
-    #: "para", "catt", "domain-buddy", "guard-rows").  The bake-off
-    #: harness sweeps this; part of the merge digest because the defence
-    #: legitimately changes results.
-    mitigation: str = "siloz"
-    #: Chaos: seed for the generated :class:`ChaosPlan` (None = no chaos)
-    #: and how many events the plan schedules.  Part of the config — and
-    #: of the merge digest — because chaos legitimately changes results;
-    #: resume re-derives the identical plan from these two fields.
-    chaos_seed: int | None = None
-    chaos_events: int = 4
-
-    def __post_init__(self) -> None:
-        check_campaign_fields(self)
-        if self.chaos_events < 0:
-            raise FleetError("chaos_events must be non-negative")
-
-
-def check_campaign_fields(config) -> None:
-    """Validation shared by :class:`CampaignConfig` and ``ClusterConfig``."""
-    if config.hosts <= 0 or config.vms < 0:
-        raise FleetError("need at least one host and a non-negative VM count")
-    if config.workers <= 0:
-        raise FleetError("workers must be positive")
-    if config.scenario not in SCENARIOS:
-        raise FleetError(f"unknown scenario {config.scenario!r}; know {SCENARIOS}")
-    if config.queue_depth <= 0:
-        raise FleetError("queue_depth must be positive")
-    if config.max_retries < 0:
-        raise FleetError("max_retries must be non-negative")
-    from repro.mitigations import mitigation_names
-
-    if config.mitigation not in mitigation_names():
-        raise FleetError(
-            f"unknown mitigation {config.mitigation!r}; "
-            f"know {mitigation_names()}"
-        )
 
 
 @dataclass(frozen=True)
@@ -131,24 +50,15 @@ class HostTask:
 
 def _attack_result(host: Host, task: HostTask) -> dict:
     """Table 3-style containment campaign from the host's first tenant."""
-    from repro.attack import attack_from_vm
+    from repro.attack.runner import first_tenant_attack
 
-    vms = list(host.hv.vms.values())
-    if not vms:
-        return {"idle": True, "flips": 0, "contained": True}
-    outcome = attack_from_vm(
-        host.hv, vms[0], seed=task.spec.seed, pattern_budget=task.budget
+    payload, outcome = first_tenant_attack(
+        host.hv, seed=task.spec.seed, pattern_budget=task.budget
     )
-    return {
-        "idle": False,
-        "attacker": vms[0].name,
-        "summary": outcome.summary(),
-        "flips": len(outcome.flips_inside) + len(outcome.flips_escaped),
-        "escaped": len(outcome.flips_escaped),
-        "victim_flips": sum(outcome.victim_flips.values()),
-        "victims": len(outcome.victim_flips),
-        "contained": outcome.contained,
-    }
+    if outcome is not None:
+        payload["summary"] = outcome.summary()
+        payload["victims"] = len(outcome.victim_flips)
+    return payload
 
 
 def _health_result(host: Host, task: HostTask) -> dict:
@@ -320,6 +230,12 @@ def run_host_task(task: HostTask, attempt: int = 1) -> dict:
         else:
             raise FleetError(f"unknown scenario {task.scenario!r}")
         host.assert_isolation()
+        guard_rows = IsolationAuditor.check_guard_rows(host)
+        if guard_rows:
+            raise FleetError(
+                f"isolation audit: {len(guard_rows)} guard-row "
+                f"violation(s), first: {guard_rows[0].detail}"
+            )
         result = {
             "host_id": task.spec.host_id,
             "ok": True,
@@ -348,307 +264,9 @@ def run_host_task(task: HostTask, attempt: int = 1) -> dict:
         }
 
 
-class FleetCampaign:
-    """Placement + supervised per-host simulation + deterministic merge."""
-
-    def __init__(self, config: CampaignConfig):
-        #: Host tasks run serially (``workers=1``) or on the shared
-        #: persistent worker pool; the execution path is never part of
-        #: the config, so journals, golden fixtures and merge digests
-        #: are independent of it by construction.
-        self.config = config
-        self.fleet: Fleet | None = None
-        self.admission: AdmissionController | None = None
-        self._chaos_plan: ChaosPlan | None = None
-        #: Shards loaded from a resume journal instead of re-executed.
-        self.resumed_shards: int = 0
-
-    # ------------------------------------------------------------------
-    # Chaos plan (pure function of the config; resume re-derives it)
-    # ------------------------------------------------------------------
-
-    @property
-    def chaos_plan(self) -> ChaosPlan | None:
-        if self.config.chaos_seed is None:
-            return None
-        if self._chaos_plan is None:
-            self._chaos_plan = ChaosPlan.generate(
-                self.config.chaos_seed,
-                self.config.hosts,
-                events=self.config.chaos_events,
-                arrivals=self.config.vms,
-            )
-        return self._chaos_plan
-
-    def config_digest(self) -> str:
-        """Campaign identity for journal headers (see chaos.journal)."""
-        from repro.chaos.journal import config_digest
-
-        return config_digest(_config_dict(self.config))
-
-    # ------------------------------------------------------------------
-    # Phase 1: placement
-    # ------------------------------------------------------------------
-
-    def place(self) -> Fleet:
-        """Boot the fleet and drive the arrival trace through admission.
-
-        Queue-stall chaos fires here: at the planned arrival index the
-        admission daemon wedges (simulated time passes, nothing drains)
-        for a window of arrivals, during which a full queue's rejection
-        is final — backpressure instead of blocking.
-        """
-        cfg = self.config
-        self.fleet = Fleet.boot(
-            cfg.hosts,
-            seed=cfg.seed,
-            sockets=cfg.sockets,
-            backend=cfg.backend,
-            mitigation=cfg.mitigation,
-        )
-        self.guest_capacity_bytes = sum(
-            n.total_bytes
-            for h in self.fleet.hosts
-            for n in h.hv.topology.nodes_of_kind(NodeKind.GUEST_RESERVED)
-        )
-        scheduler = make_scheduler(cfg.policy)
-        self.admission = AdmissionController(
-            self.fleet,
-            scheduler,
-            queue_depth=cfg.queue_depth,
-            max_retries=cfg.max_retries,
-        )
-        trace = generate_arrival_trace(
-            cfg.seed, cfg.vms, sizes_mib=cfg.vm_sizes_mib, sockets=cfg.sockets
-        )
-        plan = self.chaos_plan
-        stalls = (
-            {s.arrival_index: s for s in plan.stalls()} if plan is not None else {}
-        )
-        wedged_until = -1
-        for i, spec in enumerate(trace):
-            stall = stalls.get(i)
-            if stall is not None:
-                self.admission.stall(stall.stall_s)
-                wedged_until = i + stall.stall_width
-                _log.warning(
-                    "chaos: admission queue stalled %.4fs at arrival %d "
-                    "(%d arrival(s) wedged)",
-                    stall.stall_s, i, stall.stall_width,
-                )
-                if obs.ENABLED:
-                    obs.emit(
-                        obs.ChaosEvent(
-                            chaos="queue-stall",
-                            host=-1,
-                            detail=f"arrival {i}: {stall.stall_s}s",
-                        )
-                    )
-            if not self.admission.submit(spec):
-                if i < wedged_until:
-                    continue  # daemon wedged: the QUEUE_FULL stands
-                # Backpressure hit: let the queue drain, then resubmit
-                # once (a second full-queue rejection is final).
-                self.admission.drain()
-                self.admission.submit(spec)
-        self.admission.drain()
-        self.fleet.assert_isolation()
-        return self.fleet
-
-    # ------------------------------------------------------------------
-    # Phase 2 + 3: supervised sharded simulation, deterministic merge
-    # ------------------------------------------------------------------
-
-    def tasks(self) -> list[HostTask]:
-        """Picklable per-host work items: each host's spec plus its
-        admitted VM specs in placement order and its shard-phase chaos."""
-        if self.fleet is None:
-            raise FleetError("place() must run before tasks()")
-        cfg = self.config
-        plan = self.chaos_plan
-        return [
-            HostTask(
-                spec=h.spec,
-                vm_specs=tuple(h.vm_specs.values()),
-                scenario=cfg.scenario,
-                budget=cfg.budget,
-                storm_errors=cfg.storm_errors,
-                chaos=plan.for_host(h.host_id) if plan is not None else (),
-            )
-            for h in self.fleet.hosts
-        ]
-
-    def run(
-        self,
-        *,
-        journal_path: str | None = None,
-        resume_path: str | None = None,
-    ) -> FleetReport:
-        """Place (if not already placed), execute every host task under
-        supervision, evacuate crashed hosts, audit, and merge the
-        results in host-id order into the campaign report."""
-        from repro.chaos.journal import CampaignJournal
-        from repro.chaos.supervisor import CampaignSupervisor
-
-        cfg = self.config
-        if self.fleet is None:
-            self.place()
-        auditor = self._auditor()
-        audits = [auditor.audit("placement").to_dict()]
-        tasks = self.tasks()
-
-        completed: dict[int, dict] = {}
-        if resume_path is not None:
-            completed = CampaignJournal.load(resume_path, self.config_digest())
-            self.resumed_shards = len(completed)
-            _log.info(
-                "resume: loaded %d completed shard(s) from %s",
-                len(completed), resume_path,
-            )
-        pending = [t for t in tasks if t.spec.host_id not in completed]
-
-        journal: CampaignJournal | None = None
-        if journal_path is not None or resume_path is not None:
-            journal = CampaignJournal(journal_path or resume_path)
-            journal.open(self.config_digest())
-        try:
-            supervisor = CampaignSupervisor(run_host_task, warmup=warm_worker)
-            results, supervision = supervisor.run(
-                pending,
-                cfg.workers,
-                on_result=journal.record if journal is not None else None,
-            )
-        finally:
-            if journal is not None:
-                journal.close()
-        all_results = sorted(
-            [*completed.values(), *results], key=lambda r: r["host_id"]
-        )
-
-        degraded, migrations = self._handle_crashes(all_results, auditor, audits)
-        audits.append(auditor.audit("final").to_dict())
-        assert self.admission is not None
-        report = FleetReport.build(
-            config=cfg,
-            decisions=list(self.admission.decisions),
-            host_results=all_results,
-            guest_capacity_bytes=self.guest_capacity_bytes,
-            migrations=migrations,
-            degraded=degraded,
-            audit=audits,
-            supervision=supervision.to_dict(),
-        )
-        report.fold_into_metrics()
-        _log.info("fleet campaign: %s", report.headline())
-        return report
-
-    def _auditor(self):
-        from repro.chaos.audit import IsolationAuditor
-
-        assert self.fleet is not None
-        return IsolationAuditor(self.fleet)
-
-    def _handle_crashes(
-        self, results: list[dict], auditor, audits: list[dict]
-    ) -> tuple[dict, list[dict]]:
-        """Evacuate every crashed host's tenants to survivors (the
-        fleet replica in this process still holds their placements),
-        arming any planned digest corruption; audits after each
-        evacuation.  Returns (degraded section, migration dicts)."""
-        from repro.fleet.migration import evacuate_host
-
-        crashed = sorted(
-            r["host_id"] for r in results if r.get("crashed")
-        )
-        if not crashed:
-            return {}, []
-        assert self.fleet is not None
-        auditor.exclude = tuple(crashed)
-        scheduler = make_scheduler(self.config.policy)
-        plan = self.chaos_plan
-        records: list[dict] = []
-        incidents: list[dict] = []
-        for host_id in crashed:
-            host = self.fleet.host(host_id)
-            if obs.ENABLED:
-                obs.emit(
-                    obs.ChaosEvent(
-                        chaos="host-crash",
-                        host=host_id,
-                        detail=f"evacuating {len(host.vm_specs)} VM(s)",
-                    )
-                )
-            corrupt = None
-            spec = plan.corruption_for(host_id) if plan is not None else None
-            if spec is not None:
-                corrupt = _make_corruptor(spec.flip_offset)
-                if obs.ENABLED:
-                    obs.emit(
-                        obs.ChaosEvent(
-                            chaos="digest-corruption",
-                            host=host_id,
-                            detail=f"armed at byte {spec.flip_offset}",
-                        )
-                    )
-            moved, incs = evacuate_host(
-                self.fleet,
-                host,
-                scheduler,
-                exclude=tuple(h for h in crashed if h != host_id),
-                corrupt=corrupt,
-            )
-            records.extend(
-                {
-                    "vm": r.vm,
-                    "src_host": r.src_host,
-                    "dst_host": r.dst_host,
-                    "bytes_copied": r.bytes_copied,
-                    "verified": r.verified,
-                }
-                for r in moved
-            )
-            incidents.extend(incs)
-            audits.append(
-                auditor.audit(f"evacuation:host{host_id}").to_dict()
-            )
-        degraded = {
-            "crashed_hosts": crashed,
-            "evacuated_vms": len(records),
-            "incidents": incidents,
-        }
-        return degraded, records
-
-
-def _make_corruptor(flip_offset: int):
-    """One-shot transfer-path fault: flips one byte of the first region
-    buffer (sorted region order, offset modulo length) the first time a
-    migration snapshot passes through, then disarms."""
-    armed = {"on": True}
-
-    def corrupt(buffers: dict) -> None:
-        if not armed["on"]:
-            return
-        for name in sorted(buffers):
-            buf = buffers[name]
-            if len(buf):
-                armed["on"] = False
-                buf[flip_offset % len(buf)] ^= 0xFF
-                return
-
-    return corrupt
-
-
-def run_campaign(config: CampaignConfig) -> FleetReport:
-    """One-call convenience used by the CLI and the scaling bench."""
-    return FleetCampaign(config).run()
-
-
 __all__ = [
-    "CampaignConfig",
-    "FleetCampaign",
     "HostTask",
     "SCENARIOS",
     "derive_host_seed",
-    "run_campaign",
     "run_host_task",
 ]

@@ -215,6 +215,11 @@ class Fleet:
         for h in self.hosts:
             h.assert_isolation()
 
+    @property
+    def free_groups(self) -> int:
+        """Free guest group nodes across the fleet (shortfall detail)."""
+        return sum(len(h.capacity().free_guest_node_ids) for h in self.hosts)
+
     def degraded_hosts(self) -> list[Host]:
         return [h for h in self.hosts if h.degraded]
 

@@ -23,18 +23,12 @@ request — the one-tenant-per-group invariant is enforced underneath by
 from __future__ import annotations
 
 from repro.errors import FleetError, PlacementError
-from repro.hv.hypervisor import VmSpec
+from repro.hv.hypervisor import VmSpec, admission_bytes
 from repro.log import get_logger
 
 from repro.fleet.host import Fleet, Host
 
 _log = get_logger("fleet.scheduler")
-
-
-def needed_bytes(host: Host, spec: VmSpec) -> int:
-    """What the host-level placement will actually look for (§5.3
-    admission check): the VM's memory plus the ROM-rounding slack."""
-    return spec.memory_bytes + 2 * host.hv.backing_page_bytes
 
 
 def spec_page_aligned(host: Host, spec: VmSpec) -> bool:
@@ -53,7 +47,8 @@ def host_fits(host: Host, spec: VmSpec) -> bool:
         return False
     if spec.socket >= host.hv.machine.geom.sockets:
         return False
-    return host.capacity().free_guest_bytes >= needed_bytes(host, spec)
+    needed = admission_bytes(spec, host.hv.backing_page_bytes)
+    return host.capacity().free_guest_bytes >= needed
 
 
 class PlacementScheduler:
@@ -120,7 +115,8 @@ class BestFitScheduler(PlacementScheduler):
     name = "best-fit"
 
     def _key(self, host: Host, spec: VmSpec):
-        return host.capacity().free_guest_bytes - needed_bytes(host, spec)
+        needed = admission_bytes(spec, host.hv.backing_page_bytes)
+        return host.capacity().free_guest_bytes - needed
 
 
 class SpreadScheduler(PlacementScheduler):

@@ -97,6 +97,12 @@ class VmSpec:
             raise HvError("vcpus must be positive")
 
 
+def admission_bytes(spec: VmSpec, backing_page_bytes: int) -> int:
+    """Bytes a placement must find for *spec* (the §5.3 admission
+    check): its memory plus two backing pages of ROM-rounding slack."""
+    return spec.memory_bytes + 2 * backing_page_bytes
+
+
 class Hypervisor:
     """Common machinery; see subclasses for placement policy."""
 

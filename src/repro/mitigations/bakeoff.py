@@ -1,8 +1,9 @@
 """The mitigation bake-off: identical seeded fleets, rival defences.
 
-:func:`run_bakeoff` executes one :class:`~repro.fleet.driver.
-FleetCampaign` per mitigation — same seed, same arrival trace, same
-scenario, only ``CampaignConfig.mitigation`` varies — and condenses
+:func:`run_bakeoff` executes one fleet campaign
+(:func:`~repro.fleet.cluster.run_cluster_campaign`) per mitigation —
+same seed, same arrival trace, same scenario, only
+``ClusterConfig.mitigation`` varies — and condenses
 each into a comparable entry: containment rate (hosts whose attacker
 neither escaped its domains nor corrupted another tenant), blast radius
 on containment failure (victim VMs on the worst host), capacity loss,
@@ -25,8 +26,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import MitigationError
-from repro.fleet.driver import CampaignConfig, FleetCampaign
-from repro.fleet.report import FleetReport
+from repro.fleet.cluster import ClusterConfig, ClusterReport, run_cluster_campaign
 from repro.mitigations.base import make_mitigation, mitigation_names
 
 #: Fuzzer pattern budget where the unmitigated baseline reliably leaks
@@ -64,10 +64,10 @@ class BakeoffConfig:
             raise MitigationError(f"duplicate mitigation in sweep: {names}")
         return tuple(names)
 
-    def campaign_config(self, mitigation: str) -> CampaignConfig:
+    def campaign_config(self, mitigation: str) -> ClusterConfig:
         """The per-mitigation fleet campaign: identical except for the
         defence under test."""
-        return CampaignConfig(
+        return ClusterConfig(
             hosts=self.hosts,
             vms=self.vms,
             policy=self.policy,
@@ -139,26 +139,29 @@ def _capacity(host_results: list[dict]) -> dict:
     return {}
 
 
-def _entry(name: str, report: FleetReport) -> dict:
+def _entry(name: str, report: ClusterReport, host_results: list[dict]) -> dict:
     sections = [
-        r["mitigation"] for r in report.host_results if r.get("ok") and "mitigation" in r
+        r["mitigation"] for r in host_results if r.get("ok") and "mitigation" in r
     ]
     shared = bool(sections[0].get("shared_domains")) if sections else False
+    s = report.summary
     return {
         "mitigation": name,
         "shared_domains": shared,
         "fleet": {
-            "digest": report.digest(),
-            "hosts": len(report.host_results),
-            "hosts_ok": report.hosts_ok,
-            "unplanned_failures": report.hosts_failed - report.hosts_crashed,
-            "audit_clean": report.audit_clean,
-            "acceptance_rate": round(report.acceptance_rate, 6),
-            "utilization": round(report.utilization, 6),
+            "digest": report.merge_digest,
+            "hosts": s["hosts"],
+            "hosts_ok": s["hosts_ok"],
+            "unplanned_failures": report.unplanned_failures,
+            "audit_clean": s["audit_clean"],
+            "acceptance_rate": round(s["acceptance_rate"], 6),
+            "utilization": round(
+                s["placed_bytes"] / s["guest_capacity_bytes"], 6
+            ),
         },
-        "containment": _containment(report.host_results),
-        "capacity": _capacity(report.host_results),
-        "overhead": _overhead(report.host_results),
+        "containment": _containment(host_results),
+        "capacity": _capacity(host_results),
+        "overhead": _overhead(host_results),
     }
 
 
@@ -190,8 +193,8 @@ class BakeoffReport:
         return {"config": self.config, "entries": self.entries}
 
     def _scrubbed(self) -> dict:
-        """Canonical form minus execution details (same rule as
-        :meth:`FleetReport.digest`: workers and backend are *how* the
+        """Canonical form minus execution details (same rule as the
+        campaign merge digest: workers and backend are *how* the
         campaign ran, never *what* it computed)."""
         doc = self.to_json()
         doc["config"] = {
@@ -274,9 +277,12 @@ def run_bakeoff(config: BakeoffConfig) -> BakeoffReport:
     report = BakeoffReport(config=config.to_dict())
     for name in names:
         make_mitigation(name)  # fail fast on bad knobs before the fleet boots
-        campaign = FleetCampaign(config.campaign_config(name))
-        fleet_report = campaign.run()
-        entry = _entry(name, fleet_report)
+        results: list[dict] = []
+        fleet_report = run_cluster_campaign(
+            config.campaign_config(name), on_result=results.append
+        )
+        results.sort(key=lambda r: r["host_id"])
+        entry = _entry(name, fleet_report, results)
         report.entries.append(entry)
         if obs.ENABLED:
             obs.emit(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.dram.mapping import AddressRange, merge_ranges
 from repro.errors import MitigationError, PlacementError
-from repro.hv.hypervisor import Hypervisor, VmSpec
+from repro.hv.hypervisor import Hypervisor, VmSpec, admission_bytes
 from repro.hv.machine import Machine
 from repro.mm.numa import NodeKind, NumaNode
 from repro.mm.offline import OfflineReason
@@ -79,7 +79,7 @@ class SharedPoolHypervisor(Hypervisor):
 
         ``reserved_groups`` is empty: nothing is guaranteed to the
         tenant (the point of the "none" baseline)."""
-        needed = spec.memory_bytes + 2 * self.backing_page_bytes  # + ROM slack
+        needed = admission_bytes(spec, self.backing_page_bytes)
         pools = sorted(
             self.topology.nodes_of_kind(NodeKind.GUEST_RESERVED),
             key=lambda n: (n.physical_node != spec.socket, n.node_id),
@@ -229,7 +229,7 @@ class CattHypervisor(Hypervisor):
 
     def _place_vm(self, spec: VmSpec) -> tuple[tuple[int, ...], frozenset]:
         """Whole partitions, exclusively, preferred socket first."""
-        needed = spec.memory_bytes + 2 * self.backing_page_bytes  # + ROM slack
+        needed = admission_bytes(spec, self.backing_page_bytes)
         reserved = self._nodes_unavailable_for_placement()
         free_nodes = [
             n

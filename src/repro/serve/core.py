@@ -31,15 +31,19 @@ import asyncio
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import FleetError, ReproError, ServeError
-from repro.fleet.admission import AdmissionController, AdmissionDecision
+from repro.fleet.admission import (
+    AdmissionController,
+    AdmissionDecision,
+    check_fleet_fields,
+)
 from repro.fleet.host import Fleet
 from repro.fleet.report import _decision_dict
-from repro.fleet.scheduler import SCHEDULERS, make_scheduler
+from repro.fleet.scheduler import make_scheduler
 from repro.hv.hypervisor import VmSpec
 from repro.log import get_logger
 from repro.serve.protocol import (
@@ -59,7 +63,7 @@ _log = get_logger("serve.core")
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """One serve daemon, fully described (mirrors ``CampaignConfig``)."""
+    """One serve daemon, fully described (mirrors ``ClusterConfig``)."""
 
     hosts: int = 2
     policy: str = "best-fit"
@@ -73,13 +77,7 @@ class ServiceConfig:
     attack_budget: int = 4
 
     def __post_init__(self) -> None:
-        if self.hosts <= 0:
-            raise ServeError("a service needs at least one host")
-        if self.policy not in SCHEDULERS:
-            raise ServeError(
-                f"unknown placement policy {self.policy!r}; "
-                f"know {sorted(SCHEDULERS)}"
-            )
+        check_fleet_fields(self, ServeError)
         if self.attack_budget <= 0:
             raise ServeError("attack_budget must be positive")
 
@@ -91,11 +89,8 @@ class ServiceConfig:
     def from_dict(cls, doc: Dict[str, Any]) -> "ServiceConfig":
         """Rebuild a config from an ``info`` payload, ignoring unknown
         keys so newer servers stay readable by older clients."""
-        fields = {
-            "hosts", "policy", "backend", "seed", "sockets",
-            "queue_depth", "max_retries", "mitigation", "attack_budget",
-        }
-        return cls(**{k: v for k, v in doc.items() if k in fields})
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in doc.items() if k in names})
 
 
 class FleetStateMachine:
@@ -174,29 +169,14 @@ class FleetStateMachine:
     def apply_attack(self, host_id: int, budget: int) -> Dict[str, Any]:
         """Run a containment campaign from *host_id*'s first tenant
         (idle hosts report so); the outcome joins the state digest."""
-        from repro.attack import attack_from_vm
+        from repro.attack.runner import first_tenant_attack
 
         host = self.fleet.host(host_id)  # raises FleetError if unknown
         self.log.append({"op": "attack", "host": host_id, "budget": budget})
-        vms = list(host.hv.vms.values())
-        if not vms:
-            result: Dict[str, Any] = {
-                "host": host_id, "idle": True, "flips": 0, "contained": True,
-            }
-        else:
-            outcome = attack_from_vm(
-                host.hv, vms[0],
-                seed=self.config.seed, pattern_budget=budget,
-            )
-            result = {
-                "host": host_id,
-                "idle": False,
-                "attacker": vms[0].name,
-                "flips": len(outcome.flips_inside) + len(outcome.flips_escaped),
-                "escaped": len(outcome.flips_escaped),
-                "victim_flips": sum(outcome.victim_flips.values()),
-                "contained": outcome.contained,
-            }
+        summary, _ = first_tenant_attack(
+            host.hv, seed=self.config.seed, pattern_budget=budget
+        )
+        result = {"host": host_id, **summary}
         self.attacks.append(result)
         return result
 
@@ -207,7 +187,7 @@ class FleetStateMachine:
     def state_snapshot(self) -> Dict[str, Any]:
         """Canonical plain-data fleet state (what the digest hashes).
 
-        The backend is scrubbed like ``FleetReport.digest`` scrubs it:
+        The backend is scrubbed as the campaign merge digest scrubs it:
         the differential engine guarantees bit-identical simulation
         results, so the digest may be compared across backends too.
         """

@@ -22,13 +22,10 @@ BENCH_PATH = (
 
 
 class _FakeReport:
-    """Constant-digest stand-in for a merged FleetReport."""
+    """Constant-digest stand-in for a campaign report."""
 
     hosts_failed = 0
-
-    @staticmethod
-    def digest() -> str:
-        return "f" * 64
+    merge_digest = "f" * 64
 
 
 @pytest.fixture
@@ -81,6 +78,17 @@ def test_multi_core_below_worker_count_is_not_enforced(bench, monkeypatch):
     payload = _recorded(bench)
     assert payload["speedup"] == pytest.approx(4.0)
     assert payload["target_enforced"] is False
+
+
+def test_two_cpu_warning_does_not_claim_single_core(bench, monkeypatch, capsys):
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+    bench.test_fleet_scaling()
+    (warning,) = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("WARNING")
+    ]
+    assert "2-CPU runner" in warning
+    assert "single-core" not in warning
 
 
 def test_skip_marker_passes_trajectory_gate(bench, monkeypatch, tmp_path, capsys):

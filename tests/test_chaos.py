@@ -22,9 +22,9 @@ from repro.chaos import (
 )
 from repro.errors import ChaosError
 from repro.fleet import (
-    CampaignConfig,
+    ClusterCampaign,
+    ClusterConfig,
     Fleet,
-    FleetCampaign,
     HostTask,
     MigrationError,
     evacuate_host,
@@ -405,10 +405,10 @@ class TestJournal:
         assert len(path.read_text().splitlines()) == 3  # one header only
 
     def test_config_digest_ignores_execution_details(self):
-        base = _config_dict(CampaignConfig(hosts=2, vms=4))
-        w4 = _config_dict(CampaignConfig(hosts=2, vms=4, workers=4))
-        vec = _config_dict(CampaignConfig(hosts=2, vms=4, backend="vectorized"))
-        other = _config_dict(CampaignConfig(hosts=3, vms=4))
+        base = _config_dict(ClusterConfig(hosts=2, vms=4))
+        w4 = _config_dict(ClusterConfig(hosts=2, vms=4, workers=4))
+        vec = _config_dict(ClusterConfig(hosts=2, vms=4, backend="vectorized"))
+        other = _config_dict(ClusterConfig(hosts=3, vms=4))
         assert config_digest(base) == config_digest(w4) == config_digest(vec)
         assert config_digest(base) != config_digest(other)
 
@@ -540,6 +540,24 @@ class TestRunHostTaskChaos:
         assert note["state"] == "offlined"
         assert any(v["ue"] >= 2 for v in note["health"].values())
 
+    def test_guard_row_violation_fails_the_host(self, monkeypatch):
+        # Every host task ends with the auditor's guard-row check (twin
+        # admission has no driver-side audit); a finding fails the host.
+        from repro.chaos import AuditFinding
+
+        clean = run_host_task(_host_task())
+        assert clean["ok"] and "audit" not in clean
+        finding = AuditFinding(
+            host_id=0, check="guard-rows", detail="guard range reopened"
+        )
+        monkeypatch.setattr(
+            IsolationAuditor, "check_guard_rows",
+            staticmethod(lambda host: [finding]),
+        )
+        result = run_host_task(_host_task())
+        assert result["ok"] is False
+        assert "isolation audit: 1 guard-row violation(s)" in result["error"]
+
     def test_chaos_results_are_attempt_pure(self):
         task = _host_task(
             [ChaosSpec(kind=ChaosKind.UE_STORM, host_id=0, ue_errors=2)]
@@ -607,8 +625,15 @@ class TestDigestCorruptionRollback:
 #: (asserted below so a generator change can't silently gut coverage).
 FULL_COVERAGE_SEED = 0
 
-_CAMPAIGN = dict(hosts=4, vms=10, budget=1, chaos_seed=FULL_COVERAGE_SEED,
-                 chaos_events=6)
+_CAMPAIGN = dict(hosts=4, vms=10, budget=1)
+
+
+def _chaos_campaign(chaos_seed=FULL_COVERAGE_SEED, **kw) -> ClusterCampaign:
+    config = ClusterConfig(**{**_CAMPAIGN, **kw})
+    plan = ChaosPlan.generate(
+        chaos_seed, config.hosts, events=6, arrivals=config.vms
+    )
+    return ClusterCampaign(config, plan)
 
 
 class TestChaosCampaign:
@@ -617,44 +642,76 @@ class TestChaosCampaign:
         assert {s.kind for s in plan.specs} == set(ChaosKind)
 
     def test_campaign_survives_chaos_and_audits_clean(self):
-        report = FleetCampaign(CampaignConfig(**_CAMPAIGN)).run()
+        report = _chaos_campaign().run()
         # Crashed hosts are degraded outcomes, not campaign failures.
-        assert report.hosts_crashed >= 1
+        assert report.summary["hosts_crashed"] >= 1
+        assert report.unplanned_failures == 0
         assert report.degraded["crashed_hosts"]
-        assert report.audit_clean
+        assert report.summary["audit_clean"]
         phases = [a["phase"] for a in report.audit]
         assert phases[0] == "placement" and phases[-1] == "final"
         assert any(p.startswith("evacuation:") for p in phases)
         assert report.supervision["worker_deaths"] >= 1
 
     def test_digest_identical_across_worker_counts(self):
-        serial = FleetCampaign(CampaignConfig(workers=1, **_CAMPAIGN)).run()
-        parallel = FleetCampaign(CampaignConfig(workers=2, **_CAMPAIGN)).run()
-        assert serial.digest() == parallel.digest()
+        serial = _chaos_campaign(workers=1).run()
+        parallel = _chaos_campaign(workers=2).run()
+        assert serial.merge_digest == parallel.merge_digest
         # Supervision is execution metadata: present, but never hashed.
         assert serial.supervision["outcomes"]
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_chaos_digest_identical_across_workers_and_backends(
+        self, shards
+    ):
+        reference = _chaos_campaign(shards=shards).run()
+        assert reference.degraded["crashed_hosts"]
+        for kw in ({"workers": 2}, {"workers": 2, "backend": "vectorized"}):
+            variant = _chaos_campaign(shards=shards, **kw).run()
+            assert variant.merge_digest == reference.merge_digest
+
     def test_queue_stall_forces_final_backpressure_rejections(self):
-        config = CampaignConfig(
-            hosts=2, vms=8, budget=1, queue_depth=2, chaos_seed=1,
-        )
-        campaign = FleetCampaign(config)
-        campaign._chaos_plan = ChaosPlan(
-            specs=[
-                ChaosSpec(
-                    kind=ChaosKind.QUEUE_STALL, host_id=-1,
-                    arrival_index=2, stall_s=0.002, stall_width=4,
-                )
-            ]
+        campaign = ClusterCampaign(
+            ClusterConfig(hosts=2, vms=8, budget=1, queue_depth=2),
+            ChaosPlan(
+                specs=[
+                    ChaosSpec(
+                        kind=ChaosKind.QUEUE_STALL, host_id=-1,
+                        arrival_index=2, stall_s=0.002, stall_width=4,
+                    )
+                ]
+            ),
         )
         report = campaign.run()
         # Inside the wedged window a full queue's rejection is final.
-        assert report.rejected_by_reason.get("queue-full", 0) >= 1
+        assert report.summary["rejected_by_reason"].get("queue-full", 0) >= 1
+        assert report.summary["arrivals"] == 8
+
+    def test_stall_wedges_only_its_shard(self):
+        # Arrival 2 lands on shard 0, whose next four arrivals (2, 4,
+        # 6, 8) queue undrained; at depth 2, two of them bounce — and
+        # shard 1 keeps draining.
+        seen = []
+        campaign = ClusterCampaign(
+            ClusterConfig(hosts=2, vms=12, budget=1, queue_depth=2,
+                          shards=2),
+            ChaosPlan(
+                specs=[
+                    ChaosSpec(
+                        kind=ChaosKind.QUEUE_STALL, host_id=-1,
+                        arrival_index=2, stall_s=0.002, stall_width=4,
+                    )
+                ]
+            ),
+        )
+        campaign.place()
+        for shard in campaign.shards:
+            seen.append(shard.controller.rejected_by_reason().get("queue-full", 0))
+        assert seen == [2, 0]
 
     def test_resume_from_partial_journal_is_bit_identical(self, tmp_path):
         full = tmp_path / "full.jsonl"
-        config = CampaignConfig(**_CAMPAIGN)
-        baseline = FleetCampaign(config).run(journal_path=str(full))
+        baseline = _chaos_campaign().run(journal_path=str(full))
 
         # Keep the header and the first completed shard: the journal a
         # SIGKILL right after the first checkpoint would leave behind.
@@ -662,38 +719,45 @@ class TestChaosCampaign:
         lines = full.read_text().splitlines()
         partial.write_text("\n".join(lines[:2]) + "\n")
 
-        campaign = FleetCampaign(config)
+        campaign = _chaos_campaign()
         resumed = campaign.run(resume_path=str(partial))
         assert campaign.resumed_shards == 1
-        assert resumed.digest() == baseline.digest()
+        assert resumed.merge_digest == baseline.merge_digest
         # The resumed journal now holds every shard.
         loaded = CampaignJournal.load(partial)
-        assert len(loaded) == config.hosts
+        assert len(loaded) == _CAMPAIGN["hosts"]
+
+    def test_resume_at_two_shards_is_bit_identical(self, tmp_path):
+        full = tmp_path / "full.jsonl"
+        baseline = _chaos_campaign(shards=2).run(journal_path=str(full))
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text("\n".join(full.read_text().splitlines()[:3]) + "\n")
+        campaign = _chaos_campaign(shards=2, workers=2)
+        resumed = campaign.run(resume_path=str(partial))
+        assert campaign.resumed_shards == 2
+        assert resumed.merge_digest == baseline.merge_digest
+        assert resumed.degraded == baseline.degraded
 
     def test_resume_refuses_mismatched_config(self, tmp_path):
         journal = tmp_path / "j.jsonl"
-        FleetCampaign(CampaignConfig(**_CAMPAIGN)).run(
-            journal_path=str(journal)
-        )
-        other = dict(_CAMPAIGN, chaos_seed=FULL_COVERAGE_SEED + 1)
+        _chaos_campaign().run(journal_path=str(journal))
         with pytest.raises(ChaosError, match="different campaign"):
-            FleetCampaign(CampaignConfig(**other)).run(
+            _chaos_campaign(FULL_COVERAGE_SEED + 1).run(
                 resume_path=str(journal)
             )
+        with pytest.raises(ChaosError, match="different campaign"):
+            _chaos_campaign(shards=2).run(resume_path=str(journal))
 
     def test_resume_tolerates_different_worker_count(self, tmp_path):
         journal = tmp_path / "j.jsonl"
-        config = CampaignConfig(**_CAMPAIGN)
-        baseline = FleetCampaign(config).run(journal_path=str(journal))
-        resumed = FleetCampaign(
-            CampaignConfig(workers=2, **_CAMPAIGN)
-        ).run(resume_path=str(journal))
-        assert resumed.digest() == baseline.digest()
+        baseline = _chaos_campaign().run(journal_path=str(journal))
+        resumed = _chaos_campaign(workers=2).run(resume_path=str(journal))
+        assert resumed.merge_digest == baseline.merge_digest
 
     def test_chaos_events_reach_obs(self):
         obs.enable(reset=True)
         try:
-            FleetCampaign(CampaignConfig(**_CAMPAIGN)).run()
+            _chaos_campaign().run()
             chaos_kinds = {
                 e.chaos for e in obs.tracer().events() if e.kind == "chaos"
             }

@@ -187,10 +187,6 @@ class TestFleetCommand:
         "flags",
         [
             pytest.param(
-                ["--vms", "40", "--shards", "2", "--mitigation", "none"],
-                id="cluster-shared-pool-mitigation",
-            ),
-            pytest.param(
                 ["--shards", "2", "--mitigation", "bogus"],
                 id="cluster-unknown-mitigation",
             ),
@@ -203,6 +199,10 @@ class TestFleetCommand:
                 ["--shards", "2", "--max-retries", "-1"], id="cluster-max-retries"
             ),
             pytest.param(["--shards", "abc"], id="shards-not-a-number"),
+            pytest.param(["--shards", "auto"], id="shards-auto-is-gone"),
+            pytest.param(["--shards", "5"], id="shards-above-hosts"),
+            pytest.param(["--chaos-seed", "1", "--resume", "/nonexistent"],
+                         id="resume-missing-journal"),
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, flags):
@@ -219,15 +219,43 @@ class TestFleetCommand:
         ), proc.stderr
 
     def test_invalid_policy_via_config_is_reported(self, capsys):
-        # argparse catches bad --policy; a bad scenario reaching
-        # CampaignConfig must exit 2 with a readable message.
-        from repro.cli import _cmd_fleet
-        import argparse
+        # argparse catches bad --policy; a bad value that only the
+        # config can judge must still exit 2 with a readable message.
+        assert main(["fleet", "--hosts", "2", "--shards", "3"]) == 2
+        assert "repro fleet: shards must be in 1..hosts" in capsys.readouterr().err
 
-        args = argparse.Namespace(
-            hosts=1, vms=0, policy="best-fit", scenario="bogus",
-            backend="scalar", seed=0, workers=1, budget=1,
-            queue_depth=4, max_retries=1,
+
+class TestTypedErrors:
+    """Every ``ReproError`` reaching the CLI is one ``repro <command>:``
+    line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["serve", "--socket", "/tmp/never-bound.sock",
+                 "--mitigation", "nope"],
+                id="serve-unknown-mitigation",
+            ),
+            pytest.param(
+                ["loadgen", "--spawn", "--queue-depth", "0"],
+                id="loadgen-queue-depth",
+            ),
+            pytest.param(["chaos", "--hosts", "0"], id="chaos-no-hosts"),
+            pytest.param(
+                ["health", "--storm-errors", "-1"], id="health-bad-plan"
+            ),
+            pytest.param(
+                ["bakeoff", "--mitigations", "nope"], id="bakeoff-unknown"
+            ),
+        ],
+    )
+    def test_exits_2_without_traceback(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
         )
-        assert _cmd_fleet(args) == 2
-        assert "repro fleet" in capsys.readouterr().err
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"repro {argv[0]}: "), proc.stderr

@@ -1,16 +1,19 @@
-"""Cluster-scale fleet campaigns (``repro.fleet.cluster``) and the
-streaming merge (``repro.fleet.report.StreamingMerge``).
+"""Fleet campaigns (``repro.fleet.cluster``) and the streaming merge
+(``repro.fleet.report.StreamingMerge``).
 
 The load-bearing claims pinned here:
 
 - the logical capacity twins admit **exactly** what the real
   hypervisor-backed fleet admits (same decision stream, same per-host
   VM lists) under the drain-per-arrival protocol;
+- the one campaign path reproduces the retired classic admission loop
+  decision for decision on the golden bake-off and CLI-default
+  scenarios, under every mitigation;
 - the saturation fast path is bit-equivalent to scanning every host;
-- the cluster merge digest is invariant under worker count, backend,
-  and pool mode — and sensitive to seed and shard count;
-- folding shards incrementally (any completion order) produces the
-  same merge digest as the batch report replayed through the fold.
+- the merge digest is invariant under worker count, backend, and pool
+  mode — and sensitive to seed and shard count;
+- replaying a finished campaign through a fresh fold (any host order)
+  reproduces the live merge digest.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from repro import obs
 from repro.errors import FleetError
 from repro.fleet import (
     AdmissionController,
-    CampaignConfig,
+    ClusterCampaign,
     ClusterConfig,
     Fleet,
-    FleetCampaign,
+    Host,
     StreamingMerge,
     generate_arrival_trace,
     iter_arrival_trace,
@@ -40,6 +43,7 @@ from repro.fleet.cluster import (
     shard_ranges,
 )
 from repro.fleet.report import host_result_digest, scrub_host_result
+from repro.mitigations import mitigation_names
 
 
 def _decision_tuple(d) -> tuple:
@@ -144,11 +148,19 @@ class TestLogicalTwins:
             ClusterConfig(max_retries=-1)
 
     @pytest.mark.parametrize("mitigation", ["none", "para", "guard-rows"])
-    def test_shared_pool_mitigations_refused(self, mitigation):
+    def test_shared_pool_mitigations_admit_on_real_hosts(self, mitigation):
         # One shared pool node per host: a twin would hand all of it to
-        # the first tenant and silently reject the rest.
-        with pytest.raises(FleetError, match="cannot model"):
+        # the first tenant and reject the rest, so these admit against
+        # booted hosts.
+        campaign = ClusterCampaign(
             ClusterConfig(hosts=4, vms=40, shards=2, mitigation=mitigation)
+        )
+        assert campaign.real_hosts
+        fold = campaign.place()
+        assert all(
+            isinstance(h, Host) for s in campaign.shards for h in s.fleet.hosts
+        )
+        assert fold.admitted > 4, "a twin would admit one tenant per host"
 
     def test_iter_arrival_trace_matches_list_form(self):
         assert list(iter_arrival_trace(7, 25)) == generate_arrival_trace(7, 25)
@@ -215,53 +227,53 @@ class TestClusterCampaign:
 
 
 class TestStreamingMerge:
-    def _campaign_report(self):
-        return FleetCampaign(
-            CampaignConfig(hosts=3, vms=9, budget=1, seed=7)
-        ).run()
+    def _campaign(self):
+        """A finished campaign plus the decisions and host results it
+        folded (decisions re-derived through one identical shard)."""
+        cfg = ClusterConfig(hosts=3, vms=9, budget=1, seed=7)
+        decisions: list = []
+        shard = ClusterShard(
+            0, range(3), cfg, measure_host_shape(), decisions.append
+        )
+        for spec in iter_arrival_trace(cfg.seed, cfg.vms):
+            shard.offer(spec)
+        results: list = []
+        report = run_cluster_campaign(cfg, on_result=results.append)
+        return report, decisions, results
 
     def test_streaming_equals_batch_replay(self):
-        report = self._campaign_report()
-        batch = report.merge_digest()
-
+        report, decisions, results = self._campaign()
         fold = StreamingMerge(report.config)
-        fold.guest_capacity_bytes = report.guest_capacity_bytes
-        for d in report.decisions:
+        fold.guest_capacity_bytes = report.summary["guest_capacity_bytes"]
+        for d in decisions:
             fold.add_decision(d)
-        hosts = list(report.host_results)
-        random.Random(0).shuffle(hosts)  # workers finish in any order
-        for r in hosts:
+        random.Random(0).shuffle(results)  # workers finish in any order
+        for r in results:
             fold.add_host_result(r)
-        for m in report.migrations:
-            fold.add_migration(m)
         fold.set_aftermath(degraded=report.degraded, audit=report.audit)
-        assert fold.merge_digest() == batch
+        assert fold.merge_digest() == report.merge_digest
 
     def test_fold_aggregates_match_batch_report(self):
-        report = self._campaign_report()
-        fold = StreamingMerge(report.config)
-        for d in report.decisions:
-            fold.add_decision(d)
-        for r in report.host_results:
-            fold.add_host_result(r)
-        assert fold.hosts == len(report.host_results)
-        assert fold.hosts_ok == report.hosts_ok
-        assert fold.placed_bytes == report.placed_bytes
-        assert fold.acceptance_rate == pytest.approx(report.acceptance_rate)
-        assert fold.rejected_by_reason == report.rejected_by_reason
+        report, decisions, results = self._campaign()
+        s = report.summary
+        assert s["hosts"] == len(results)
+        assert s["hosts_ok"] == sum(1 for r in results if r["ok"])
+        assert s["placed_bytes"] == sum(r["placed_bytes"] for r in results)
+        assert s["arrivals"] == len(decisions)
+        assert s["admitted"] == sum(1 for d in decisions if d.admitted)
 
     def test_host_order_does_not_matter_but_content_does(self):
-        report = self._campaign_report()
+        report, _, results = self._campaign()
         a = StreamingMerge(report.config)
         b = StreamingMerge(report.config)
-        for r in report.host_results:
+        for r in results:
             a.add_host_result(r)
-        for r in reversed(report.host_results):
+        for r in reversed(results):
             b.add_host_result(r)
         assert a.merge_digest() == b.merge_digest()
-        mutated = dict(report.host_results[0])
+        mutated = dict(results[0])
         mutated["placed_bytes"] = mutated.get("placed_bytes", 0) + 1
-        b.add_host_result(mutated)  # overwrite host 0's digest
+        b.add_host_result(mutated)  # overwrite that host's digest
         assert a.merge_digest() != b.merge_digest()
 
     def test_trace_key_is_scrubbed_everywhere(self):
@@ -310,10 +322,10 @@ class TestClusterCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["fleet"])
-        assert args.shards == "auto"
+        assert args.shards == 1
         args = build_parser().parse_args(["fleet", "--shards", "4"])
-        assert args.shards == "4"
-        for bad in ("abc", "0", "-2"):
+        assert args.shards == 4
+        for bad in ("abc", "0", "-2", "auto"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["fleet", "--shards", bad])
 
@@ -326,44 +338,77 @@ class TestClusterCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "cluster campaign report" in out
+        assert "4 host(s) in 2 shard(s)" in out
         assert "merge digest:" in out
 
-    def test_cluster_mode_rejects_chaos(self, capsys):
+    def test_sharded_campaign_runs_chaos(self, capsys):
         from repro.cli import main
 
         code = main(
             ["fleet", "--hosts", "4", "--vms", "8", "--shards", "2",
-             "--chaos-seed", "3"]
+             "--budget", "1", "--chaos-seed", "3"]
         )
-        assert code == 2
-        assert "not supported in cluster mode" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "isolation audit:" in out and "merge digest:" in out
 
-    def test_auto_threshold(self):
-        from repro.cli import CLUSTER_AUTO_HOSTS, _cluster_shards
 
-        class _Args:
-            hosts = CLUSTER_AUTO_HOSTS
-            shards = "auto"
-            chaos_seed = None
-            journal = None
-            resume = None
+# ---------------------------------------------------------------------------
+# One campaign path
+# ---------------------------------------------------------------------------
 
-        assert _cluster_shards(_Args()) == 16
-        _Args.hosts = CLUSTER_AUTO_HOSTS - 1
-        assert _cluster_shards(_Args()) == 0
-        _Args.hosts = CLUSTER_AUTO_HOSTS
-        _Args.chaos_seed = 3
-        assert _cluster_shards(_Args()) == 0, (
-            "auto must never silently switch a chaos campaign to cluster mode"
-        )
-        _Args.chaos_seed = None
-        for shared in ("none", "para", "guard-rows"):
-            _Args.mitigation = shared
-            assert _cluster_shards(_Args()) == 0, (
-                "auto must keep shared-pool mitigations on the classic path"
-            )
-        _Args.mitigation = "catt"
-        assert _cluster_shards(_Args()) == 16
-        _Args.shards = "1"
-        assert _cluster_shards(_Args()) == 0
+#: The golden bake-off scenario and ``repro fleet``'s defaults (which
+#: are ClusterConfig's).
+PATH_SCENARIOS = {
+    "golden": dict(hosts=2, vms=4, seed=7, budget=150),
+    "cli-default": dict(),
+}
+
+
+def _classic_stream(cfg: ClusterConfig) -> list:
+    """The retired classic campaign's admission loop: one booted fleet,
+    every arrival submitted, the queue drained only when full (then the
+    arrival resubmitted once) and at the end of the trace."""
+    fleet = Fleet.boot(cfg.hosts, seed=cfg.seed, mitigation=cfg.mitigation)
+    ctl = AdmissionController(
+        fleet,
+        make_scheduler(cfg.policy),
+        queue_depth=cfg.queue_depth,
+        max_retries=cfg.max_retries,
+    )
+    for spec in generate_arrival_trace(cfg.seed, cfg.vms):
+        if not ctl.submit(spec):
+            ctl.drain()
+            ctl.submit(spec)
+    ctl.drain()
+    return [_decision_tuple(d) for d in ctl.decisions]
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("mitigation", mitigation_names())
+    @pytest.mark.parametrize("scenario", sorted(PATH_SCENARIOS))
+    def test_decisions_match_classic_loop(self, scenario, mitigation, monkeypatch):
+        cfg = ClusterConfig(mitigation=mitigation, **PATH_SCENARIOS[scenario])
+        seen: list = []
+        fold_decision = StreamingMerge.add_decision
+
+        def spy(fold, decision):
+            seen.append(_decision_tuple(decision))
+            fold_decision(fold, decision)
+
+        monkeypatch.setattr(StreamingMerge, "add_decision", spy)
+        ClusterCampaign(cfg).place()
+        assert seen == _classic_stream(cfg)
+
+    @pytest.mark.parametrize("mitigation", mitigation_names())
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_every_mitigation_merges_worker_independently(
+        self, shards, mitigation
+    ):
+        cfg = dict(hosts=2, vms=6, budget=1, seed=5, shards=shards,
+                   mitigation=mitigation)
+        one = run_cluster_campaign(ClusterConfig(workers=1, **cfg))
+        two = run_cluster_campaign(ClusterConfig(workers=2, **cfg))
+        assert one.merge_digest == two.merge_digest
+        # Every host passed its in-worker isolation and guard-row audit.
+        assert one.hosts_failed == 0

@@ -8,9 +8,8 @@ from repro.hv import BaselineHypervisor, Machine, VmSpec
 from repro.units import KiB, MiB
 from repro.fleet import (
     AdmissionController,
-    CampaignConfig,
+    ClusterConfig,
     Fleet,
-    FleetReport,
     Host,
     HostSpec,
     HostTask,
@@ -23,8 +22,9 @@ from repro.fleet import (
     make_scheduler,
     migrate_vm,
     region_extents,
-    run_campaign,
+    run_cluster_campaign,
     run_host_task,
+    StreamingMerge,
 )
 
 
@@ -350,20 +350,27 @@ class TestEvacuation:
         assert "a" in fleet.host(0).hv.vms
 
 
+def _campaign(**kw):
+    """Run a campaign; returns (report, host results in host-id order)."""
+    results: list = []
+    report = run_cluster_campaign(ClusterConfig(**kw), on_result=results.append)
+    return report, sorted(results, key=lambda r: r["host_id"])
+
+
 class TestCampaignDriver:
     def test_workers_merge_bit_identically(self):
         base = dict(hosts=2, vms=4, budget=1, seed=3)
-        serial = run_campaign(CampaignConfig(workers=1, **base))
-        parallel = run_campaign(CampaignConfig(workers=2, **base))
-        assert serial.digest() == parallel.digest()
-        assert serial.to_json()["hosts"] == parallel.to_json()["hosts"]
+        serial, serial_hosts = _campaign(workers=1, **base)
+        parallel, parallel_hosts = _campaign(workers=2, **base)
+        assert serial.merge_digest == parallel.merge_digest
+        assert serial_hosts == parallel_hosts
 
     def test_backends_merge_bit_identically(self):
         base = dict(hosts=2, vms=4, budget=1, seed=3)
-        scalar = run_campaign(CampaignConfig(backend="scalar", **base))
-        vector = run_campaign(CampaignConfig(backend="vectorized", **base))
-        assert scalar.decisions == vector.decisions
-        assert scalar.host_results == vector.host_results
+        scalar, scalar_hosts = _campaign(backend="scalar", **base)
+        vector, vector_hosts = _campaign(backend="vectorized", **base)
+        assert scalar.merge_digest == vector.merge_digest
+        assert scalar_hosts == vector_hosts
 
     def test_worker_failure_is_graceful(self):
         task = HostTask(
@@ -376,50 +383,33 @@ class TestCampaignDriver:
         result = run_host_task(task)
         assert result["ok"] is False
         assert "FleetError" in result["error"]
-        report = FleetReport.build(
-            config={"policy": "best-fit"},
-            decisions=[],
-            host_results=[result],
-            guest_capacity_bytes=0,
-        )
-        assert report.hosts_failed == 1
-        assert "FAILED" in report.render_text()
+        fold = StreamingMerge({"policy": "best-fit"})
+        fold.add_host_result(result)
+        assert fold.hosts_failed == 1
 
     def test_health_scenario_offlines_per_host(self):
-        report = run_campaign(
-            CampaignConfig(hosts=2, vms=2, scenario="health", workers=1)
-        )
-        busy = [r for r in report.host_results if not r["idle"]]
+        report, hosts = _campaign(hosts=2, vms=2, scenario="health", workers=1)
+        busy = [r for r in hosts if not r["idle"]]
         assert busy, "expected at least one host with tenants"
-        assert all(r["ok"] for r in report.host_results)
+        assert all(r["ok"] for r in hosts)
         assert all(r["offlined"] or r["deferred_blocks"] for r in busy)
 
     def test_config_validation(self):
         with pytest.raises(FleetError):
-            CampaignConfig(hosts=0)
+            ClusterConfig(hosts=0)
         with pytest.raises(FleetError):
-            CampaignConfig(workers=0)
+            ClusterConfig(workers=0)
         with pytest.raises(FleetError):
-            CampaignConfig(scenario="bogus")
+            ClusterConfig(scenario="bogus")
         with pytest.raises(FleetError, match="queue_depth"):
-            CampaignConfig(queue_depth=0)
+            ClusterConfig(queue_depth=0)
         with pytest.raises(FleetError, match="max_retries"):
-            CampaignConfig(max_retries=-1)
+            ClusterConfig(max_retries=-1)
 
     def test_digest_ignores_worker_count(self):
-        a = FleetReport.build(
-            config=CampaignConfig(workers=1),
-            decisions=[],
-            host_results=[],
-            guest_capacity_bytes=0,
-        )
-        b = FleetReport.build(
-            config=CampaignConfig(workers=4),
-            decisions=[],
-            host_results=[],
-            guest_capacity_bytes=0,
-        )
-        assert a.digest() == b.digest()
+        a = StreamingMerge(ClusterConfig(workers=1))
+        b = StreamingMerge(ClusterConfig(workers=4))
+        assert a.merge_digest() == b.merge_digest()
 
     def test_arrival_trace_is_deterministic(self):
         assert generate_arrival_trace(5, 10) == generate_arrival_trace(5, 10)

@@ -24,7 +24,7 @@ from repro.chaos import (
     shutdown_shared_pools,
 )
 from repro.errors import ChaosError
-from repro.fleet import CampaignConfig, FleetCampaign
+from repro.fleet import ClusterCampaign, ClusterConfig
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +183,17 @@ class TestSharedPools:
 # ---------------------------------------------------------------------------
 
 
-def _small_config(**kw) -> CampaignConfig:
+def _small_config(**kw) -> ClusterConfig:
     defaults = dict(hosts=2, vms=6, budget=1, seed=7)
     defaults.update(kw)
-    return CampaignConfig(**defaults)
+    return ClusterConfig(**defaults)
 
 
 class TestPoolModes:
     def test_persistent_and_serial_digests_match(self):
-        persistent = FleetCampaign(_small_config(workers=2)).run()
-        serial = FleetCampaign(_small_config(workers=1)).run()
-        assert persistent.digest() == serial.digest()
+        persistent = ClusterCampaign(_small_config(workers=2)).run()
+        serial = ClusterCampaign(_small_config(workers=1)).run()
+        assert persistent.merge_digest == serial.merge_digest
 
     def test_worker_death_under_pool_keeps_digest(self):
         # A seed whose chaos plan includes worker deaths: the pool must
@@ -201,19 +201,16 @@ class TestPoolModes:
         # serial path (which simulates the same deaths in-process).
         from repro.chaos import ChaosKind, ChaosPlan
 
-        seed = next(
-            s
-            for s in range(64)
-            if any(
-                spec.kind is ChaosKind.WORKER_DEATH
-                for spec in ChaosPlan.generate(s, 2, events=4, arrivals=6).specs
+        plan = next(
+            p
+            for p in (
+                ChaosPlan.generate(s, 2, events=4, arrivals=6) for s in range(64)
             )
+            if any(spec.kind is ChaosKind.WORKER_DEATH for spec in p.specs)
         )
-        cfg_parallel = _small_config(workers=2, chaos_seed=seed)
-        cfg_serial = _small_config(workers=1, chaos_seed=seed)
-        parallel = FleetCampaign(cfg_parallel).run()
-        serial = FleetCampaign(cfg_serial).run()
-        assert parallel.digest() == serial.digest()
+        parallel = ClusterCampaign(_small_config(workers=2), plan).run()
+        serial = ClusterCampaign(_small_config(workers=1), plan).run()
+        assert parallel.merge_digest == serial.merge_digest
         assert parallel.supervision.get("worker_deaths", 0) >= 1, (
             "the chaos plan's worker death must actually have fired"
         )
