@@ -2,10 +2,11 @@
 
 ``attack_from_vm`` reproduces the paper's security experiment: a guest
 runs the Blacksmith fuzzer against the memory *it* owns (the only rows a
-guest can activate), and the outcome classifies every induced flip —
-inside the attacker's own subarray groups, or escaped into another VM,
-the host, or EPT rows.  Under Siloz the escaped count must be zero
-(Table 3); under the baseline it generally is not.
+guest can activate), and :func:`repro.core.policy.classify_flips`
+classifies every induced flip — inside the attacker's own subarray
+groups, or escaped into another VM, the host, or EPT rows.  Under Siloz
+the escaped count must be zero (Table 3); under the baseline it
+generally is not.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attack.blacksmith import BlacksmithFuzzer, FuzzReport
+from repro.core.policy import classify_flips
 from repro.dram.disturbance import BitFlip
 from repro.errors import AttackError
 from repro.log import get_logger
@@ -114,32 +116,15 @@ def attack_from_vm(
     fuzzer = BlacksmithFuzzer(hv.machine.dram, targets, seed=seed)
     report = fuzzer.run(pattern_budget=pattern_budget)
 
-    managed_geom = getattr(hv, "managed_geom", geom)
-    attacker_groups = set(attacker.reserved_groups) or hv.groups_of_vm(attacker)
+    verdict = classify_flips(hv, attacker, report.flips)
     outcome = AttackOutcome(
         attacker=attacker.name,
         report=report,
-        attacker_groups=frozenset(attacker_groups),
+        attacker_groups=verdict.groups,
+        flips_inside=verdict.inside,
+        flips_escaped=verdict.escaped,
+        victim_flips=verdict.victim_flips,
     )
-    for flip in report.flips:
-        group = (flip.socket, flip.row // managed_geom.rows_per_subarray)
-        if group in attacker_groups:
-            outcome.flips_inside.append(flip)
-        else:
-            outcome.flips_escaped.append(flip)
-
-    # Attribute escaped (and inside!) flips to any VM whose backing they
-    # corrupt — an inside flip can only ever hit the attacker itself.
-    from repro.dram.media import MediaAddress
-
-    for flip in report.flips:
-        media = MediaAddress.from_socket_bank(
-            geom, flip.socket, flip.bank, flip.row, (flip.bit // 8 // 64) * 64
-        )
-        hpa = hv.machine.mapping.encode(media)
-        for name, vm in hv.vms.items():
-            if name != attacker.name and vm.owns_hpa(hpa):
-                outcome.victim_flips[name] = outcome.victim_flips.get(name, 0) + 1
     _log.info("%s", outcome.summary())
     return outcome
 
@@ -164,3 +149,16 @@ def first_tenant_attack(
         "victim_flips": sum(outcome.victim_flips.values()),
         "contained": outcome.contained,
     }, outcome
+
+
+def host_contained(result: dict) -> bool:
+    """The one host-level containment verdict over a
+    :func:`first_tenant_attack` result: the host was attacked, every
+    flip stayed in the attacker's groups, and no other tenant was
+    corrupted.  Idle hosts, failed hosts and health-scenario hosts were
+    never attacked, so they are not contained."""
+    return (
+        result.get("idle") is False
+        and result.get("contained") is True
+        and not result.get("victim_flips")
+    )

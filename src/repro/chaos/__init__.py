@@ -21,12 +21,13 @@ continuously audited while failure is injected:
 - :mod:`repro.chaos.journal` — :class:`CampaignJournal`, the JSONL
   checkpoint log behind ``repro fleet --resume``: a SIGKILLed campaign
   resumes bit-identically, skipping completed shards.
-- :mod:`repro.chaos.audit` — :class:`IsolationAuditor` re-verifies the
-  one-tenant-per-group and guard-row invariants across surviving hosts
-  after every handled chaos event and at campaign end.
+- :mod:`repro.chaos.audit` — :class:`IsolationAuditor` re-runs each
+  surviving host's :meth:`Mitigation.audit` (one tenant per domain,
+  guard rows retired) after every handled chaos event and at campaign
+  end.
 """
 
-from repro.chaos.audit import AuditFinding, AuditReport, IsolationAuditor
+from repro.chaos.audit import AuditReport, IsolationAuditor
 from repro.chaos.journal import CampaignJournal, config_digest
 from repro.chaos.plan import (
     ChaosKind,
@@ -51,7 +52,6 @@ from repro.chaos.supervisor import (
 )
 
 __all__ = [
-    "AuditFinding",
     "AuditReport",
     "CampaignJournal",
     "CampaignSupervisor",

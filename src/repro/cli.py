@@ -62,7 +62,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    from repro.attack import attack_from_vm
+    from repro.attack.runner import first_tenant_attack, host_contained
     from repro.core import SilozHypervisor, audit_hypervisor
     from repro.hv import BaselineHypervisor, Machine, VmSpec
     from repro.units import KiB
@@ -72,14 +72,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         hv = SilozHypervisor.boot(machine)
     else:
         hv = BaselineHypervisor(machine, backing_page_bytes=64 * KiB)
-    attacker = hv.create_vm(VmSpec(name="attacker", memory_bytes=2 * MiB))
+    hv.create_vm(VmSpec(name="attacker", memory_bytes=2 * MiB))
     hv.create_vm(VmSpec(name="victim", memory_bytes=2 * MiB))
     print(f"hypervisor: {args.hypervisor}; fuzzing {args.budget} patterns...")
-    outcome = attack_from_vm(
-        hv, attacker, seed=args.seed, pattern_budget=args.budget
+    result, outcome = first_tenant_attack(
+        hv, seed=args.seed, pattern_budget=args.budget
     )
     print(outcome.summary())
-    verdict = "CONTAINED" if outcome.contained and not outcome.victim_flips else "ESCAPED"
+    verdict = "CONTAINED" if host_contained(result) else "ESCAPED"
     print(f"verdict: {verdict}")
     if args.hypervisor == "siloz":
         violations = audit_hypervisor(hv)

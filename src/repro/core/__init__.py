@@ -5,8 +5,8 @@
 - :mod:`repro.core.groups` — boot-time subarray-group computation and
   logical-NUMA-node provisioning (§5.2, §5.3),
 - :mod:`repro.core.siloz` — the hypervisor itself (§5.1-§5.4),
-- :mod:`repro.core.policy` — isolation audits (invariant checks the
-  tests and security benches assert),
+- :mod:`repro.core.policy` — the two isolation verdicts: the placement
+  audit and the flip classifier the tests and security benches assert,
 - :mod:`repro.core.softrefresh` — the rejected software-refresh
   alternative for EPT protection (§8.3),
 - :mod:`repro.core.remediation` — boot-time offlining of isolation-
@@ -21,7 +21,7 @@ from repro.core.remediation import (
     offline_row_group_live,
 )
 from repro.core.siloz import SilozHypervisor
-from repro.core.policy import audit_hypervisor, flips_escaping_vm
+from repro.core.policy import audit_hypervisor, classify_flips
 
 __all__ = [
     "EptProtection",
@@ -30,6 +30,6 @@ __all__ = [
     "SilozConfig",
     "SilozHypervisor",
     "audit_hypervisor",
-    "flips_escaping_vm",
+    "classify_flips",
     "offline_row_group_live",
 ]

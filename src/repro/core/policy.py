@@ -1,20 +1,25 @@
-"""Isolation audits: the invariants Siloz promises (paper §5.1, §7.1).
+"""The two isolation verdicts Siloz promises (paper §5.1–§5.3, §7.1).
 
-These checks never mutate anything; they inspect a hypervisor and report
-violations.  Under Siloz the list must be empty (tests assert that);
-under the baseline the same audits *find* the co-location that makes
-inter-VM Rowhammer possible, which is how the security benches show the
-contrast.
+:func:`audit_hypervisor` is the placement verdict: every invariant the
+placement and guard-row machinery must hold, as a list of findings.
+:func:`classify_flips` is the flip verdict: where an attacker's flips
+landed.  Neither mutates anything.  Under Siloz the audit must be empty
+(tests assert that); under the baseline the same audit *finds* the
+co-location that makes inter-VM Rowhammer possible, which is how the
+security benches show the contrast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from repro.dram.disturbance import BitFlip
+from repro.dram.media import MediaAddress
 from repro.hv.hypervisor import Hypervisor
 from repro.hv.vm import VirtualMachine, VmState
 from repro.mm.numa import NodeKind
+from repro.mm.offline import OfflineReason
 
 
 @dataclass(frozen=True)
@@ -28,10 +33,6 @@ class Violation:
         return f"[{self.kind}] {self.detail}"
 
 
-def _groups_of(hv: Hypervisor, vm: VirtualMachine) -> set:
-    return hv.groups_of_vm(vm)
-
-
 def audit_hypervisor(hv: Hypervisor) -> list[Violation]:
     """All placement invariants at once.
 
@@ -40,6 +41,10 @@ def audit_hypervisor(hv: Hypervisor) -> list[Violation]:
     2. No two running VMs share a subarray group.
     3. No VM shares a group with host-reserved memory.
     4. Mediated backing lies on host-reserved nodes.
+    5. Guard rows stay retired: every boot-time guard range is still
+       registered offline and no VM's backing overlaps one (a guard row
+       handed back to a tenant reopens the cross-group disturbance
+       channel it exists to close).
     """
     violations: list[Violation] = []
     running = [vm for vm in hv.vms.values() if vm.state is VmState.RUNNING]
@@ -49,7 +54,7 @@ def audit_hypervisor(hv: Hypervisor) -> list[Violation]:
         for g in n.subarray_groups
     }
 
-    groups_by_vm = {vm.name: _groups_of(hv, vm) for vm in running}
+    groups_by_vm = {vm.name: hv.groups_of_vm(vm) for vm in running}
 
     for vm in running:
         groups = groups_by_vm[vm.name]
@@ -92,40 +97,76 @@ def audit_hypervisor(hv: Hypervisor) -> list[Violation]:
                         f"VMs {a} and {b} share subarray groups {sorted(shared)}",
                     )
                 )
+
+    guards = hv.offline.ranges_for(OfflineReason.GUARD_ROW)
+    for g in guards:
+        if not hv.offline.is_offline(g.start) or not hv.offline.is_offline(g.end - 1):
+            violations.append(
+                Violation(
+                    "guard-rows",
+                    f"guard range {g.start:#x}-{g.end:#x} no longer "
+                    "registered offline",
+                )
+            )
+    for name in sorted(hv.vms):
+        for block in hv.vms[name].backing:
+            for g in guards:
+                if block.start < g.end and g.start < block.end:
+                    violations.append(
+                        Violation(
+                            "guard-rows",
+                            f"VM {name} backing {block.start:#x}-{block.end:#x} "
+                            f"overlaps guard range {g.start:#x}-{g.end:#x}",
+                        )
+                    )
     return violations
 
 
-def flips_escaping_vm(hv: Hypervisor, attacker: VirtualMachine) -> list[BitFlip]:
-    """Bit flips (already logged by the DRAM) that landed *outside* the
-    attacker's groups — the quantity Table 3 shows is zero under Siloz.
+class FlipVerdict(NamedTuple):
+    """Where one attacker's flips landed (the Table 3 classification)."""
 
-    For the baseline (no reserved groups), the attacker's actually-
-    occupied groups are used, so the same query is meaningful there.
+    #: The attacker's groups the verdict was taken against.
+    groups: frozenset
+    #: Flips inside those groups.
+    inside: list[BitFlip]
+    #: Flips outside them — the quantity Table 3 shows is zero under Siloz.
+    escaped: list[BitFlip]
+    #: Other VM name -> flips that corrupted its current backing, in
+    #: order of first corruption.
+    victim_flips: dict[str, int]
+
+
+def classify_flips(
+    hv: Hypervisor, attacker: VirtualMachine, flips: Iterable[BitFlip]
+) -> FlipVerdict:
+    """Classify *flips* relative to *attacker*: inside or outside its
+    groups, and which other tenants they corrupted.
+
+    Groups are the attacker's reserved groups, or — for the baseline,
+    which reserves nothing — the groups its backing actually occupies,
+    so the same query is meaningful there.  Flips are accounted in the
+    *managed* geometry's group units.
     """
-    groups = set(attacker.reserved_groups) or _groups_of(hv, attacker)
-    # Flips are accounted in the *managed* geometry's group units.
-    geom = getattr(hv, "managed_geom", hv.machine.geom)
-    return [
-        f
-        for f in hv.machine.dram.flips_log
-        if (f.socket, f.row // geom.rows_per_subarray) not in groups
-    ]
-
-
-def flips_in_vm(hv: Hypervisor, victim: VirtualMachine) -> list[BitFlip]:
-    """Flips that corrupted memory currently backing *victim*."""
-    out = []
-    mapping = hv.machine.mapping
+    groups = frozenset(attacker.reserved_groups) or frozenset(
+        hv.groups_of_vm(attacker)
+    )
+    rows_per_subarray = getattr(hv, "managed_geom", hv.machine.geom).rows_per_subarray
     geom = hv.machine.geom
-    for flip in hv.machine.dram.flips_log:
-        # Reconstruct the flip's HPA via its media coordinates (column
-        # unknown: check the whole row's span against the VM's ranges).
-        from repro.dram.media import MediaAddress
-
-        media = MediaAddress.from_socket_bank(
-            geom, flip.socket, flip.bank, flip.row, (flip.bit // 8 // 64) * 64
+    encode = hv.machine.mapping.encode
+    others = [(name, vm) for name, vm in hv.vms.items() if name != attacker.name]
+    verdict = FlipVerdict(groups, [], [], {})
+    for flip in flips:
+        if (flip.socket, flip.row // rows_per_subarray) in groups:
+            verdict.inside.append(flip)
+        else:
+            verdict.escaped.append(flip)
+        # The flip's HPA: the cache line holding the flipped bit.
+        hpa = encode(
+            MediaAddress.from_socket_bank(
+                geom, flip.socket, flip.bank, flip.row, (flip.bit // 8 // 64) * 64
+            )
         )
-        hpa = mapping.encode(media)
-        if victim.owns_hpa(hpa):
-            out.append(flip)
-    return out
+        for name, vm in others:
+            if vm.owns_hpa(hpa):
+                verdict.victim_flips[name] = verdict.victim_flips.get(name, 0) + 1
+    return verdict

@@ -555,7 +555,7 @@ class SimulatedDram:
         return chunk
 
     # ------------------------------------------------------------------
-    # Patrol scrub and flip accounting (§7.1's 24 h scrub pass)
+    # Patrol scrub (§7.1's 24 h scrub pass)
     # ------------------------------------------------------------------
 
     def patrol_scrub(self) -> list[EccEvent]:
@@ -576,21 +576,3 @@ class SimulatedDram:
 
     def flip_bits_at(self, socket: int, bank: int, row: int) -> set[int]:
         return set(self._flips.get((socket, bank, row), ()))
-
-    def flips_by_group(self) -> dict[tuple[int, int], int]:
-        """Flip counts per (socket, subarray group) — Table 3's unit of
-        accounting."""
-        out: dict[tuple[int, int], int] = {}
-        for flip in self.flips_log:
-            key = (flip.socket, flip.row // self.geom.rows_per_subarray)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    def flips_outside_groups(self, groups: set[tuple[int, int]]) -> list[BitFlip]:
-        """Flips that landed outside the given (socket, group) set — the
-        quantity Table 3 shows is zero under Siloz."""
-        return [
-            f
-            for f in self.flips_log
-            if (f.socket, f.row // self.geom.rows_per_subarray) not in groups
-        ]

@@ -116,8 +116,9 @@ class ClusterConfig:
         check_fleet_fields(self)
         if self.vms < 0:
             raise FleetError("vms must be non-negative")
-        if self.workers <= 0:
-            raise FleetError("workers must be positive")
+        for name in ("workers", "budget", "storm_errors"):
+            if getattr(self, name) <= 0:
+                raise FleetError(f"{name} must be positive")
         if self.scenario not in SCENARIOS:
             raise FleetError(
                 f"unknown scenario {self.scenario!r}; know {SCENARIOS}"

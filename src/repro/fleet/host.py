@@ -150,9 +150,9 @@ class Host:
         return bool(self.hv.offline.pending)
 
     def assert_isolation(self) -> None:
-        """The fleet invariant, checked loudly: no protection domain
-        holds two tenants (unless the mitigation declares shared
-        domains) and the mitigation's enforced audit subset is clean."""
+        """The fleet invariant, checked loudly: raises on the first
+        finding of the mitigation's :meth:`Mitigation.audit
+        <repro.mitigations.base.Mitigation.audit>`."""
         self.mitigation.assert_isolation(self)
 
     def __repr__(self) -> str:
@@ -209,11 +209,6 @@ class Fleet:
             if h.host_id == host_id:
                 return h
         raise FleetError(f"no host {host_id} in fleet")
-
-    def assert_isolation(self) -> None:
-        """Fleet-wide invariant check (every host)."""
-        for h in self.hosts:
-            h.assert_isolation()
 
     @property
     def free_groups(self) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.attack.runner import host_contained
 from repro.fleet.admission import AdmissionDecision
 
 
@@ -127,7 +128,7 @@ class StreamingMerge:
         self.hosts_crashed += 1 if result.get("crashed") else 0
         self.flips += result.get("flips", 0) or 0
         self.escaped += result.get("escaped", 0) or 0
-        self.contained += result.get("contained", 0) or 0
+        self.contained += host_contained(result)
 
     # -- aftermath ------------------------------------------------------
 

@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.attack.runner import host_contained
 from repro.errors import MitigationError
 from repro.fleet.cluster import ClusterConfig, ClusterReport, run_cluster_campaign
 from repro.mitigations.base import make_mitigation, mitigation_names
@@ -96,11 +97,7 @@ def _containment(host_results: list[dict]) -> dict:
         for r in host_results
         if r.get("ok") and r.get("scenario") == "attack" and not r.get("idle")
     ]
-    contained = [
-        r
-        for r in attacked
-        if r.get("contained") and r.get("victim_flips", 0) == 0
-    ]
+    contained = [r for r in attacked if host_contained(r)]
     return {
         "attacked_hosts": len(attacked),
         "contained_hosts": len(contained),

@@ -18,9 +18,15 @@ rivals under byte-identical seeded fleet scenarios.
 * :meth:`capacity` numbers are never negative and ``loss_fraction``
   stays within [0, 1].
 
-**Audit semantics.**  :func:`repro.core.policy.audit_hypervisor` checks
-Siloz's invariants in *subarray* terms; its "co-location" finding flags
-any two VMs whose backing shares a subarray group.  That is exactly the
+**Audit semantics.**  :meth:`Mitigation.audit` is the one placement
+verdict every layer reads — :meth:`Mitigation.assert_isolation` after
+each placement and host task, and the chaos
+:class:`~repro.chaos.audit.IsolationAuditor` in every audit phase.  It
+is two parts: domain exclusivity (no protection domain holds two
+tenants; skipped for ``shared_domains``), then the enforced subset of
+:func:`repro.core.policy.audit_hypervisor`, which checks Siloz's
+invariants in *subarray* terms.  Its "co-location" finding flags any
+two VMs whose backing shares a subarray group.  That is exactly the
 exposure some rivals accept by design — a shared guest pool co-locates
 tenants, and CATT partitions straddle subarray boundaries — so each
 mitigation declares which audit kinds are *enforced invariants* for it
@@ -50,6 +56,7 @@ ALL_AUDIT_KINDS: tuple[str, ...] = (
     "host-overlap",
     "mediated-misplaced",
     "co-location",
+    "guard-rows",
 )
 
 
@@ -153,29 +160,30 @@ class Mitigation:
     # -- invariants ----------------------------------------------------
 
     def audit(self, hv: "Hypervisor") -> tuple[Violation, ...]:
-        """Enforced-invariant violations on *hv* (filtered audit)."""
-        enforced = set(self.enforced_audit_kinds)
-        return tuple(v for v in audit_hypervisor(hv) if v.kind in enforced)
-
-    def assert_isolation(self, host) -> None:
-        """Raise :class:`IsolationViolation` when this mitigation's own
-        invariants are broken on *host* (a :class:`repro.fleet.host.Host`).
-
-        Checks domain exclusivity (skipped for ``shared_domains``) and
-        the enforced subset of the placement audit."""
+        """This mitigation's invariant violations on *hv*: domain
+        exclusivity (skipped for ``shared_domains``), then the enforced
+        subset of the placement audit."""
+        findings: list[Violation] = []
         if not self.shared_domains:
             claimed: dict = {}
-            for name in sorted(host.hv.vms):
-                vm = host.hv.vms[name]
-                for domain in sorted(self.domains_of(host.hv, vm)):
-                    other = claimed.get(domain)
-                    if other is not None and other != vm.name:
-                        raise IsolationViolation(
-                            f"host {host.host_id} ({self.name}): protection "
-                            f"domain {domain} holds both {other!r} and "
-                            f"{vm.name!r}"
+            for name in sorted(hv.vms):
+                for domain in sorted(self.domains_of(hv, hv.vms[name])):
+                    other = claimed.setdefault(domain, name)
+                    if other != name:
+                        findings.append(
+                            Violation(
+                                "shared-domain",
+                                f"protection domain {domain} holds both "
+                                f"{other!r} and {name!r}",
+                            )
                         )
-                    claimed[domain] = vm.name
+        enforced = set(self.enforced_audit_kinds)
+        findings.extend(v for v in audit_hypervisor(hv) if v.kind in enforced)
+        return tuple(findings)
+
+    def assert_isolation(self, host) -> None:
+        """Raise :class:`IsolationViolation` on the first :meth:`audit`
+        finding on *host* (a :class:`repro.fleet.host.Host`)."""
         violations = self.audit(host.hv)
         if violations:
             raise IsolationViolation(

@@ -39,6 +39,7 @@ _NON_EXCLUSIVE_KINDS: tuple[str, ...] = (
     "escape",
     "host-overlap",
     "mediated-misplaced",
+    "guard-rows",
 )
 
 

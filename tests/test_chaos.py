@@ -20,7 +20,8 @@ from repro.chaos import (
     WorkerDeathError,
     config_digest,
 )
-from repro.errors import ChaosError
+from repro.core import audit_hypervisor
+from repro.errors import ChaosError, IsolationViolation
 from repro.fleet import (
     ClusterCampaign,
     ClusterConfig,
@@ -418,24 +419,6 @@ class TestJournal:
 # ---------------------------------------------------------------------------
 
 
-class _FakeVm:
-    def __init__(self, name, groups):
-        self.name = name
-        self.reserved_groups = frozenset(groups)
-        self.backing = []
-
-
-class _FakeHv:
-    def __init__(self, vms):
-        self.vms = {vm.name: vm for vm in vms}
-
-
-class _FakeHost:
-    def __init__(self, host_id, vms):
-        self.host_id = host_id
-        self.hv = _FakeHv(vms)
-
-
 class TestIsolationAuditor:
     def test_clean_fleet_audits_clean(self):
         fleet = Fleet.boot(2, seed=31)
@@ -453,15 +436,6 @@ class TestIsolationAuditor:
         auditor = IsolationAuditor(fleet, exclude=(0,))
         assert auditor.audit("final").hosts_audited == 1
 
-    def test_detects_shared_tenant_group(self):
-        fleet = _FakeFleet(
-            [_FakeHost(0, [_FakeVm("a", {(0, 1)}), _FakeVm("b", {(0, 1)})])]
-        )
-        findings = IsolationAuditor._check_tenant_groups(fleet.hosts[0])
-        assert len(findings) == 1
-        assert findings[0].check == "tenant-groups"
-        assert "'a'" in findings[0].detail and "'b'" in findings[0].detail
-
     def test_audit_emits_event_and_metrics(self):
         obs.enable(reset=True)
         try:
@@ -478,9 +452,76 @@ class TestIsolationAuditor:
             obs.disable()
 
 
-class _FakeFleet:
-    def __init__(self, hosts):
-        self.hosts = hosts
+def _two_tenants(mitigation):
+    host = Fleet.boot(1, seed=31, mitigation=mitigation).host(0)
+    a = host.create_vm(VmSpec(name="a", memory_bytes=1 * MiB))
+    b = host.create_vm(VmSpec(name="b", memory_bytes=1 * MiB))
+    return host, a, b
+
+
+def _seed_shared_domain(host, a, b, monkeypatch):
+    b.reserved_groups = a.reserved_groups
+
+
+def _seed_co_location(host, a, b, monkeypatch):
+    # b reserves nothing (so no domain clash and no escape) but is
+    # backed inside a's group.
+    b.reserved_groups = frozenset()
+    b.backing.append(a.backing[0])
+
+
+def _seed_guard_reopened(host, a, b, monkeypatch):
+    monkeypatch.setattr(host.hv.offline, "is_offline", lambda hpa: False)
+
+
+def _seed_guard_backed(host, a, b, monkeypatch):
+    from repro.mm.offline import OfflineReason
+
+    b.backing.append(host.hv.offline.ranges_for(OfflineReason.GUARD_ROW)[0])
+
+
+#: (mitigation, seeding, the first finding kind it must produce).
+SEEDED_VIOLATIONS = [
+    pytest.param("siloz", _seed_shared_domain, "shared-domain", id="shared-domain"),
+    pytest.param("siloz", _seed_co_location, "co-location", id="co-location-enforced"),
+    pytest.param("siloz", _seed_guard_reopened, "guard-rows", id="guard-reopened"),
+    pytest.param("guard-rows", _seed_guard_backed, "guard-rows", id="guard-backed"),
+]
+
+
+class TestSeededViolationMatrix:
+    """Every finding kind fails the host's check and shows up in the
+    chaos audit, through the one verdict (``Mitigation.audit``)."""
+
+    @pytest.mark.parametrize(("mitigation", "seed", "kind"), SEEDED_VIOLATIONS)
+    def test_assert_isolation_raises_it(self, mitigation, seed, kind, monkeypatch):
+        host, a, b = _two_tenants(mitigation)
+        host.assert_isolation()
+        seed(host, a, b, monkeypatch)
+        with pytest.raises(IsolationViolation, match=rf"host 0 .*\[{kind}\]"):
+            host.assert_isolation()
+
+    @pytest.mark.parametrize(("mitigation", "seed", "kind"), SEEDED_VIOLATIONS)
+    def test_auditor_reports_it(self, mitigation, seed, kind, monkeypatch):
+        host, a, b = _two_tenants(mitigation)
+        seed(host, a, b, monkeypatch)
+        report = IsolationAuditor(Fleet([host])).audit("seeded")
+        rows = report.to_dict()["findings"]
+        assert rows and rows[0]["check"] == kind
+        assert {r["host"] for r in rows} == {0}
+
+    def test_shared_domain_names_both_tenants(self, monkeypatch):
+        host, a, b = _two_tenants("siloz")
+        _seed_shared_domain(host, a, b, monkeypatch)
+        report = IsolationAuditor(Fleet([host])).audit("seeded")
+        (shared,) = [v for _, v in report.findings if v.kind == "shared-domain"]
+        assert "'a'" in shared.detail and "'b'" in shared.detail
+
+    def test_unenforced_co_location_is_seen_not_raised(self):
+        host, a, b = _two_tenants("none")
+        assert "co-location" in {v.kind for v in audit_hypervisor(host.hv)}
+        host.assert_isolation()
+        assert IsolationAuditor(Fleet([host])).audit("seeded").clean
 
 
 # ---------------------------------------------------------------------------
@@ -541,22 +582,17 @@ class TestRunHostTaskChaos:
         assert any(v["ue"] >= 2 for v in note["health"].values())
 
     def test_guard_row_violation_fails_the_host(self, monkeypatch):
-        # Every host task ends with the auditor's guard-row check (twin
+        # Every host task ends with the host's full audit (twin
         # admission has no driver-side audit); a finding fails the host.
-        from repro.chaos import AuditFinding
+        from repro.mm.offline import OfflineRegistry
 
-        clean = run_host_task(_host_task())
+        clean = run_host_task(_host_task(vms=0))
         assert clean["ok"] and "audit" not in clean
-        finding = AuditFinding(
-            host_id=0, check="guard-rows", detail="guard range reopened"
-        )
-        monkeypatch.setattr(
-            IsolationAuditor, "check_guard_rows",
-            staticmethod(lambda host: [finding]),
-        )
-        result = run_host_task(_host_task())
+        monkeypatch.setattr(OfflineRegistry, "is_offline", lambda self, hpa: False)
+        result = run_host_task(_host_task(vms=0))
         assert result["ok"] is False
-        assert "isolation audit: 1 guard-row violation(s)" in result["error"]
+        assert "IsolationViolation" in result["error"]
+        assert "[guard-rows] guard range" in result["error"]
 
     def test_chaos_results_are_attempt_pure(self):
         task = _host_task(
@@ -599,7 +635,7 @@ class TestDigestCorruptionRollback:
         assert after == before
         # And the isolation invariants held through the rollback.
         report = IsolationAuditor(fleet).audit("post-rollback")
-        assert report.clean, [f.detail for f in report.findings]
+        assert report.clean, report.to_dict()["findings"]
 
     def test_evacuate_host_records_incident_and_retries_clean(self):
         fleet, src, dst = self._fleet_with_vm()

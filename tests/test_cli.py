@@ -248,6 +248,15 @@ class TestTypedErrors:
             pytest.param(
                 ["bakeoff", "--mitigations", "nope"], id="bakeoff-unknown"
             ),
+            pytest.param(
+                ["fleet", "--budget", "-1", "--hosts", "2", "--vms", "2"],
+                id="fleet-budget",
+            ),
+            pytest.param(
+                ["bakeoff", "--scenario", "health", "--storm-errors", "0",
+                 "--hosts", "1", "--vms", "1", "--mitigations", "siloz"],
+                id="bakeoff-storm-errors",
+            ),
         ],
     )
     def test_exits_2_without_traceback(self, argv):

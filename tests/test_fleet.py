@@ -32,6 +32,11 @@ def boot_fleet(n=2, **kw):
     return Fleet.boot(n, **kw)
 
 
+def assert_fleet_isolated(fleet):
+    for host in fleet:
+        host.assert_isolation()
+
+
 class TestCapacitySnapshot:
     """Satellite: ``Hypervisor.capacity()`` read-only snapshot."""
 
@@ -190,7 +195,7 @@ class TestSchedulers:
                 sched.place(fleet, spec)
             except PlacementError as exc:
                 assert exc.is_capacity
-        fleet.assert_isolation()
+        assert_fleet_isolated(fleet)
 
 
 class TestAdmission:
@@ -252,7 +257,7 @@ class TestIsolationInvariant:
     def test_clean_fleet_passes(self):
         fleet = boot_fleet(2)
         make_scheduler("spread").place(fleet, VmSpec(name="a", memory_bytes=1 * MiB))
-        fleet.assert_isolation()
+        assert_fleet_isolated(fleet)
 
     def test_forged_double_reservation_is_caught(self):
         fleet = boot_fleet(1)
@@ -291,7 +296,7 @@ class TestMigration:
         src.create_vm(VmSpec(name="a", memory_bytes=1 * MiB))
         dst.create_vm(VmSpec(name="b", memory_bytes=1 * MiB))
         migrate_vm(src, dst, "a")
-        fleet.assert_isolation()
+        assert_fleet_isolated(fleet)
         assert {g for v in dst.hv.vms.values() for g in v.reserved_groups}
 
     def test_destination_full_leaves_source_untouched(self):
@@ -341,7 +346,7 @@ class TestEvacuation:
         assert records[0].dst_host == dst.host_id
         assert not src.degraded  # retry completed after the evacuation
         assert "tenant" in dst.hv.vms
-        fleet.assert_isolation()
+        assert_fleet_isolated(fleet)
 
     def test_healthy_fleet_is_a_noop(self):
         fleet = boot_fleet(2)

@@ -19,7 +19,8 @@ import pathlib
 
 import pytest
 
-from repro.mitigations import mitigation_names
+from repro.fleet.cluster import run_cluster_campaign
+from repro.mitigations import bakeoff, mitigation_names
 from repro.mitigations.bakeoff import BakeoffConfig, run_bakeoff
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -32,12 +33,28 @@ def _fixture_path(name: str) -> pathlib.Path:
 
 
 @pytest.fixture(scope="module")
-def golden_report():
-    """One full-sweep bake-off at the pinned scenario (shared: the six
-    comparisons below all read from this single run)."""
+def golden_run():
+    """One full-sweep bake-off at the pinned scenario (shared: every
+    comparison below reads from this single run), plus each
+    mitigation's fleet campaign report."""
     sample = json.loads(_fixture_path("siloz").read_text())
     scenario = sample["scenario"]
-    return run_bakeoff(BakeoffConfig(backend="vectorized", **scenario))
+    fleet_reports = {}
+
+    def campaign(config, **kwargs):
+        report = run_cluster_campaign(config, **kwargs)
+        fleet_reports[config.mitigation] = report
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bakeoff, "run_cluster_campaign", campaign)
+        report = run_bakeoff(BakeoffConfig(backend="vectorized", **scenario))
+    return report, fleet_reports
+
+
+@pytest.fixture(scope="module")
+def golden_report(golden_run):
+    return golden_run[0]
 
 
 def test_every_mitigation_has_a_fixture():
@@ -76,6 +93,17 @@ def test_golden_digest_matches(name, golden_report):
         f"victims={entry['containment']['victim_flips']} "
         f"loss={entry['capacity'].get('loss_fraction')}"
         f"\nIf this change is intentional, regenerate and commit:\n  {REGEN}"
+    )
+
+
+@pytest.mark.parametrize("name", mitigation_names())
+def test_fleet_and_bakeoff_agree_on_containment(name, golden_run):
+    # One host-containment verdict: the fleet summary and the bake-off
+    # entry count the same hosts (idle hosts were never attacked).
+    report, fleet_reports = golden_run
+    assert (
+        fleet_reports[name].summary["contained"]
+        == report.entry(name)["containment"]["contained_hosts"]
     )
 
 

@@ -3,7 +3,7 @@ intra-VM trade-off."""
 
 import pytest
 
-from repro.core import SilozHypervisor, audit_hypervisor
+from repro.core import SilozHypervisor, audit_hypervisor, classify_flips
 from repro.errors import EptError, EptViolation, HvError, OutOfMemoryError
 from repro.guest import GuestOS, GuestPageTable
 from repro.hv import Machine, VmSpec
@@ -163,12 +163,10 @@ class TestIntraVmTradeoff:
         # except flips absorbed by offlined guard rows: the EPT walks
         # this test performs activate EPT rows heavily, and their
         # disturbance lands in guards by design (§5.4).
-        groups = {g for _, g in vm.reserved_groups}
+        verdict = classify_flips(hv, vm, hv.machine.dram.flips_log)
         from repro.dram.media import MediaAddress
 
-        for f in hv.machine.dram.flips_log:
-            if f.row // geom.rows_per_subarray in groups:
-                continue
+        for f in verdict.escaped:
             media = MediaAddress.from_socket_bank(
                 geom, f.socket, f.bank, f.row, (f.bit // 8 // 64) * 64
             )
@@ -179,7 +177,5 @@ class TestIntraVmTradeoff:
             abs(fr - vr) <= 2 for fr in flipped_rows for vr in victim_rows
         )
         # The other VM is untouched.
-        from repro.core.policy import flips_in_vm
-
-        assert flips_in_vm(hv, other_vm) == []
+        assert other_vm.name not in verdict.victim_flips
         assert audit_hypervisor(hv) == []

@@ -20,6 +20,7 @@ from repro.obs.events import (
     FlipEvent,
     RefreshWindowEvent,
     SpanEvent,
+    TraceEvent,
     TrrSampleEvent,
     event_from_payload,
     signature_of,
@@ -166,8 +167,56 @@ class TestMetricsRegistry:
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
+def _counted_init(init, counts):
+    def counted(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    return counted
+
+
+def _count_events(monkeypatch) -> dict:
+    """Count ``obs.emit`` calls and ``TraceEvent`` constructions (every
+    subclass) from here on; the real emit still runs."""
+    counts = {"emit": 0, "built": 0}
+    real_emit = obs.emit
+
+    def emit(event):
+        counts["emit"] += 1
+        real_emit(event)
+
+    monkeypatch.setattr(obs, "emit", emit)
+    todo = [TraceEvent]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if "__init__" in vars(cls):
+            monkeypatch.setattr(cls, "__init__", _counted_init(cls.__init__, counts))
+    return counts
+
+
+def _chaos_campaign_run() -> None:
+    from repro.chaos import ChaosPlan
+    from repro.fleet import ClusterCampaign, ClusterConfig
+
+    config = ClusterConfig(hosts=2, vms=4, budget=1, workers=1)
+    plan = ChaosPlan.generate(0, config.hosts, events=4, arrivals=config.vms)
+    ClusterCampaign(config, plan).run()
+
+
 class TestDisabledPath:
     """The zero-cost contract: disabled tracing constructs nothing."""
+
+    def test_disabled_campaign_builds_and_emits_no_events(self, monkeypatch):
+        counts = _count_events(monkeypatch)
+        _chaos_campaign_run()
+        assert counts == {"emit": 0, "built": 0}
+
+    def test_enabled_campaign_is_seen_by_the_probe(self, monkeypatch):
+        counts = _count_events(monkeypatch)
+        obs.enable(reset=True)
+        _chaos_campaign_run()
+        assert counts["emit"] > 0 and counts["built"] > 0
 
     def test_emit_while_disabled_is_safe_noop(self):
         obs.emit(_flip(0))  # must not raise, must not record anywhere

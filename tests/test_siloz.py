@@ -7,7 +7,7 @@ from repro.core import (
     SilozConfig,
     SilozHypervisor,
     audit_hypervisor,
-    flips_escaping_vm,
+    classify_flips,
 )
 from repro.core.groups import ept_block_rows, ept_row
 from repro.dram.geometry import DRAMGeometry
@@ -269,7 +269,34 @@ class TestEptPlacement:
 
 
 class TestFlipAccounting:
-    def test_flips_escaping_vm_empty_without_attack(self):
+    def test_classify_flips_empty_without_attack(self):
         hv = small_siloz()
         vm = hv.create_vm(spec())
-        assert flips_escaping_vm(hv, vm) == []
+        verdict = classify_flips(hv, vm, hv.machine.dram.flips_log)
+        assert verdict == (vm.reserved_groups, [], [], {})
+
+    def test_classify_flips_uses_managed_geometry(self):
+        from repro.attack.runner import rows_owned_by_vm
+        from repro.dram.disturbance import BitFlip
+        from repro.mitigations import make_mitigation
+
+        # Presumed subarrays half the physical size: the attacker's
+        # group is the upper half of a physical subarray.
+        hv = make_mitigation("domain-buddy", rows_per_subarray=32).boot(
+            Machine.small()
+        )
+        attacker = hv.create_vm(spec("attacker", 1 * MiB))
+        victim = hv.create_vm(spec("victim", 1 * MiB))
+        ((socket, group),) = attacker.reserved_groups
+        own = rows_owned_by_vm(hv, attacker)[socket][0]
+        theirs = rows_owned_by_vm(hv, victim)[socket][0]
+        # Physical-geometry bucketing would misfile the attacker's row.
+        assert own // hv.machine.geom.rows_per_subarray != group
+        flips = [
+            BitFlip(socket, 0, own, 0, own + 1, 0.0),
+            BitFlip(socket, 0, theirs, 0, theirs - 1, 0.0),
+        ]
+        verdict = classify_flips(hv, attacker, flips)
+        assert verdict.inside == flips[:1]
+        assert verdict.escaped == flips[1:]
+        assert verdict.victim_flips == {"victim": 1}
