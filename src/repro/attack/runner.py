@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from repro.attack.blacksmith import BlacksmithFuzzer, FuzzReport
 from repro.core.policy import classify_flips
 from repro.dram.disturbance import BitFlip
+from repro.dram.mapping import merge_ranges
 from repro.errors import AttackError
 from repro.log import get_logger
 from repro.hv.hypervisor import Hypervisor
@@ -29,12 +30,14 @@ def rows_owned_by_vm(hv: Hypervisor, vm: VirtualMachine) -> dict[int, list[int]]
     """socket -> sorted bank-local rows fully backed by the VM.
 
     A row group spans every bank at one row index, so owning a whole
-    row group means owning that row in every bank."""
+    row group means owning that row in every bank.  The backing is
+    coalesced first: it is kept in guest-physical order, and a row group
+    can straddle two of its extents that are adjacent in host space."""
     geom = hv.machine.geom
     mapping = hv.machine.mapping
     step = geom.row_group_bytes
     rows: dict[int, set[int]] = {}
-    for r in vm.backing:
+    for r in merge_ranges(vm.backing):
         start = -(-r.start // step) * step  # first aligned row group
         hpa = start
         while hpa + step <= r.end:

@@ -16,7 +16,6 @@
 
 from repro.core.config import EptProtection, SilozConfig
 from repro.core.remediation import (
-    MigrationPolicy,
     MigrationReport,
     offline_row_group_live,
 )
@@ -25,7 +24,6 @@ from repro.core.policy import audit_hypervisor, classify_flips
 
 __all__ = [
     "EptProtection",
-    "MigrationPolicy",
     "MigrationReport",
     "SilozConfig",
     "SilozHypervisor",

@@ -107,18 +107,11 @@ def remediation_ranges(
     return out
 
 
-@dataclass(frozen=True)
-class MigrationPolicy:
-    """Knobs for the runtime migrate-and-offline path."""
-
-    #: Allocation attempts per block before deferring (each retry waits
-    #: ``backoff_s`` of simulated time, doubling, modelling reclaim).
-    max_retries: int = 3
-    backoff_s: float = 0.001
-    #: Whether an unmediated block may land on the VM's *other* logical
-    #: nodes when its home node is full.  Always restricted to the VM's
-    #: own reservation, so the isolation invariant holds either way.
-    allow_cross_node: bool = True
+#: Replacement-frame allocation attempts per block before the runtime
+#: migrate-and-offline path defers it; each retry first waits
+#: ``ALLOC_BACKOFF_S`` of simulated time, doubling, modelling reclaim.
+ALLOC_RETRIES = 3
+ALLOC_BACKOFF_S = 0.001
 
 
 @dataclass(frozen=True)
@@ -169,12 +162,12 @@ class MigrationReport:
         )
 
 
-def _alloc_replacement(hv, vm, home_node, size: int, mediated: bool, policy: MigrationPolicy):
+def _alloc_replacement(hv, vm, home_node, size: int, mediated: bool):
     """Pick fresh frames for a migrating block, preserving placement:
-    unmediated blocks stay within the VM's own reserved nodes (same
-    subarray groups — the Siloz invariant), mediated blocks stay on
-    host-reserved nodes.  Returns the new address or None after all
-    retries."""
+    unmediated blocks stay within the VM's own reserved nodes (home node
+    first, then its other nodes — same subarray groups, the Siloz
+    invariant), mediated blocks stay on host-reserved nodes.  Returns
+    the new address or None after all retries."""
     from repro.mm.numa import NodeKind
 
     if mediated:
@@ -182,19 +175,17 @@ def _alloc_replacement(hv, vm, home_node, size: int, mediated: bool, policy: Mig
             n.node_id for n in hv.topology.nodes_of_kind(NodeKind.HOST_RESERVED)
         ]
     else:
-        candidates = [home_node.node_id] + (
-            [nid for nid in vm.node_ids if nid != home_node.node_id]
-            if policy.allow_cross_node
-            else []
-        )
-    backoff = policy.backoff_s
-    for attempt in range(policy.max_retries + 1):
+        candidates = [home_node.node_id] + [
+            nid for nid in vm.node_ids if nid != home_node.node_id
+        ]
+    backoff = ALLOC_BACKOFF_S
+    for attempt in range(ALLOC_RETRIES + 1):
         for nid in candidates:
             try:
                 return hv.topology.node(nid).alloc_bytes(size)
             except OutOfMemoryError:
                 continue
-        if attempt < policy.max_retries:
+        if attempt < ALLOC_RETRIES:
             # Model waiting for reclaim: let simulated time pass, then
             # retry (another tenant may have freed frames meanwhile).
             hv.machine.dram.advance_time(backoff)
@@ -208,7 +199,6 @@ def offline_row_group_live(
     row: int,
     *,
     reason: OfflineReason = OfflineReason.CE_STORM,
-    policy: MigrationPolicy | None = None,
 ) -> MigrationReport:
     """Runtime counterpart of :func:`apply_remediation`: take a row
     group out of service *while VMs are running on it*.
@@ -228,11 +218,10 @@ def offline_row_group_live(
     """
     from repro.core.policy import audit_hypervisor
 
-    policy = policy or MigrationPolicy()
     dram = hv.machine.dram
     report = MigrationReport(socket=socket, row=row)
     with obs.span("remediation.offline_row_group_live", sim_when=dram.clock):
-        _offline_row_group_live(hv, report, dram, socket, row, reason, policy)
+        _offline_row_group_live(hv, report, dram, socket, row, reason)
     report.violations = audit_hypervisor(hv)
     if obs.ENABLED:
         obs.emit(
@@ -250,8 +239,7 @@ def offline_row_group_live(
 
 
 def _offline_row_group_live(
-    hv, report: MigrationReport, dram, socket: int, row: int,
-    reason: OfflineReason, policy: MigrationPolicy,
+    hv, report: MigrationReport, dram, socket: int, row: int, reason: OfflineReason
 ) -> None:
     for rg in hv.machine.mapping.row_group_ranges(socket, row):
         if hv.offline.is_offline(rg.start) and hv.offline.is_offline(rg.end - 1):
@@ -275,7 +263,7 @@ def _offline_row_group_live(
                 deferred_here.append(DeferredBlock(addr, size, "unknown owner"))
                 continue
             vm, mediated = owned
-            new = _alloc_replacement(hv, vm, node, size, mediated, policy)
+            new = _alloc_replacement(hv, vm, node, size, mediated)
             if new is None:
                 deferred_here.append(
                     DeferredBlock(addr, size, "no replacement frames")

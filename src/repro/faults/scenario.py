@@ -14,6 +14,12 @@ the CLI (``repro health``), pytest, and CI:
    no VM was killed, and the isolation audit is still clean (migration
    stayed inside each VM's own subarray groups).
 
+The target gpas come from :meth:`~repro.hv.vm.VirtualMachine.extents`
+(pure arithmetic over the backing lists, which stay in guest-physical
+order): translating every page through the EPT would cost thousands of
+DRAM activations and pollute the very error counters the scenario
+asserts over.
+
 Everything is keyed off the DRAM module's simulated clock and a caller
 seed, so the same seed produces a byte-identical transcript — replays
 can be diffed, and :meth:`ScenarioResult.replay_key` collapses a run to
@@ -27,7 +33,6 @@ from dataclasses import dataclass, field
 
 from repro.core.policy import audit_hypervisor
 from repro.core.siloz import SilozHypervisor
-from repro.dram.mapping import AddressRange
 from repro.faults.injector import STORM_INTERVAL, run_ecc_storm
 from repro.hv.health import HealthPolicy, HealthState
 from repro.hv.machine import Machine
@@ -47,33 +52,6 @@ def _sentinel(vm_name: str, gpa: int) -> bytes:
     """Deterministic per-(VM, gpa) pattern, cheap to recompute."""
     seedling = (gpa // _SENTINEL_STRIDE + sum(vm_name.encode())) & 0xFF
     return bytes((seedling + i * 7) & 0xFF for i in range(_SENTINEL_BYTES))
-
-
-def _unmediated_extents(vm) -> list[tuple[int, int, int]]:
-    """(gpa, hpa, size) extents of the VM's unmediated regions.
-
-    Replicates the pool walk of ``Hypervisor._map_regions`` with pure
-    arithmetic instead of EPT walks — translating every page through the
-    EPT would cost thousands of DRAM activations and pollute the very
-    error counters the scenario is asserting over.
-    """
-    pool = [(r.start, r.size) for r in vm.backing]
-    out: list[tuple[int, int, int]] = []
-    for region in vm.regions:
-        if not region.unmediated:
-            continue
-        remaining, gpa = region.size, region.gpa
-        while remaining > 0 and pool:
-            start, size = pool[0]
-            take = min(size, remaining)
-            out.append((gpa, start, take))
-            gpa += take
-            remaining -= take
-            if take == size:
-                pool.pop(0)
-            else:
-                pool[0] = (start + take, size - take)
-    return out
 
 
 @dataclass
@@ -143,15 +121,16 @@ def run_ce_storm_scenario(
         probes[vm.name] = vm_probes
 
     # Target: the row group behind the tenant's first backing block.
-    extents = _unmediated_extents(tenant)
     target_hpa = tenant.backing[0].start
     media = dram.mapping.decode(target_hpa)
     socket, row = media.socket, media.row
     bank = media.socket_bank_index(machine.geom)
     rg = dram.mapping.row_group_ranges(socket, row)[0]
+    unmediated = {r.name for r in tenant.regions if r.unmediated}
     target_gpas = [
         gpa + off
-        for gpa, hpa, size in extents
+        for name, gpa, hpa, size in tenant.extents()
+        if name in unmediated
         for off in range(0, size, _SENTINEL_STRIDE)
         if hpa + off in rg
     ]

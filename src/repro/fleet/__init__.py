@@ -45,7 +45,6 @@ from repro.fleet.migration import (
     evacuate_degraded,
     evacuate_host,
     migrate_vm,
-    region_extents,
 )
 from repro.fleet.report import StreamingMerge
 from repro.fleet.scheduler import (
@@ -90,7 +89,6 @@ __all__ = [
     "make_scheduler",
     "measure_host_shape",
     "migrate_vm",
-    "region_extents",
     "run_cluster_campaign",
     "run_host_task",
     "spec_page_aligned",

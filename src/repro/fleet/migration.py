@@ -18,6 +18,17 @@ copied and verified, and the isolation invariant is asserted on **both**
 hosts before the source reservation is released.  A failure at any
 point before the destination copy is verified leaves the source VM
 running and untouched.
+
+Snapshot, restore and digest all iterate
+:meth:`~repro.hv.vm.VirtualMachine.extents`, the same guest-physical
+walk the EPT is built from.  A VM's backing lists stay in guest-physical
+order through live remediation, so the copy lands every guest page at
+the same gpa on the destination, and the digests compare guest-order
+contents on both sides.
+
+:func:`evacuate_host` is the one evacuation loop (rank, migrate, log);
+:func:`evacuate_degraded` runs it over every degraded host and then
+retries the parked offlinings.
 """
 
 from __future__ import annotations
@@ -52,50 +63,22 @@ class MigrationRecord:
     verified: bool
 
 
-def region_extents(vm: VirtualMachine, *, unmediated: bool) -> list[tuple[str, int, int, int]]:
-    """(region name, gpa, hpa, size) extents for one mediation class.
-
-    Replays the pool walk of ``Hypervisor._map_regions`` with pure
-    arithmetic (no EPT walks — translating each page through the EPT
-    would cost DRAM activations and perturb the machine being migrated).
-    """
-    source = vm.backing if unmediated else vm.mediated_backing
-    pool = [(r.start, r.size) for r in source]
-    out: list[tuple[str, int, int, int]] = []
-    for region in vm.regions:
-        if region.unmediated is not unmediated:
-            continue
-        remaining, gpa = region.size, region.gpa
-        while remaining > 0 and pool:
-            start, size = pool[0]
-            take = min(size, remaining)
-            out.append((region.name, gpa, start, take))
-            gpa += take
-            remaining -= take
-            if take == size:
-                pool.pop(0)
-            else:
-                pool[0] = (start + take, size - take)
-    return out
-
-
 def _snapshot_regions(host: Host, vm: VirtualMachine) -> dict[str, bytearray]:
     """region name -> full contents, read through ECC (CEs heal into
     the copy; an uncorrectable word aborts the whole migration)."""
     dram = host.hv.machine.dram
     regions = {r.name: r for r in vm.regions}
     buffers: dict[str, bytearray] = {}
-    for mediation in (True, False):
-        for name, gpa, hpa, size in region_extents(vm, unmediated=mediation):
-            buf = buffers.setdefault(name, bytearray(regions[name].size))
-            offset = gpa - regions[name].gpa
-            try:
-                buf[offset:offset + size] = dram.read_region(hpa, size)
-            except UncorrectableError as exc:
-                raise MigrationError(
-                    f"VM {vm.name!r} has uncorrectable data at hpa {hpa:#x}; "
-                    f"cannot migrate: {exc}"
-                ) from exc
+    for name, gpa, hpa, size in vm.extents():
+        buf = buffers.setdefault(name, bytearray(regions[name].size))
+        offset = gpa - regions[name].gpa
+        try:
+            buf[offset:offset + size] = dram.read_region(hpa, size)
+        except UncorrectableError as exc:
+            raise MigrationError(
+                f"VM {vm.name!r} has uncorrectable data at hpa {hpa:#x}; "
+                f"cannot migrate: {exc}"
+            ) from exc
     return buffers
 
 
@@ -104,21 +87,20 @@ def _restore_regions(host: Host, vm: VirtualMachine, buffers: dict[str, bytearra
     dram = host.hv.machine.dram
     regions = {r.name: r for r in vm.regions}
     copied = 0
-    for mediation in (True, False):
-        for name, gpa, hpa, size in region_extents(vm, unmediated=mediation):
-            offset = gpa - regions[name].gpa
-            dram.write(hpa, bytes(buffers[name][offset:offset + size]))
-            copied += size
+    for name, gpa, hpa, size in vm.extents():
+        offset = gpa - regions[name].gpa
+        dram.write(hpa, bytes(buffers[name][offset:offset + size]))
+        copied += size
     return copied
 
 
 def _digest(host: Host, vm: VirtualMachine) -> str:
-    """Content digest over every extent, in region order (verification)."""
+    """Content digest over every extent, in guest-physical order
+    (verification)."""
     dram = host.hv.machine.dram
     h = hashlib.sha256()
-    for mediation in (True, False):
-        for _name, _gpa, hpa, size in region_extents(vm, unmediated=mediation):
-            h.update(dram.read_region(hpa, size))
+    for _name, _gpa, hpa, size in vm.extents():
+        h.update(dram.read_region(hpa, size))
     return h.hexdigest()
 
 
@@ -279,25 +261,13 @@ def evacuate_degraded(
     """Drain every degraded host (deferred offlinings pending) and retry
     the parked remediations, which the evacuation unblocks.
 
-    VMs are moved in placement order to scheduler-chosen destinations,
-    never back onto the degraded host.  A VM with no viable destination
-    is left in place (logged) — graceful degradation, matching the
-    deferred-offline semantics underneath.
+    Each host drains through :func:`evacuate_host` (placement order,
+    scheduler-chosen destinations, never back onto the degraded host);
+    a VM with no viable destination is left in place — graceful
+    degradation, matching the deferred-offline semantics underneath.
     """
     records: list[MigrationRecord] = []
     for host in fleet.degraded_hosts():
-        for name in list(host.vm_specs):
-            spec = host.vm_specs[name]
-            candidates = scheduler.rank(fleet, spec, exclude=(host.host_id,))
-            if not candidates:
-                _log.warning(
-                    "evacuation: no destination for VM %s on degraded host %d",
-                    name, host.host_id,
-                )
-                continue
-            try:
-                records.append(migrate_vm(host, candidates[0], name))
-            except MigrationError as exc:
-                _log.warning("evacuation of %s failed: %s", name, exc)
+        records.extend(evacuate_host(fleet, host, scheduler)[0])
         host.monitor.retry_deferred()
     return records

@@ -266,24 +266,8 @@ class Hypervisor:
         return vm
 
     def _map_regions(self, vm: VirtualMachine) -> None:
-        unmediated_pool = [(r.start, r.size) for r in vm.backing]
-        mediated_pool = [(r.start, r.size) for r in vm.mediated_backing]
-        for region in vm.regions:
-            pool = unmediated_pool if region.unmediated else mediated_pool
-            remaining = region.size
-            gpa = region.gpa
-            while remaining > 0:
-                if not pool:
-                    raise HvError(f"backing exhausted mapping {region.name}")
-                start, size = pool[0]
-                take = min(size, remaining)
-                vm.ept.map(gpa, start, take)
-                gpa += take
-                remaining -= take
-                if take == size:
-                    pool.pop(0)
-                else:
-                    pool[0] = (start + take, size - take)
+        for _, gpa, hpa, size in vm.extents():
+            vm.ept.map(gpa, hpa, size)
 
     def _guest_nodes_exclusive(self) -> bool:
         """Whether VM cgroups claim their mems exclusively (Siloz: yes;

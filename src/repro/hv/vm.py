@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator
 
 from repro.dram.mapping import AddressRange
 from repro.ept.table import ExtendedPageTable
@@ -39,9 +40,13 @@ class VirtualMachine:
     node_ids: tuple[int, ...] = ()
     #: (socket, subarray group) pairs this VM may legitimately occupy.
     reserved_groups: frozenset = frozenset()
-    #: Host ranges backing unmediated regions (guest RAM etc.).
+    #: Host ranges backing unmediated regions (guest RAM etc.), in
+    #: guest-physical order: the unmediated regions consume them front
+    #: to back (see :meth:`extents`).  Not necessarily sorted by HPA
+    #: once live migration has moved a block.
     backing: list[AddressRange] = field(default_factory=list)
-    #: Host ranges backing mediated regions (host-reserved nodes).
+    #: Host ranges backing mediated regions (host-reserved nodes), in
+    #: guest-physical order like :attr:`backing`.
     mediated_backing: list[AddressRange] = field(default_factory=list)
     state: VmState = VmState.RUNNING
     vm_exits: int = 0
@@ -158,14 +163,41 @@ class VirtualMachine:
             hpa in r for r in self.mediated_backing
         )
 
-    def replace_backing(self, old: AddressRange, new: AddressRange) -> None:
-        """Swap one backing extent for another (live page migration):
-        *old* is carved out of whichever backing list covers it and *new*
-        is merged in.  The EPT/IOMMU retargeting happens separately —
-        this only updates the ownership bookkeeping that ``owns_hpa`` and
-        the isolation audit read."""
-        from repro.dram.mapping import merge_ranges, subtract_ranges
+    def extents(self) -> Iterator[tuple[str, int, int, int]]:
+        """(region name, gpa, hpa, size) pieces of guest memory, in region
+        order.  The one walk of the guest-physical layout: each region
+        draws the next bytes of its mediation class's backing list, so
+        the EPT, migration and the fault scenarios all agree on where a
+        guest page lives — with pure arithmetic, no EPT walk."""
+        pools = {
+            True: [(r.start, r.size) for r in self.backing],
+            False: [(r.start, r.size) for r in self.mediated_backing],
+        }
+        for region in self.regions:
+            pool = pools[region.unmediated]
+            gpa, end = region.gpa, region.end
+            while gpa < end:
+                if not pool:
+                    raise HvError(
+                        f"VM {self.name}: backing exhausted mapping {region.name}"
+                    )
+                start, size = pool[0]
+                take = min(size, end - gpa)
+                yield region.name, gpa, start, take
+                gpa += take
+                if take == size:
+                    pool.pop(0)
+                else:
+                    pool[0] = (start + take, size - take)
 
+    def replace_backing(self, old: AddressRange, new: AddressRange) -> None:
+        """Swap one backing extent for another (live page migration).
+
+        The range covering *old* is split around it and *new* takes its
+        place in the same list position, so the lists stay in
+        guest-physical order and :meth:`extents` still matches the EPT.
+        The EPT/IOMMU retargeting happens separately — this only updates
+        the bookkeeping."""
         if old.size != new.size:
             raise HvError(
                 f"VM {self.name}: replacement size mismatch "
@@ -173,11 +205,16 @@ class VirtualMachine:
             )
         for attr in ("backing", "mediated_backing"):
             ranges = getattr(self, attr)
-            if any(old.start >= r.start and old.end <= r.end for r in ranges):
-                setattr(
-                    self, attr, merge_ranges(subtract_ranges(ranges, [old]) + [new])
-                )
-                return
+            for i, r in enumerate(ranges):
+                if r.start <= old.start and old.end <= r.end:
+                    pieces = [
+                        AddressRange(r.start, old.start),
+                        new,
+                        AddressRange(old.end, r.end),
+                    ]
+                    kept = [p for p in pieces if p.size]
+                    setattr(self, attr, ranges[:i] + kept + ranges[i + 1:])
+                    return
         raise HvError(
             f"VM {self.name}: range {old} is not part of this VM's backing"
         )

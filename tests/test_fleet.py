@@ -5,7 +5,7 @@ import pytest
 from repro.core import SilozHypervisor
 from repro.errors import FleetError, IsolationViolation, PlacementError
 from repro.hv import BaselineHypervisor, Machine, VmSpec
-from repro.units import KiB, MiB
+from repro.units import PAGE_4K, KiB, MiB
 from repro.fleet import (
     AdmissionController,
     ClusterConfig,
@@ -21,11 +21,18 @@ from repro.fleet import (
     host_fits,
     make_scheduler,
     migrate_vm,
-    region_extents,
     run_cluster_campaign,
     run_host_task,
     StreamingMerge,
 )
+
+
+_PATTERN_BYTES = 64
+
+
+def _page_pattern(gpa: int) -> bytes:
+    """A pattern distinct for every 4 KiB guest page."""
+    return (gpa // PAGE_4K).to_bytes(8, "little") * (_PATTERN_BYTES // 8)
 
 
 def boot_fleet(n=2, **kw):
@@ -274,21 +281,66 @@ class TestMigration:
         fleet = boot_fleet(2)
         src, dst = fleet.host(0), fleet.host(1)
         vm = src.create_vm(VmSpec(name="tenant", memory_bytes=1 * MiB))
-        name, gpa, hpa, size = region_extents(vm, unmediated=True)[0]
-        pattern = bytes(range(256)) * 2
-        src.hv.machine.dram.write(hpa, pattern)
+        written = {}
+        for name, gpa, hpa, size in vm.extents():
+            for off in range(0, size, PAGE_4K):
+                pattern = _page_pattern(gpa + off)
+                src.hv.machine.dram.write(hpa + off, pattern)
+                written[(name, gpa + off)] = pattern
 
         record = migrate_vm(src, dst, "tenant")
         assert record.verified and record.bytes_copied > 0
         assert "tenant" not in src.hv.vms and "tenant" not in src.vm_specs
         moved = dst.hv.vm("tenant")
-        for mname, mgpa, mhpa, msize in region_extents(moved, unmediated=True):
-            if mname == name and mgpa <= gpa < mgpa + msize:
-                got = dst.hv.machine.dram.read(mhpa + (gpa - mgpa), len(pattern))
-                assert bytes(got) == pattern
-                break
-        else:
-            pytest.fail("migrated VM lost the extent holding the pattern")
+        seen = {}
+        for name, gpa, hpa, size in moved.extents():
+            for off in range(0, size, PAGE_4K):
+                got = dst.hv.machine.dram.read(hpa + off, _PATTERN_BYTES)
+                seen[(name, gpa + off)] = bytes(got)
+        assert seen == written
+
+    def _remediated_tenant(self):
+        """A 2 MiB tenant whose middle RAM page was live-migrated within
+        its host, so its backing is no longer in host-address order;
+        each page carries its own pattern."""
+        from repro.core.remediation import offline_row_group_live
+
+        fleet = boot_fleet(2)
+        src = fleet.host(0)
+        vm = src.create_vm(VmSpec(name="tenant", memory_bytes=2 * MiB))
+        page = src.hv.backing_page_bytes
+        gpas = range(0, 2 * MiB, page)
+        for gpa in gpas:
+            vm.write(gpa, _page_pattern(gpa))
+        media = src.hv.machine.mapping.decode(vm.translate(1 * MiB))
+        report = offline_row_group_live(src.hv, media.socket, media.row)
+        assert report.complete and report.migrated
+        return fleet, vm, gpas
+
+    def test_remediated_vm_migrates_every_page_to_its_gpa(self):
+        fleet, _, gpas = self._remediated_tenant()
+        record = migrate_vm(fleet.host(0), fleet.host(1), "tenant")
+        assert record.verified
+        moved = fleet.host(1).hv.vm("tenant")
+        wrong = [
+            gpa for gpa in gpas
+            if moved.read(gpa, _PATTERN_BYTES) != _page_pattern(gpa)
+        ]
+        assert wrong == []
+
+    def test_remediated_vm_walks_agree_with_the_ept(self):
+        from repro.workloads.trace import GpaTranslator
+
+        _, vm, gpas = self._remediated_tenant()
+        translator = GpaTranslator(vm)
+        assert [g for g in gpas if translator.translate(g) != vm.translate(g)] == []
+        for _, gpa, hpa, _ in vm.extents():
+            assert vm.translate(gpa) == hpa
+
+    def test_remediated_vm_passthrough_iommu_agrees_with_the_ept(self):
+        fleet, vm, gpas = self._remediated_tenant()
+        dev = fleet.host(0).hv.attach_passthrough_device("tenant", "vf0")
+        assert [g for g in gpas if dev.domain.translate(g) != vm.translate(g)] == []
 
     def test_isolation_holds_on_both_hosts(self):
         fleet = boot_fleet(2)

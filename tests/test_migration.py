@@ -5,7 +5,7 @@ scenario's acceptance criteria."""
 import pytest
 
 from repro.core import SilozHypervisor, audit_hypervisor
-from repro.core.remediation import MigrationPolicy, offline_row_group_live
+from repro.core.remediation import offline_row_group_live
 from repro.dram.mapping import AddressRange
 from repro.errors import OfflineError, OutOfMemoryError
 from repro.faults import run_ce_storm_scenario
@@ -168,10 +168,7 @@ class TestDeferralAndRetry:
                     hoard.append(node.alloc_bytes(hv.backing_page_bytes))
                 except OutOfMemoryError:
                     break
-        policy = MigrationPolicy(max_retries=1, backoff_s=0.0001)
-        report = offline_row_group_live(
-            hv, media.socket, media.row, policy=policy
-        )
+        report = offline_row_group_live(hv, media.socket, media.row)
         assert not report.complete
         assert any("no replacement frames" in d.why for d in report.deferred)
         assert hv.offline.pending and hv.offline.pending[0].range == rg

@@ -167,18 +167,19 @@ class TestMetricsRegistry:
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
-def _counted_init(init, counts):
+def _counted_init(init, counts, key="built"):
     def counted(self, *args, **kwargs):
-        counts["built"] += 1
+        counts[key] += 1
         init(self, *args, **kwargs)
 
     return counted
 
 
 def _count_events(monkeypatch) -> dict:
-    """Count ``obs.emit`` calls and ``TraceEvent`` constructions (every
-    subclass) from here on; the real emit still runs."""
-    counts = {"emit": 0, "built": 0}
+    """Count ``obs.emit`` calls, ``TraceEvent`` constructions (every
+    subclass) and ``Span`` constructions from here on; the real emit
+    still runs."""
+    counts = {"emit": 0, "built": 0, "spans": 0}
     real_emit = obs.emit
 
     def emit(event):
@@ -192,6 +193,9 @@ def _count_events(monkeypatch) -> dict:
         todo.extend(cls.__subclasses__())
         if "__init__" in vars(cls):
             monkeypatch.setattr(cls, "__init__", _counted_init(cls.__init__, counts))
+    monkeypatch.setattr(
+        obs.Span, "__init__", _counted_init(obs.Span.__init__, counts, "spans")
+    )
     return counts
 
 
@@ -210,12 +214,28 @@ class TestDisabledPath:
     def test_disabled_campaign_builds_and_emits_no_events(self, monkeypatch):
         counts = _count_events(monkeypatch)
         _chaos_campaign_run()
-        assert counts == {"emit": 0, "built": 0}
+        assert counts == {"emit": 0, "built": 0, "spans": 0}
 
     def test_enabled_campaign_is_seen_by_the_probe(self, monkeypatch):
         counts = _count_events(monkeypatch)
         obs.enable(reset=True)
         _chaos_campaign_run()
+        assert counts["emit"] > 0 and counts["built"] > 0
+
+    def test_disabled_ce_storm_builds_no_events_or_spans(self, monkeypatch):
+        from repro.faults.scenario import run_ce_storm_scenario
+
+        counts = _count_events(monkeypatch)
+        assert run_ce_storm_scenario(seed=7).success
+        assert counts == {"emit": 0, "built": 0, "spans": 0}
+
+    def test_enabled_ce_storm_is_seen_by_the_span_probe(self, monkeypatch):
+        from repro.faults.scenario import run_ce_storm_scenario
+
+        counts = _count_events(monkeypatch)
+        obs.enable(reset=True)
+        assert run_ce_storm_scenario(seed=7).success
+        assert counts["spans"] >= 1
         assert counts["emit"] > 0 and counts["built"] > 0
 
     def test_emit_while_disabled_is_safe_noop(self):
