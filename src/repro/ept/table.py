@@ -1,8 +1,12 @@
-"""Four-level extended page tables stored in simulated DRAM (§2.1, §5.4).
+"""Four-level radix page tables stored in simulated memory (§2.1, §5.1, §5.4).
 
-The table's nodes are real 4 KiB pages inside a :class:`SimulatedDram`;
-``translate`` performs an honest walk, reading each entry's 8 bytes from
-DRAM.  Consequences, exactly as on hardware:
+:class:`ExtendedPageTable` is the repo's one radix table.  Over the
+host's :class:`SimulatedDram` it is a VM's EPT (GPA -> HPA) or, as
+:class:`~repro.hv.iommu.IommuDomain`, a device's IOMMU table (IOVA ->
+HPA); over a :class:`~repro.hv.vm.VirtualMachine` it is a guest page
+table (GVA -> GPA) whose nodes live in guest RAM.  The nodes are real
+4 KiB pages in that memory; ``translate`` performs an honest walk,
+reading each entry's 8 bytes.  Consequences, exactly as on hardware:
 
 - ECC corrects single-bit flips in entries transparently;
 - a double-bit flip raises a machine check
@@ -17,9 +21,8 @@ detect-on-use behaviour instead.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Protocol
 
-from repro.dram.module import SimulatedDram
 from repro.ept.entry import ENTRIES_PER_PAGE, ENTRY_BYTES, EptEntry
 from repro.ept.integrity import SecureEptChecker
 from repro.errors import EptError, EptViolation
@@ -33,6 +36,14 @@ def _index(gpa: int, level: int) -> int:
     """Entry index at *level* (0 = root PML4, 3 = leaf PT)."""
     shift = 12 + 9 * (_LEVELS - 1 - level)
     return (gpa >> shift) & (ENTRIES_PER_PAGE - 1)
+
+
+class Memory(Protocol):
+    """Where a table's nodes live: host DRAM or a VM's guest memory."""
+
+    def read(self, addr: int, length: int, *, ecc: bool = True) -> bytes: ...
+
+    def write(self, addr: int, data: bytes) -> None: ...
 
 
 def ept_page_count(vm_bytes: int, page_size: int = PAGE_2M, *, contiguous: bool = True) -> int:
@@ -59,17 +70,20 @@ def ept_page_count(vm_bytes: int, page_size: int = PAGE_2M, *, contiguous: bool 
 
 
 class ExtendedPageTable:
-    """One VM's GPA -> HPA mapping, with its nodes living in DRAM."""
+    """One address space's radix mapping, with its nodes living in *memory*.
+
+    The EPT and the IOMMU pass the host DRAM; a guest OS passes its VM,
+    so the guest's page-table walks go through the EPT in turn."""
 
     def __init__(
         self,
-        dram: SimulatedDram,
+        memory: Memory,
         alloc_table_page: Callable[[], int],
         *,
         checker: SecureEptChecker | None = None,
         ecc_reads: bool = True,
     ):
-        self.dram = dram
+        self.memory = memory
         self._alloc = alloc_table_page
         self.checker = checker
         self.ecc_reads = ecc_reads
@@ -83,26 +97,42 @@ class ExtendedPageTable:
         addr = self._alloc()
         if addr % PAGE_4K != 0:
             raise EptError(f"table page {addr:#x} not 4 KiB aligned")
-        self.dram.write(addr, bytes(PAGE_4K))
+        self.memory.write(addr, bytes(PAGE_4K))
         self.table_pages.append(addr)
         return addr
 
-    def _read_entry(self, table: int, index: int) -> tuple[int, EptEntry]:
-        addr = table + index * ENTRY_BYTES
-        raw = self.dram.read(addr, ENTRY_BYTES, ecc=self.ecc_reads)
+    def _read_entry(self, addr: int) -> EptEntry:
+        raw = self.memory.read(addr, ENTRY_BYTES, ecc=self.ecc_reads)
         if self.checker is not None:
             self.checker.verify(addr, raw)
-        return addr, EptEntry.unpack(raw)
+        return EptEntry.unpack(raw)
 
-    def _write_entry(self, table: int, index: int, entry: EptEntry) -> None:
-        addr = table + index * ENTRY_BYTES
+    def _write_entry(self, addr: int, entry: EptEntry) -> None:
         raw = entry.pack()
-        self.dram.write(addr, raw)
+        self.memory.write(addr, raw)
         if self.checker is not None:
             if entry.present:
                 self.checker.record(addr, raw)
             else:
                 self.checker.forget(addr)
+
+    def _leaf(self, gpa: int) -> tuple[int, EptEntry, int]:
+        """The one lookup walk: ``(entry address, entry, level)`` of the
+        leaf mapping *gpa* — a 2 MiB leaf on level 2 or a 4 KiB leaf on
+        level 3, the only places :meth:`map` writes leaves.  Raises
+        :class:`EptViolation` at the first absent entry."""
+        if not 0 <= gpa < 1 << _GPA_BITS:
+            raise EptViolation(f"GPA {gpa:#x} outside the {_GPA_BITS}-bit address space")
+        table = self.root
+        for level in range(_LEVELS):
+            addr = table + _index(gpa, level) * ENTRY_BYTES
+            entry = self._read_entry(addr)
+            if not entry.present:
+                raise EptViolation(f"GPA {gpa:#x} not mapped (level {level})")
+            if level == _LEVELS - 1 or (entry.large and level == 2):
+                return addr, entry, level
+            table = entry.target_hpa
+        raise EptError("unreachable")
 
     # ------------------------------------------------------------------
 
@@ -127,45 +157,52 @@ class ExtendedPageTable:
         self.mapped_bytes += size
 
     def _map_one(self, gpa: int, hpa: int, *, large: bool) -> None:
+        """The one creating walk: allocates missing tables on the way
+        down to the leaf."""
         table = self.root
         leaf_level = 2 if large else 3
         for level in range(leaf_level):
-            addr, entry = self._read_entry(table, _index(gpa, level))
+            addr = table + _index(gpa, level) * ENTRY_BYTES
+            entry = self._read_entry(addr)
             if not entry.present:
-                child = self._new_table_page()
-                entry = EptEntry.make(child)
-                self._write_entry(table, _index(gpa, level), entry)
+                entry = EptEntry.make(self._new_table_page())
+                self._write_entry(addr, entry)
             elif entry.large:
                 raise EptError(f"GPA {gpa:#x} already covered by a large mapping")
             table = entry.target_hpa
-        _, leaf = self._read_entry(table, _index(gpa, leaf_level))
-        if leaf.present:
+        addr = table + _index(gpa, leaf_level) * ENTRY_BYTES
+        if self._read_entry(addr).present:
             raise EptError(f"GPA {gpa:#x} already mapped")
-        self._write_entry(
-            table, _index(gpa, leaf_level), EptEntry.make(hpa, large=large)
-        )
+        self._write_entry(addr, EptEntry.make(hpa, large=large))
 
     def unmap(self, gpa: int, size: int) -> None:
-        """Clear leaf entries covering [gpa, gpa+size)."""
+        """Clear the leaf entries covering [gpa, gpa+size).
+
+        A range that covers only part of a 2 MiB leaf, or reaches an
+        unmapped page, is refused and the leaves it already cleared are
+        restored, so a refused call leaves the table as it was."""
         if size <= 0 or gpa % PAGE_4K or size % PAGE_4K:
             raise EptError("unmap must be page-aligned")
-        done = 0
-        while done < size:
-            step = self._unmap_one(gpa + done)
-            done += step
+        end = gpa + size
+        cleared: list[tuple[int, EptEntry]] = []
+        try:
+            g = gpa
+            while g < end:
+                addr, entry, level = self._leaf(g)
+                step = PAGE_2M if level == 2 else PAGE_4K
+                if g % step or end - g < step:
+                    raise EptError(
+                        f"unmap [{gpa:#x}, {end:#x}) covers only part of the "
+                        f"2 MiB leaf at GPA {g - g % step:#x}"
+                    )
+                self._write_entry(addr, EptEntry.empty())
+                cleared.append((addr, entry))
+                g += step
+        except EptError:
+            for addr, entry in reversed(cleared):
+                self._write_entry(addr, entry)
+            raise
         self.mapped_bytes = max(0, self.mapped_bytes - size)
-
-    def _unmap_one(self, gpa: int) -> int:
-        table = self.root
-        for level in range(_LEVELS):
-            addr, entry = self._read_entry(table, _index(gpa, level))
-            if not entry.present:
-                raise EptViolation(f"GPA {gpa:#x} not mapped")
-            if entry.large or level == _LEVELS - 1:
-                self._write_entry(table, _index(gpa, level), EptEntry.empty())
-                return PAGE_2M if entry.large else PAGE_4K
-            table = entry.target_hpa
-        raise EptError("unreachable")
 
     # ------------------------------------------------------------------
 
@@ -191,15 +228,13 @@ class ExtendedPageTable:
         delta = new_start - old_start
         # Collect first, mutate after: splitting a leaf mid-walk would
         # invalidate the traversal.
-        hits: list[tuple[int, int, EptEntry, int, int]] = []
+        hits: list[tuple[int, EptEntry, int, int]] = []
         self._walk_leaves(self.root, 0, 0, old_start, old_end, hits)
         moved = 0
-        for table, index, entry, gpa, lbytes in hits:
+        for addr, entry, gpa, lbytes in hits:
             tgt = entry.target_hpa
             if tgt >= old_start and tgt + lbytes <= old_end:
-                self._write_entry(
-                    table, index, EptEntry.make(tgt + delta, large=entry.large)
-                )
+                self._write_entry(addr, EptEntry.make(tgt + delta, large=entry.large))
                 moved += lbytes
             else:  # large leaf straddling the range boundary: split to 4K
                 self.unmap(gpa, lbytes)
@@ -219,33 +254,34 @@ class ExtendedPageTable:
         gpa_base: int,
         old_start: int,
         old_end: int,
-        hits: list[tuple[int, int, "EptEntry", int, int]],
+        hits: list[tuple[int, EptEntry, int, int]],
     ) -> None:
-        """Depth-first leaf scan; reads each table page with one DRAM
+        """Depth-first leaf scan; reads each table page with one memory
         access (not 512) so the walk itself barely disturbs the media."""
-        page = self.dram.read(table, PAGE_4K, ecc=self.ecc_reads)
+        page = self.memory.read(table, PAGE_4K, ecc=self.ecc_reads)
         shift = 12 + 9 * (_LEVELS - 1 - level)
         for index in range(ENTRIES_PER_PAGE):
             raw = bytes(page[index * ENTRY_BYTES : (index + 1) * ENTRY_BYTES])
             entry = EptEntry.unpack(raw)
             if not entry.present:
                 continue
+            addr = table + index * ENTRY_BYTES
             if self.checker is not None:
-                self.checker.verify(table + index * ENTRY_BYTES, raw)
+                self.checker.verify(addr, raw)
             gpa = gpa_base + (index << shift)
             if entry.large and level == 2:
                 if entry.target_hpa < old_end and entry.target_hpa + PAGE_2M > old_start:
-                    hits.append((table, index, entry, gpa, PAGE_2M))
+                    hits.append((addr, entry, gpa, PAGE_2M))
             elif level == _LEVELS - 1:
                 if old_start <= entry.target_hpa < old_end:
-                    hits.append((table, index, entry, gpa, PAGE_4K))
+                    hits.append((addr, entry, gpa, PAGE_4K))
             else:
                 self._walk_leaves(
                     entry.target_hpa, level + 1, gpa, old_start, old_end, hits
                 )
 
     def translate(self, gpa: int) -> int:
-        """Walk the table in DRAM; returns the HPA for *gpa*.
+        """Walk the table in memory; returns the address *gpa* maps to.
 
         Raises :class:`EptViolation` for unmapped GPAs (a VM exit),
         :class:`~repro.errors.UncorrectableError` on a double-bit-flipped
@@ -253,29 +289,11 @@ class ExtendedPageTable:
         :class:`~repro.errors.EptIntegrityError` when a secure entry
         fails its check.  A silently-corrupted entry returns a wrong —
         but usable — HPA, which is the attack."""
-        if not 0 <= gpa < 1 << _GPA_BITS:
-            raise EptViolation(f"GPA {gpa:#x} outside guest address space")
-        table = self.root
-        for level in range(_LEVELS):
-            _, entry = self._read_entry(table, _index(gpa, level))
-            if not entry.present:
-                raise EptViolation(f"GPA {gpa:#x} not mapped (level {level})")
-            if entry.large and level == 2:
-                return entry.target_hpa + (gpa & (PAGE_2M - 1))
-            if level == _LEVELS - 1:
-                return entry.target_hpa + (gpa & (PAGE_4K - 1))
-            table = entry.target_hpa
-        raise EptError("unreachable")
+        _, entry, level = self._leaf(gpa)
+        offset_mask = PAGE_2M - 1 if level == 2 else PAGE_4K - 1
+        return entry.target_hpa + (gpa & offset_mask)
 
     def leaf_entry_addr(self, gpa: int) -> int:
         """HPA of the leaf entry mapping *gpa* (where a targeted flip
         would have to land) — used by the EPT-attack experiments."""
-        table = self.root
-        for level in range(_LEVELS):
-            addr, entry = self._read_entry(table, _index(gpa, level))
-            if not entry.present:
-                raise EptViolation(f"GPA {gpa:#x} not mapped")
-            if (entry.large and level == 2) or level == _LEVELS - 1:
-                return addr
-            table = entry.target_hpa
-        raise EptError("unreachable")
+        return self._leaf(gpa)[0]

@@ -2,7 +2,10 @@
 
 Completes the three-address-type story: guest *virtual* addresses map to
 guest *physical* addresses through page tables the guest OS keeps in its
-own RAM, which map to *host physical* addresses through the EPT.  The
+own RAM, which map to *host physical* addresses through the EPT.  Both
+are the one table class, :class:`~repro.ept.table.ExtendedPageTable`:
+the EPT's nodes live in host DRAM, a process's page table is the same
+class over the VM's memory, so its nodes live in guest RAM.  The
 layer exists for two reasons:
 
 - fidelity: GVA -> GPA -> HPA walks exercise both tables against the
@@ -13,7 +16,6 @@ layer exists for two reasons:
   paper concedes ("Siloz can increase intra-VM subarray co-location").
 """
 
-from repro.guest.pagetable import GuestPageTable
 from repro.guest.os import GuestOS, GuestProcess
 
-__all__ = ["GuestOS", "GuestPageTable", "GuestProcess"]
+__all__ = ["GuestOS", "GuestProcess"]

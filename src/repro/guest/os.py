@@ -2,7 +2,10 @@
 
 Enough of an OS to host multiple isolated-from-each-other-in-theory
 processes inside one VM: a guest-physical frame allocator over the RAM
-region and per-process page tables.  Process reads/writes/hammers go
+region and per-process page tables (each an
+:class:`~repro.ept.table.ExtendedPageTable` over the VM, so its nodes
+are guest frames in the VM's own groups: a flip in them is an intra-VM
+problem, not an escape).  Process reads/writes/hammers go
 GVA -> GPA -> HPA -> simulated DRAM, making the intra-VM co-location
 trade-off of §9 directly observable.
 """
@@ -11,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.ept.table import ExtendedPageTable
 from repro.errors import HvError, OutOfMemoryError
-from repro.guest.pagetable import GuestPageTable
 from repro.hv.vm import VirtualMachine
 from repro.units import PAGE_4K
 
@@ -23,29 +26,29 @@ KERNEL_RESERVED = 64 * 1024
 
 @dataclass
 class GuestProcess:
-    """One process: a name, a page table, and its mapped extent."""
+    """One process: a name, its VM, a page table (GVA -> GPA, nodes in
+    guest RAM), and its mapped extent."""
 
     name: str
-    pagetable: GuestPageTable
+    vm: VirtualMachine
+    pagetable: ExtendedPageTable
     heap_top: int = 0
     frames: list[int] = field(default_factory=list)
 
     def read(self, gva: int, length: int) -> bytes:
-        gpa = self.pagetable.translate(gva)
-        return self.pagetable.vm.read(gpa, length)
+        return self.vm.read(self.pagetable.translate(gva), length)
 
     def write(self, gva: int, data: bytes) -> None:
-        gpa = self.pagetable.translate(gva)
-        self.pagetable.vm.write(gpa, data)
+        self.vm.write(self.pagetable.translate(gva), data)
 
     def hammer(self, gva: int, activations: int):
         """Hammer through the process's own virtual mapping — what a
         malicious userspace program inside the guest can do."""
-        gpa = self.pagetable.translate(gva)
-        return self.pagetable.vm.hammer(gpa, activations)
+        return self.vm.hammer(self.pagetable.translate(gva), activations)
 
     def hpa_of(self, gva: int) -> int:
-        return self.pagetable.translate_to_hpa(gva)
+        """The full §2.1 chain: GVA -> GPA (guest table) -> HPA (EPT)."""
+        return self.vm.translate(self.pagetable.translate(gva))
 
 
 class GuestOS:
@@ -93,8 +96,10 @@ class GuestOS:
             raise HvError(f"process {name!r} already exists")
         if heap_pages <= 0:
             raise HvError("heap_pages must be positive")
-        pagetable = GuestPageTable(self.vm, self.alloc_frame)
-        process = GuestProcess(name=name, pagetable=pagetable, heap_top=base_gva)
+        pagetable = ExtendedPageTable(self.vm, self.alloc_frame)
+        process = GuestProcess(
+            name=name, vm=self.vm, pagetable=pagetable, heap_top=base_gva
+        )
         for i in range(heap_pages):
             frame = self.alloc_frame()
             process.frames.append(frame)
@@ -107,5 +112,5 @@ class GuestOS:
         process = self.processes.pop(name, None)
         if process is None:
             raise HvError(f"no such process {name!r}")
-        for frame in process.frames + process.pagetable.table_frames:
+        for frame in process.frames + process.pagetable.table_pages:
             self.free_frame(frame)

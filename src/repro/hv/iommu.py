@@ -7,10 +7,11 @@ the guest's DMAs to its subarray groups' address ranges, and (2) the
 IOMMU page tables must be protected like EPT pages.  This module
 implements that sketch:
 
-- :class:`IommuDomain` — a per-device DMA address space whose table
-  pages live in simulated DRAM (and can be guard-protected or
-  integrity-checked exactly like EPTs — it reuses the EPT machinery,
-  which is also how Linux's VT-d code shares page-table formats);
+- :class:`IommuDomain` — a per-device DMA address space.  It *is* an
+  :class:`~repro.ept.table.ExtendedPageTable` over the host DRAM (the
+  repo's one radix table class, also how Linux's VT-d code shares
+  page-table formats), so its table pages can be guard-protected or
+  integrity-checked exactly like EPTs;
 - :class:`PassthroughDevice` — a device model that performs DMA reads/
   writes and *hammering DMA* (a NIC ring that re-reads one buffer at
   DRAM rates, the GuardION-style attack vector), all through its domain.
@@ -23,12 +24,10 @@ its domain maps, which Siloz constrains to the VM's own groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.dram.module import SimulatedDram
-from repro.ept.integrity import SecureEptChecker
 from repro.ept.table import ExtendedPageTable
-from repro.errors import HvError
+from repro.errors import EptViolation, HvError
 
 
 class IommuFault(HvError):
@@ -43,45 +42,19 @@ class DmaStats:
     hammer_activations: int = 0
 
 
-class IommuDomain:
+class IommuDomain(ExtendedPageTable):
     """One device's DMA address space (IOVA -> HPA).
 
     Table pages come from ``alloc_table_page`` — Siloz passes its
     GFP_EPT-style allocator so IOMMU tables share the guard-protected
-    row group (§5.1's requirement (2))."""
-
-    def __init__(
-        self,
-        dram: SimulatedDram,
-        alloc_table_page: Callable[[], int],
-        *,
-        checker: SecureEptChecker | None = None,
-    ):
-        self._table = ExtendedPageTable(dram, alloc_table_page, checker=checker)
-        self._dram = dram
-
-    @property
-    def table_pages(self) -> list[int]:
-        return self._table.table_pages
-
-    def map(self, iova: int, hpa: int, size: int) -> None:
-        self._table.map(iova, hpa, size)
-
-    def unmap(self, iova: int, size: int) -> None:
-        self._table.unmap(iova, size)
-
-    def remap_range(self, old_start: int, size: int, new_start: int) -> int:
-        """Retarget DMA mappings pointing into a migrated host range —
-        the IOMMU must follow live page migration just like the EPT, or
-        the device would keep DMAing into the offlined frames."""
-        return self._table.remap_range(old_start, size, new_start)
+    row group (§5.1's requirement (2)).  ``remap_range`` lets the IOMMU
+    follow live page migration just like the EPT, or the device would
+    keep DMAing into the offlined frames."""
 
     def translate(self, iova: int) -> int:
         """IOVA -> HPA; raises IommuFault on unmapped device addresses."""
-        from repro.errors import EptViolation
-
         try:
-            return self._table.translate(iova)
+            return super().translate(iova)
         except EptViolation as exc:
             raise IommuFault(f"DMA fault: {exc}") from exc
 
@@ -115,8 +88,6 @@ class PassthroughDevice:
         media = self.dram.mapping.decode(hpa)
         socket = media.socket
         bank = media.socket_bank_index(self.dram.geom)
-        flips = []
-        for _ in range(activations):
-            flips.extend(self.dram.activate(socket, bank, media.row))
+        flips = self.dram.activate_batch(socket, bank, [media.row] * activations)
         self.stats.hammer_activations += activations
         return flips

@@ -355,3 +355,134 @@ class TestEndToEndBackends:
             assert vars(results["scalar"].trace) == vars(
                 results[backend].trace
             ), backend
+
+
+
+def _siloz_host(backend: str, seed: int):
+    from repro.core import SilozHypervisor
+    from repro.hv import Machine
+
+    return SilozHypervisor.boot(Machine.small(seed=seed, backend=backend))
+
+
+def _vm_spec():
+    from repro.hv import VmSpec
+
+    return VmSpec(name="g", memory_bytes=2 * MiB)
+
+
+class TestPageTableWalks:
+    """The one radix-table class, replayed on both backends: the EPT, a
+    guest page table (nodes in guest RAM, walked through the EPT) and an
+    IOMMU domain issue the same ACTs at the same clock and leave the
+    same table bytes.  The ACT pins fix each walk's DRAM traffic."""
+
+    def test_table_builds_replay_identically(self):
+        from repro.guest import GuestOS
+
+        runs = {}
+        for backend in BACKENDS:
+            hv = _siloz_host(backend, seed=51)
+            dram = hv.machine.dram
+            marks = [dram.counters.activations]
+            vm = hv.create_vm(_vm_spec())
+            marks.append(dram.counters.activations)
+            proc = GuestOS(vm).spawn("a")
+            proc.write(0x400000, bytes(range(64)))
+            assert proc.read(0x400000, 64) == bytes(range(64))
+            hpa = proc.hpa_of(0x401000)
+            marks.append(dram.counters.activations)
+            device = hv.attach_passthrough_device("g", "vf0")
+            device.domain.translate(0x3000)
+            marks.append(dram.counters.activations)
+            assert [b - a for a, b in zip(marks, marks[1:])] == [323, 499, 346]
+            assert hpa == 0x415000, backend
+            assert dram.clock == 7.008000000000063e-05, backend
+            tables = [
+                dram.read(page, 4096, ecc=False)
+                for page in vm.ept.table_pages + device.domain.table_pages
+            ] + [vm.read(page, 4096, ecc=False) for page in proc.pagetable.table_pages]
+            runs[backend] = (list(dram.flips_log), tables)
+        for backend in BACKENDS[1:]:
+            assert runs["scalar"] == runs[backend], backend
+
+    def test_dma_hammer_is_one_act_batch(self):
+        runs = {}
+        for backend in BACKENDS:
+            hv = _siloz_host(backend, seed=300)
+            hv.create_vm(_vm_spec())
+            device = hv.attach_passthrough_device("g", "vf0")
+            flips = device.dma_hammer(0x3000, 5000)
+            dram = hv.machine.dram
+            assert len(flips) == 6, backend
+            assert dram.counters.activations == 5669, backend
+            assert dram.clock == 0.00034014000000002614, backend
+            runs[backend] = list(dram.flips_log)
+        for backend in BACKENDS[1:]:
+            assert runs["scalar"] == runs[backend], backend
+
+
+def _page_table_transcript(backend: str, seed: int) -> list:
+    """Seeded ``map``/``unmap``/``remap_range``/``translate`` mix over the
+    three kinds of table — the VM's EPT, an IOMMU domain and a guest page
+    table — logging every outcome (value or error type), then the flips,
+    the clock and the ACT count."""
+    import random
+
+    from repro.ept import ExtendedPageTable
+    from repro.errors import ReproError
+    from repro.guest import GuestOS
+
+    rng = random.Random(seed)
+    hv = _siloz_host(backend, seed)
+    vm = hv.create_vm(_vm_spec())
+    tables = {
+        "ept": vm.ept,
+        "iommu": hv.attach_passthrough_device("g", "vf0").domain,
+        "guest": ExtendedPageTable(vm, GuestOS(vm).alloc_frame),
+    }
+    # Fuzzed mappings live above the VM's own GPAs and point at targets
+    # nothing dereferences, so only the walks themselves touch memory.
+    window, target = 1 << 30, 1 << 36
+
+    def page(align: int = 4096) -> int:
+        return rng.randrange(1024) * 4096 // align * align
+
+    def size() -> int:
+        return rng.choice((4096, 3 * 4096, 2 * MiB, 4 * MiB))
+
+    log = []
+    for _ in range(40):
+        name = rng.choice(sorted(tables))
+        table = tables[name]
+        op = rng.choice(("map", "map", "unmap", "remap_range", "translate"))
+        align = 2 * MiB if rng.random() < 0.3 else 4096
+        if op == "map":
+            args = (window + page(align), target + page(align), size())
+        elif op == "unmap":
+            args = (window + page(align), size())
+        elif op == "remap_range":
+            args = (target + page(), size(), target + (1 << 30) + page())
+        else:
+            args = (window + page() + rng.randrange(4096),)
+        try:
+            outcome = getattr(table, op)(*args)
+        except ReproError as exc:
+            outcome = type(exc).__name__
+        log.append((name, op, args, outcome, table.mapped_bytes))
+    dram = hv.machine.dram
+    return log + [list(dram.flips_log), dram.clock, dram.counters.activations]
+
+
+@pytest.mark.tier2
+class TestPageTableFuzz:
+    """Seeded page-table op mixes replay identically on both backends."""
+
+    @pytest.mark.parametrize("seed", range(200, 220))
+    def test_page_table_ops_backend_independent(self, seed):
+        scalar = _page_table_transcript("scalar", seed)
+        assert scalar[:-3], "fuzz produced no ops"
+        for backend in BACKENDS[1:]:
+            assert scalar == _page_table_transcript(backend, seed), (
+                f"seed={seed} {backend}"
+            )

@@ -140,6 +140,30 @@ class TestMappingAndTranslation:
         with pytest.raises(EptViolation):
             ept.unmap(0x0, PAGE_4K)
 
+    @pytest.mark.parametrize(
+        "gpa,size",
+        [(0x3000, PAGE_4K), (0x0, PAGE_2M + PAGE_4K), (PAGE_2M, PAGE_2M - PAGE_4K)],
+    )
+    def test_unmap_part_of_large_leaf_refused(self, ept, dram, gpa, size):
+        """A range covering only part of a 2 MiB leaf is refused, and the
+        table is left as it was — including leaves the range covers
+        whole before reaching the partial one."""
+        ept.map(0x0, 8 * 2**20, 4 * 2**20)  # two 2 MiB leaves
+        tables = [dram.read(page, PAGE_4K) for page in ept.table_pages]
+        with pytest.raises(EptError, match="only part of the 2 MiB leaf"):
+            ept.unmap(gpa, size)
+        assert [dram.read(page, PAGE_4K) for page in ept.table_pages] == tables
+        assert ept.mapped_bytes == 4 * 2**20
+        for g in (0x0, 0x3000, PAGE_2M, 2 * PAGE_2M - PAGE_4K):
+            assert ept.translate(g) == 8 * 2**20 + g
+
+    def test_unmap_reaching_unmapped_page_restores_cleared_leaves(self, ept):
+        ept.map(0x0, 0x80000, PAGE_4K)
+        with pytest.raises(EptViolation):
+            ept.unmap(0x0, 2 * PAGE_4K)
+        assert ept.translate(0x0) == 0x80000
+        assert ept.mapped_bytes == PAGE_4K
+
     def test_mapped_bytes_accounting(self, ept):
         ept.map(0x0, PAGE_2M, PAGE_2M)
         assert ept.mapped_bytes == PAGE_2M

@@ -4,8 +4,9 @@ intra-VM trade-off."""
 import pytest
 
 from repro.core import SilozHypervisor, audit_hypervisor, classify_flips
+from repro.ept import ExtendedPageTable
 from repro.errors import EptError, EptViolation, HvError, OutOfMemoryError
-from repro.guest import GuestOS, GuestPageTable
+from repro.guest import GuestOS
 from repro.hv import Machine, VmSpec
 from repro.units import KiB, MiB, PAGE_4K
 
@@ -54,43 +55,43 @@ class TestFrameAllocator:
 
 class TestGuestPageTable:
     def test_map_translate(self, gos, vm):
-        pt = GuestPageTable(vm, gos.alloc_frame)
+        pt = ExtendedPageTable(vm, gos.alloc_frame)
         frame = gos.alloc_frame()
         pt.map(0x400000, frame, PAGE_4K)
         assert pt.translate(0x400000) == frame
         assert pt.translate(0x400123) == frame + 0x123
 
     def test_unmapped_faults(self, gos, vm):
-        pt = GuestPageTable(vm, gos.alloc_frame)
+        pt = ExtendedPageTable(vm, gos.alloc_frame)
         with pytest.raises(EptViolation):
             pt.translate(0x400000)
 
     def test_double_map_rejected(self, gos, vm):
-        pt = GuestPageTable(vm, gos.alloc_frame)
+        pt = ExtendedPageTable(vm, gos.alloc_frame)
         frame = gos.alloc_frame()
         pt.map(0x400000, frame, PAGE_4K)
         with pytest.raises(EptError):
             pt.map(0x400000, frame, PAGE_4K)
 
     def test_unaligned_rejected(self, gos, vm):
-        pt = GuestPageTable(vm, gos.alloc_frame)
+        pt = ExtendedPageTable(vm, gos.alloc_frame)
         with pytest.raises(EptError):
             pt.map(0x400001, 0x10000, PAGE_4K)
 
     def test_tables_live_in_guest_ram(self, gos, vm):
-        pt = GuestPageTable(vm, gos.alloc_frame)
+        pt = ExtendedPageTable(vm, gos.alloc_frame)
         pt.map(0x400000, gos.alloc_frame(), PAGE_4K)
-        for frame in pt.table_frames:
+        for frame in pt.table_pages:
             # Each table frame is within the RAM region and EPT-mapped.
             assert vm.region_at(frame).name == "ram"
             vm.translate(frame)
 
     def test_full_translation_chain(self, gos, vm):
         """§2.1: GVA -> GPA -> HPA, each step through real tables."""
-        pt = GuestPageTable(vm, gos.alloc_frame)
+        pt = ExtendedPageTable(vm, gos.alloc_frame)
         frame = gos.alloc_frame()
         pt.map(0x400000, frame, PAGE_4K)
-        hpa = pt.translate_to_hpa(0x400000)
+        hpa = vm.translate(pt.translate(0x400000))
         assert hpa == vm.translate(frame)
         assert vm.owns_hpa(hpa)
 
