@@ -16,7 +16,8 @@ Times the two benchmark workloads the fast engine was built for:
 
 Both comparisons first assert the outputs are *identical* — a speedup
 that changes results is a bug, not a win — then record wall times and
-speedups to ``BENCH_engine.json`` at the repo root.  CI runs this file
+speedups to ``BENCH_engine.json`` at the repo root, with a ``runner``
+record (CPU count, python and numpy versions, commit).  CI runs this file
 as the perf regression guard: the campaign must hold its ≥9× target
 and the decode path must never be slower than the reference.
 """
@@ -27,7 +28,7 @@ import json
 import pathlib
 import time
 
-from conftest import banner
+from conftest import banner, runner_record
 
 from repro.attack import attack_from_vm
 from repro.core import SilozHypervisor
@@ -46,6 +47,7 @@ _RESULTS: dict = {
     "bench": "engine",
     "note": "vectorized SimBackend vs scalar golden reference; "
     "see README Performance",
+    "runner": runner_record(),
 }
 
 

@@ -3,7 +3,8 @@
 Drives an in-process ``repro serve`` daemon with the open-loop load
 generator and records the serving numbers that gate the trajectory:
 sustained req/s, p50/p99 latency, and the rejection rate, written to
-``BENCH_serve.json`` at the repo root.
+``BENCH_serve.json`` at the repo root with a ``runner`` record (CPU
+count, python and numpy versions, commit) naming who measured them.
 
 Two kinds of runs:
 
@@ -24,6 +25,8 @@ import asyncio
 import json
 import pathlib
 
+from conftest import runner_record
+
 from repro.serve import LoadMix, LoadgenConfig, ServiceConfig, serve_and_load
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -43,6 +46,7 @@ _RESULTS: dict = {
     "note": "open-loop load through the async serve daemon; every run's "
     "final fleet digest must replay bit-identically through the "
     "synchronous path",
+    "runner": runner_record(),
 }
 
 

@@ -20,6 +20,12 @@ run-over-run movement.  A metric absent from the previous file, or
 absent from both files, is not an error (first run, renamed benchmark):
 it is skipped with a note.  A metric present previously but missing
 from the current file fails the check.
+
+Benches that record a ``runner`` entry (``cpu_count``, python, numpy,
+commit) identify the machine that measured them.  When the two points'
+machine fields differ, a ``cross-runner comparison`` line names each
+differing field before the verdicts — a note for the reader only: the
+bounds, clamps and exit code are the same either way.
 """
 
 from __future__ import annotations
@@ -84,6 +90,32 @@ BASELINE_CLAMPS: dict[tuple[str, str], float] = {
     # serialized-by-lock campaign.
     ("fleet_cluster", "hosts_per_sec"): 1.5,
 }
+
+
+#: Runner-record fields that identify the measuring machine.  The
+#: recorded commit is provenance, not identity (it differs between any
+#: two points), so it is not compared.
+RUNNER_FIELDS: tuple[str, ...] = ("cpu_count", "python", "numpy")
+
+
+def runner_differences(previous: pathlib.Path, current: pathlib.Path) -> list[str]:
+    """``field previous -> current`` for every :data:`RUNNER_FIELDS`
+    entry the two points disagree on; a point without a runner record
+    reads as all-``None``.  Empty when either file is unreadable."""
+    runners = []
+    for path in (previous, current):
+        try:
+            doc = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return []
+        runner = doc.get("runner") if isinstance(doc, dict) else None
+        runners.append(runner if isinstance(runner, dict) else {})
+    prev, cur = runners
+    return [
+        f"{name} {prev.get(name)} -> {cur.get(name)}"
+        for name in RUNNER_FIELDS
+        if prev.get(name) != cur.get(name)
+    ]
 
 
 def load_metric(path: pathlib.Path, key: str, field: str = "speedup") -> float | None:
@@ -206,6 +238,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "(speedups), 'down' gates a rise above it (losses, overheads)",
     )
     args = parser.parse_args(argv)
+
+    differences = runner_differences(args.previous, args.current)
+    if differences:
+        print(
+            "trajectory: cross-runner comparison — "
+            + ", ".join(differences)
+            + " (note only; bounds unchanged)"
+        )
 
     if args.key is not None:
         # A bench may decline to record a gateable point (e.g. the fleet

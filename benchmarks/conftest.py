@@ -5,13 +5,39 @@ Every benchmark prints its reproduced table/figure (run pytest with
 ``pytest benchmarks/ --benchmark-only`` doubles as the repro check.
 """
 
+import os
 import pathlib
+import platform
+import subprocess
 
 import pytest
 
 from repro.dram.geometry import DRAMGeometry
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def runner_record() -> dict:
+    """Who measured a ``BENCH_*.json`` point: the machine and library
+    fields of perfbench's runner record (``cpu_count``, python, numpy)
+    plus the commit measured.  ``check_trajectory.py`` names any field
+    that differs between two points it compares."""
+    import numpy
+
+    commit = "unknown: not a git checkout"
+    if (REPO_ROOT / ".git").exists():
+        out = subprocess.run(
+            ["git", "-C", str(REPO_ROOT), "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=30,
+        )
+        commit = out.stdout.strip() or commit
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "commit": commit,
+    }
 
 
 def banner(title: str) -> str:

@@ -31,9 +31,12 @@ from repro.dram.media import MediaAddress
 from repro.errors import MappingError
 from repro.units import CACHE_LINE, MiB, is_aligned
 
-#: Entries kept in each per-mapping flat-decode LRU.  Sized for the working
-#: sets of the perf experiments (thousands of distinct cache lines) while
-#: bounding memory on adversarial scans.
+#: Entries kept in each of a mapping's two decode LRUs: the flat decode
+#: the memory controllers use and the per-line decode behind the
+#: simulated module's sub-line accesses (page-table entries).  Sized for
+#: the working sets of the perf experiments and a host's placement
+#: traffic (thousands of distinct cache lines) while bounding memory on
+#: adversarial scans.
 DECODE_CACHE_SIZE = 1 << 16
 
 
@@ -125,10 +128,10 @@ class SkylakeMapping:
         # Hot-path memoization (repro.engine): the chunk permutation as
         # flat lookup tables, the derived shape as plain ints (the
         # properties recompute products on every call), and the
-        # LRU-wrapped flat decoder bound as an instance attribute.  All
-        # are pure functions of the frozen fields, so caching cannot
-        # change results — the mapping property tests verify cached ==
-        # uncached.
+        # LRU-wrapped flat and line decoders bound as instance
+        # attributes.  All are pure functions of the frozen fields, so
+        # caching cannot change results — the mapping property tests
+        # verify cached == uncached.
         n_chunks = 2 * self.chunks_per_range
         object.__setattr__(
             self,
@@ -152,6 +155,11 @@ class SkylakeMapping:
             self,
             "decode_flat",
             functools.lru_cache(maxsize=DECODE_CACHE_SIZE)(self._decode_flat),
+        )
+        object.__setattr__(
+            self,
+            "_line_decode",
+            functools.lru_cache(maxsize=DECODE_CACHE_SIZE)(self._decode_line),
         )
 
     @classmethod
@@ -255,6 +263,15 @@ class SkylakeMapping:
         )
         socket_bank = (within // CACHE_LINE) % self._c_banks_per_socket
         return socket, socket_bank, socket_bank // self._c_banks_per_channel, row
+
+    def _decode_line(self, line: int) -> tuple[int, int, int, int]:
+        """``(socket, socket_bank, row, col)`` of cache line *line*'s first
+        byte, through :meth:`decode` (so out-of-range lines raise
+        :class:`MappingError`, and errors are never cached).  Bound
+        LRU-cached as ``_line_decode`` for the simulated module's sub-line
+        accesses, which add the in-line offset to ``col``."""
+        media = self.decode(line * CACHE_LINE)
+        return media.socket, media.socket_bank_index(self.geom), media.row, media.col
 
     def _np_phys2rg_table(self):
         """Chunk-permutation LUT as an int64 ndarray (built on first use)."""

@@ -384,7 +384,9 @@ class SimulatedDram:
         return got
 
     def _effective_row(self, socket: int, bank: int, row: int) -> bytearray:
-        """Stored bytes with current flips applied (what a read senses)."""
+        """Stored bytes with current flips applied (what a read senses):
+        :meth:`read_region`'s one sense per touched row.  :meth:`read`
+        senses only the bytes of each piece instead."""
         data = bytearray(self._data.get((socket, bank, row), bytes(self.geom.row_bytes)))
         for bit in self._flips.get((socket, bank, row), ()):
             data[bit // 8] ^= 1 << (bit % 8)
@@ -395,9 +397,13 @@ class SimulatedDram:
         ``(socket, socket_bank, row, col, offset, take)`` tuples.
 
         Spans longer than one line decode every line start in one
-        ``decode_media_batch`` call; shorter spans use the scalar
-        decode.  Both agree exactly (``tests/test_engine_vector.py``
-        compares them)."""
+        ``decode_media_batch`` call.  Shorter spans (at most two pieces —
+        the page-table entry accesses of placement) decode each line once
+        through the mapping's LRU-cached line decoder and add the in-line
+        offset to ``col``; a miss goes through the scalar ``decode``, so
+        out-of-range addresses still raise :class:`MappingError`.  Both
+        branches agree exactly with ``decode``
+        (``tests/test_engine_vector.py`` compares them)."""
         if length <= 0:
             raise DramError(f"length must be positive, got {length}")
         if length > CACHE_LINE:
@@ -422,17 +428,13 @@ class SimulatedDram:
                 )
             )
         out = []
-        geom = self.geom
-        decode = self.mapping.decode
+        line_decode = self.mapping._line_decode
         offset = 0
         while offset < length:
-            addr = hpa + offset
-            line_off = addr % CACHE_LINE
+            line, line_off = divmod(hpa + offset, CACHE_LINE)
             take = min(CACHE_LINE - line_off, length - offset)
-            media = decode(addr)
-            out.append(
-                (media.socket, media.socket_bank_index(geom), media.row, media.col, offset, take)
-            )
+            socket, bank, row, col = line_decode(line)
+            out.append((socket, bank, row, col + line_off, offset, take))
             offset += take
         return out
 
@@ -458,12 +460,25 @@ class SimulatedDram:
 
         With ECC on, single-bit-per-word errors in the touched words are
         corrected in the returned data (and logged); a double-bit word
-        raises :class:`UncorrectableError` (machine check, §2.5)."""
+        raises :class:`UncorrectableError` (machine check, §2.5).
+
+        Each piece senses only its own bytes: the stored slice (zeros if
+        the row was never written) with the flips inside it applied —
+        the same bytes as slicing :meth:`_effective_row`, without
+        copying the whole row."""
         self.counters.reads += 1
         out = bytearray(length)
         for socket, bank, row, col, offset, take in self._lines(hpa, length):
             self.activate(socket, bank, row)
-            chunk = self._effective_row(socket, bank, row)[col : col + take]
+            key = (socket, bank, row)
+            stored = self._data.get(key)
+            chunk = stored[col : col + take] if stored is not None else bytearray(take)
+            flips = self._flips.get(key)
+            if flips:
+                low, high = col * 8, (col + take) * 8
+                for bit in flips:
+                    if low <= bit < high:
+                        chunk[bit // 8 - col] ^= 1 << (bit % 8)
             if ecc:
                 chunk = self._ecc_correct_chunk(socket, bank, row, col, take, chunk)
             out[offset : offset + take] = chunk

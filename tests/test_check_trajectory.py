@@ -224,3 +224,53 @@ class TestConsecutiveSkips:
         missing = tmp_path / "nope.json"
         assert check_trajectory.main([str(missing), str(cur), *self._ARGS]) == 0
         assert "SKIPPED" in capsys.readouterr().out
+
+
+def _serve_json(tmp_path, name: str, rps: float, runner: dict | None) -> pathlib.Path:
+    path = tmp_path / name
+    doc = {"bench": "serve", "serve_throughput": {"rps": rps}}
+    if runner is not None:
+        doc["runner"] = runner
+    path.write_text(json.dumps(doc))
+    return path
+
+
+_RUNNER = {"cpu_count": 2, "python": "3.11.9", "numpy": "1.26.4", "commit": "aaa"}
+
+
+class TestRunnerIdentity:
+    """Points from different runners are compared with a note naming the
+    differing fields; the verdict and exit code do not change."""
+
+    _ARGS = ["--key", "serve_throughput", "--field", "rps"]
+
+    def _run(self, tmp_path, capsys, prev_runner, cur_runner, cur_rps=900.0):
+        prev = _serve_json(tmp_path, "prev.json", 1000.0, prev_runner)
+        cur = _serve_json(tmp_path, "cur.json", cur_rps, cur_runner)
+        rc = check_trajectory.main([str(prev), str(cur), *self._ARGS])
+        return rc, capsys.readouterr().out
+
+    def test_differing_fields_are_named(self, tmp_path, capsys):
+        other = dict(_RUNNER, cpu_count=1, numpy="2.0.1")
+        rc, out = self._run(tmp_path, capsys, other, _RUNNER)
+        assert rc == 0
+        (line,) = [l for l in out.splitlines() if "cross-runner comparison" in l]
+        assert "cpu_count 1 -> 2" in line and "numpy 2.0.1 -> 1.26.4" in line
+        assert "python" not in line
+
+    def test_previous_without_runner_record_is_noted(self, tmp_path, capsys):
+        rc, out = self._run(tmp_path, capsys, None, _RUNNER)
+        assert rc == 0
+        assert "cross-runner comparison — cpu_count None -> 2" in out
+
+    def test_same_runner_new_commit_is_not_noted(self, tmp_path, capsys):
+        rc, out = self._run(tmp_path, capsys, _RUNNER, dict(_RUNNER, commit="bbb"))
+        assert rc == 0
+        assert "cross-runner comparison" not in out
+
+    def test_note_does_not_change_the_verdict(self, tmp_path, capsys):
+        # 300 rps is below both the 20% floor and the 400 rps clamp.
+        other = dict(_RUNNER, cpu_count=8)
+        rc, out = self._run(tmp_path, capsys, other, _RUNNER, cur_rps=300.0)
+        assert rc == 1
+        assert "cross-runner comparison" in out and "REGRESSED" in out

@@ -375,15 +375,37 @@ class TestPageTableWalks:
     """The one radix-table class, replayed on both backends: the EPT, a
     guest page table (nodes in guest RAM, walked through the EPT) and an
     IOMMU domain issue the same ACTs at the same clock and leave the
-    same table bytes.  The ACT pins fix each walk's DRAM traffic."""
+    same table bytes.  The ACT pins fix each walk's DRAM traffic; the
+    decode count keeps the walks' sub-line entry accesses on the cached
+    line decode (one scalar decode per distinct line)."""
 
-    def test_table_builds_replay_identically(self):
+    def test_table_builds_replay_identically(self, monkeypatch):
+        from repro.dram.mapping import SkylakeMapping
+        from repro.dram.module import SimulatedDram
         from repro.guest import GuestOS
+        from repro.units import CACHE_LINE
+
+        decode, lines = SkylakeMapping.decode, SimulatedDram._lines
+        decodes, sub_line = [0], set()
+
+        def counting_decode(mapping, hpa):
+            decodes[0] += 1
+            return decode(mapping, hpa)
+
+        def recording_lines(dram, hpa, length):
+            if length <= CACHE_LINE:
+                first, last = hpa // CACHE_LINE, (hpa + length - 1) // CACHE_LINE
+                sub_line.update(range(first, last + 1))
+            return lines(dram, hpa, length)
 
         runs = {}
         for backend in BACKENDS:
             hv = _siloz_host(backend, seed=51)
             dram = hv.machine.dram
+            decodes[0] = 0
+            sub_line.clear()
+            monkeypatch.setattr(SkylakeMapping, "decode", counting_decode)
+            monkeypatch.setattr(SimulatedDram, "_lines", recording_lines)
             marks = [dram.counters.activations]
             vm = hv.create_vm(_vm_spec())
             marks.append(dram.counters.activations)
@@ -395,6 +417,8 @@ class TestPageTableWalks:
             device = hv.attach_passthrough_device("g", "vf0")
             device.domain.translate(0x3000)
             marks.append(dram.counters.activations)
+            monkeypatch.undo()
+            assert 0 < decodes[0] <= len(sub_line), backend
             assert [b - a for a, b in zip(marks, marks[1:])] == [323, 499, 346]
             assert hpa == 0x415000, backend
             assert dram.clock == 7.008000000000063e-05, backend

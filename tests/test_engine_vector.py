@@ -20,9 +20,10 @@ import repro.engine.vector as vec
 from repro.dram.disturbance import DisturbanceProfile
 from repro.dram.ecc import VECTOR_BITS_CUTOFF, WORD_BITS, EccEngine, _words_and_counts
 from repro.dram.geometry import DRAMGeometry
-from repro.dram.mapping import SkylakeMapping
+from repro.dram.mapping import DECODE_CACHE_SIZE, SkylakeMapping
 from repro.dram.module import SimulatedDram
 from repro.engine import BackendError, SimBackend
+from repro.errors import MappingError
 from repro.units import CACHE_LINE
 
 BACKENDS = ("scalar", "vectorized")
@@ -177,24 +178,57 @@ class TestVectorizedDecode:
             expect = self.mapping._decode_flat(hpa)
             assert expect == tuple(int(f[i]) for f in flat), hex(hpa)
 
+    @staticmethod
+    def _expected_lines(mapping, hpa: int, length: int) -> list:
+        """``_lines`` reference: the uncached scalar decode of every piece."""
+        expect, offset = [], 0
+        while offset < length:
+            take = min(CACHE_LINE - (hpa + offset) % CACHE_LINE, length - offset)
+            m = mapping.decode(hpa + offset)
+            expect.append(
+                (m.socket, m.socket_bank_index(mapping.geom), m.row, m.col, offset, take)
+            )
+            offset += take
+        return expect
+
     def test_decode_lines_batch_matches_scalar_fallback(self):
-        dram = SimulatedDram(self.geom, self.mapping, backend="scalar")
+        skylake = DRAMGeometry.small(sockets=2, rows_per_bank=512, rows_per_subarray=64)
+        for mapping in (self.mapping, SkylakeMapping(skylake)):
+            self._check_lines(mapping)
+
+    def _check_lines(self, mapping):
+        geom = mapping.geom
+        dram = SimulatedDram(geom, mapping, backend="scalar")
+        total = geom.total_bytes
         rng = random.Random(23)
-        for _ in range(50):
-            hpa = rng.randrange(self.geom.total_bytes - 4096)
-            length = rng.randrange(1, 4096 - 1)
-            expect, offset = [], 0
-            while offset < length:
-                take = min(CACHE_LINE - (hpa + offset) % CACHE_LINE, length - offset)
-                m = self.mapping.decode(hpa + offset)
-                expect.append(
-                    (m.socket, m.socket_bank_index(self.geom), m.row, m.col, offset, take)
-                )
-                offset += take
-            assert dram._lines(hpa, length) == expect, (hpa, length)
+        for _ in range(50):  # multi-line spans: the batch branch
+            hpa = rng.randrange(total - 4096)
+            length = rng.randrange(CACHE_LINE + 1, 4096 - 1)
+            assert dram._lines(hpa, length) == self._expected_lines(mapping, hpa, length)
+        # Sub-line and line-crossing spans (the short branch) over a small
+        # pool of lines, so most pieces hit the warm line cache.
+        lines = [rng.randrange(total // CACHE_LINE - 1) for _ in range(48)]
+        lines.append(total // CACHE_LINE - 1)  # the last line
+        for _ in range(3000):
+            line = rng.choice(lines)
+            hpa = line * CACHE_LINE + rng.randrange(CACHE_LINE)
+            length = rng.randrange(1, min(CACHE_LINE, total - hpa) + 1)
+            assert dram._lines(hpa, length) == self._expected_lines(mapping, hpa, length), (
+                hpa,
+                length,
+            )
+        info = mapping._line_decode.cache_info()
+        assert info.hits > info.misses
+        assert info.maxsize == DECODE_CACHE_SIZE
+        assert info.currsize <= DECODE_CACHE_SIZE
+        # A warm cache never turns an out-of-range address into a hit.
+        for hpa, length in ((-8, 8), (-1, 2), (total, 8), (total - 4, 8)):
+            with pytest.raises(MappingError):
+                dram._lines(hpa, length)
+        assert mapping._line_decode.cache_info().currsize <= DECODE_CACHE_SIZE
 
     def test_decode_batch_range_check(self):
-        with pytest.raises(Exception):
+        with pytest.raises(MappingError):
             self.mapping.decode_media_batch(
                 np.asarray([self.geom.total_bytes], dtype=np.int64)
             )

@@ -177,6 +177,75 @@ class TestEccIntegration:
         assert self.dram.flip_bits_at(0, 0, 2) == {5, 6}
 
 
+def _reference_read(dram, hpa, length, ecc):
+    """The whole-row sensing :meth:`SimulatedDram.read` replaced: slice
+    :meth:`_effective_row`, then correct through ``_ecc_correct_chunk``."""
+    dram.counters.reads += 1
+    out = bytearray(length)
+    for socket, bank, row, col, offset, take in dram._lines(hpa, length):
+        dram.activate(socket, bank, row)
+        chunk = dram._effective_row(socket, bank, row)[col : col + take]
+        if ecc:
+            chunk = dram._ecc_correct_chunk(socket, bank, row, col, take, chunk)
+        out[offset : offset + take] = chunk
+    return bytes(out)
+
+
+def _read_outcome(read, dram, hpa, length, ecc):
+    """(bytes or error type + address, ECC events logged by the read)."""
+    logged = len(dram.ecc.stats.events)
+    try:
+        got = read(hpa, length, ecc=ecc)
+    except UncorrectableError as err:
+        got = (type(err), err.address, str(err))
+    return got, dram.ecc.stats.events[logged:]
+
+
+@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+def test_sub_line_read_matches_whole_row_sensing(backend):
+    """Random spans of at most one line over rows carrying 1-, 2- and
+    3+-bit word errors (written and never-written rows): ``read`` returns
+    the same bytes, logs the same ECC events and raises at the same
+    address as sensing the whole row, with ECC on and off."""
+    import random
+
+    from repro.dram.media import MediaAddress
+
+    rng = random.Random(2024)
+    dut, ref = (make_dram(seed=9, backend=backend) for _ in range(2))
+    rows = [(bank, row) for bank in range(4) for row in (2, 5, 9, 12)]
+    for bank, row in rows[::2]:  # half the rows hold data
+        hpa = dut.mapping.encode(MediaAddress.from_socket_bank(GEOM, 0, bank, row, 0))
+        data = bytes(rng.randrange(256) for _ in range(256))
+        dut.write(hpa, data)
+        ref.write(hpa, data)
+    for bank, row in rows:
+        for word in rng.sample(range(32), 6):  # errors in the first 256 bytes
+            for bit in rng.sample(range(64), rng.choice((1, 1, 2, 3, 4))):
+                for dram in (dut, ref):
+                    dram.inject_bit_error(0, bank, row, word * 64 + bit)
+    outcomes = set()
+    for _ in range(600):
+        bank, row = rng.choice(rows)
+        col = rng.randrange(256)
+        media = MediaAddress.from_socket_bank(GEOM, 0, bank, row, col)
+        hpa = dut.mapping.encode(media)
+        length = rng.randrange(1, CACHE_LINE + 1)
+        ecc = rng.random() < 0.7
+        got = _read_outcome(dut.read, dut, hpa, length, ecc)
+        expect = _read_outcome(
+            lambda h, n, ecc: _reference_read(ref, h, n, ecc), ref, hpa, length, ecc
+        )
+        assert got == expect, (hex(hpa), length, ecc)
+        outcomes.add((ecc, type(got[0]).__name__, bool(got[1])))
+    assert dut.flips_log == ref.flips_log
+    assert dut.clock == ref.clock
+    assert dut.counters == ref.counters
+    # Every kind of outcome was exercised: raw reads, corrected reads,
+    # machine checks.
+    assert {(False, "bytes", False), (True, "bytes", True), (True, "tuple", True)} <= outcomes
+
+
 class TestRowRepairs:
     """§6: repairs relocate cells; inter-subarray repairs break isolation
     until the affected pages are offlined."""
