@@ -6,7 +6,8 @@ differential-engine contract extended through the mitigation layer),
 asserts the headline security result holds (Siloz contains the seed-7
 attack that corrupts a victim VM on the unmitigated baseline), then
 records wall times, the backend speedup, and the comparison metrics to
-``BENCH_bakeoff.json`` at the repo root.
+``BENCH_bakeoff.json`` at the repo root, with a ``runner`` record (CPU
+count, python and numpy versions, commit) naming who measured them.
 
 ``check_trajectory.py --key bakeoff_campaign`` gates the recorded
 speedup run-over-run; ``--field siloz_loss_pct --direction down`` and
@@ -20,6 +21,8 @@ import json
 import os
 import pathlib
 import time
+
+from conftest import runner_record
 
 from repro.mitigations.bakeoff import BakeoffConfig, run_bakeoff
 
@@ -40,6 +43,7 @@ _RESULTS: dict = {
     "note": "none/para/siloz bake-off, scalar vs vectorized backend; "
     "reports must be bit-identical and siloz must contain the seed-7 "
     "attack that leaks on the baseline",
+    "runner": runner_record(),
 }
 
 

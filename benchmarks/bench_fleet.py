@@ -14,6 +14,9 @@ Two recorded entries in ``BENCH_fleet.json`` at the repo root:
   best hosts/sec throughput plus driver peak RSS are recorded (gated by
   ``check_trajectory.py --key fleet_cluster --field hosts_per_sec``).
 
+Both entries share one top-level ``runner`` record (CPU count, python
+and numpy versions, commit) naming who measured them.
+
 The ≥2× speedup target only makes sense with cores to scale onto, so
 the assertion is gated on ``os.cpu_count() >= WORKERS``: a runner with
 fewer CPUs records its honest measurement (or, on one CPU, a skip
@@ -33,6 +36,8 @@ import json
 import os
 import pathlib
 import time
+
+from conftest import runner_record
 
 from repro.fleet import ClusterConfig, run_cluster_campaign
 
@@ -59,6 +64,7 @@ _RESULTS: dict = {
     "bench": "fleet",
     "note": "parallel fleet campaign (workers=N) vs serial (workers=1); "
     "merge digests must be bit-identical",
+    "runner": runner_record(),
 }
 
 

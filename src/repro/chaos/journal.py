@@ -104,12 +104,7 @@ class CampaignJournal:
     # ------------------------------------------------------------------
 
     def _validate_header(self, digest: str) -> None:
-        header = _read_header(self.path)
-        if header.get("config_digest") != digest:
-            raise ChaosError(
-                f"journal {self.path} was written by a different campaign "
-                f"(config digest {header.get('config_digest')!r} != {digest!r})"
-            )
+        _read_journal(self.path, digest)
 
     @classmethod
     def load(
@@ -119,40 +114,41 @@ class CampaignJournal:
 
         Validates the header against *digest* when given; tolerates a
         truncated final line (mid-write SIGKILL); a later checkpoint for
-        the same host wins (re-run after a resume race).
+        the same host wins (re-run after a resume race).  Any other
+        file or record this module did not write raises
+        :class:`ChaosError`.
         """
         p = Path(path)
-        if not p.exists():
-            raise ChaosError(f"journal {p} does not exist")
-        header = _read_header(p)
-        if digest is not None and header.get("config_digest") != digest:
-            raise ChaosError(
-                f"journal {p} was written by a different campaign "
-                f"(config digest {header.get('config_digest')!r} != {digest!r})"
-            )
         completed: Dict[int, Dict[str, Any]] = {}
-        with open(p, encoding="utf-8") as fh:
-            for i, line in enumerate(fh):
-                if i == 0:
-                    continue  # header, validated above
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    _log.warning(
-                        "journal %s: dropping truncated line %d", p, i + 1
-                    )
-                    break
-                if not isinstance(doc, dict) or "shard" not in doc:
-                    continue
-                completed[int(doc["shard"])] = doc["result"]
+        for n, line in enumerate(_read_journal(p, digest), start=2):
+            try:
+                doc = json.loads(line)
+            except ValueError:
+                _log.warning("journal %s: dropping truncated line %d", p, n)
+                break
+            if not isinstance(doc, dict) or "shard" not in doc:
+                continue
+            result = doc.get("result")
+            if (
+                type(doc["shard"]) is not int
+                or not isinstance(result, dict)
+                or type(result.get("host_id")) is not int
+            ):
+                raise ChaosError(f"journal {p} line {n} is not a checkpoint")
+            completed[doc["shard"]] = result
         return completed
 
 
-def _read_header(path: Path) -> Dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
+def _read_journal(path: Path, digest: Optional[str] = None) -> list[str]:
+    """The record lines after a valid header (matching *digest* when
+    given), or a typed refusal: unreadable bytes, a directory, a
+    foreign header."""
     try:
-        header = json.loads(first)
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ChaosError(f"cannot read journal {path}: {exc}") from exc
+    try:
+        header = json.loads(lines[0] if lines else "")
     except ValueError as exc:
         raise ChaosError(f"journal {path} has a corrupt header line") from exc
     if not isinstance(header, dict) or header.get("journal") != JOURNAL_MAGIC:
@@ -161,4 +157,9 @@ def _read_header(path: Path) -> Dict[str, Any]:
         raise ChaosError(
             f"journal {path} has unsupported version {header.get('version')!r}"
         )
-    return header
+    if digest is not None and header.get("config_digest") != digest:
+        raise ChaosError(
+            f"journal {path} was written by a different campaign "
+            f"(config digest {header.get('config_digest')!r} != {digest!r})"
+        )
+    return lines[1:]

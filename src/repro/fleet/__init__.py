@@ -12,9 +12,9 @@ The package scales PR 0–3's one-server simulation out to a cluster:
 - :mod:`repro.fleet.migration` — cross-host live migration and
   degraded-host evacuation (unblocks deferred offlinings).
 - :mod:`repro.fleet.cluster` — the fleet campaign, 2 to 1000 hosts:
-  sharded admission (over logical capacity twins, or booted hosts for
-  shared-pool mitigations and chaos), supervised per-host execution,
-  journal/resume, chaos evacuation, bounded driver memory.
+  sharded admission over logical capacity twins (every mitigation,
+  chaos included), supervised per-host execution, journal/resume,
+  chaos evacuation, bounded driver memory.
 - :mod:`repro.fleet.driver` — the per-host task a worker runs
   (workers=N ≡ workers=1, bit for bit).
 - :mod:`repro.fleet.report` — the incremental

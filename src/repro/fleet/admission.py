@@ -209,19 +209,6 @@ class AdmissionController:
             )
         )
 
-    def stall(self, seconds: float) -> None:
-        """Chaos hook: the placement daemon wedges for *seconds* of
-        simulated time — nothing drains, clocks advance fleet-wide, and
-        queued requests sit.  Callers model the outage window by
-        refusing to drain-on-backpressure while stalled, so a full
-        queue rejects (typed ``QUEUE_FULL``) instead of wedging the
-        arrival loop — backpressure is exactly the behaviour under
-        test."""
-        if seconds < 0:
-            raise HvError("stall seconds must be non-negative")
-        for host in self.fleet.hosts:
-            host.hv.machine.dram.advance_time(seconds)
-
     def _backoff(self, prior_attempts: int) -> None:
         """Let simulated time pass fleet-wide before the retry (churn
         may free capacity meanwhile), doubling per attempt."""

@@ -9,16 +9,13 @@ A :class:`ClusterCampaign` runs in three phases:
    arrival (:meth:`ClusterShard.offer`), so every arrival yields one
    decision, in arrival order, folded straight into the
    :class:`~repro.fleet.report.StreamingMerge`.  Shards admit against
-   **logical capacity twins**: :class:`LogicalHost` replays
-   ``SilozHypervisor._place_vm``'s §5.3 arithmetic
-   (:func:`~repro.hv.hypervisor.admission_bytes`; chosen subarray-group
-   nodes are fully consumed — one tenant per group) as integer
-   bookkeeping against a shape measured from ONE real template boot.
-   Two cases admit against real booted hosts instead: a mitigation with
-   ``shared_domains`` (``none``, ``para``, ``guard-rows``), whose pool
-   arithmetic a twin cannot model, and a chaos plan, because evacuation
-   migrates real memory.  The schedulers and
-   :class:`AdmissionController` run unchanged over either fleet.
+   **logical capacity twins**: :class:`LogicalHost` replays the §5.3
+   admission arithmetic (:func:`~repro.hv.hypervisor.admission_bytes`
+   against free bytes per guest node) as integer bookkeeping against a
+   shape measured from ONE real template boot, for every mitigation:
+   an exclusive one reserves the chosen nodes whole (one tenant per
+   domain), a shared pool gives up backing pages from them.  The
+   schedulers and :class:`AdmissionController` run unchanged over it.
 2. **Execution** (supervised workers).  Every host's
    :func:`~repro.fleet.driver.run_host_task` runs serially or on the
    persistent pool under a
@@ -28,18 +25,19 @@ A :class:`ClusterCampaign` runs in three phases:
    (a resume folds the journaled shards back instead of re-running
    them).  The driver never holds the decision list or the per-host
    result list.
-3. **Aftermath** (driver, chaos only).  Crashed hosts' tenants are
-   evacuated to survivors (digest-corruption chaos bites here and must
-   roll back), and the :class:`~repro.chaos.audit.IsolationAuditor`
-   audits the fleet after placement, after every evacuation, and at
-   the end.
+3. **Aftermath** (driver, chaos only).  The driver boots every host
+   from its task (:func:`~repro.fleet.driver.boot_host`, the workers'
+   own replay), evacuates crashed hosts' tenants to survivors
+   (digest-corruption chaos bites here and must roll back), and the
+   :class:`~repro.chaos.audit.IsolationAuditor` audits the fleet after
+   placement, after every evacuation, and at the end.
 
 The merge digest is a pure function of the config (and chaos plan),
 never of worker count, backend, or completion order; ``shards`` is
 hashed, because shard boundaries change placement.
 
 Trust but verify: twins only *admit*; every worker re-runs the real
-placement (``Host.boot`` + ``create_vm`` replay) and audits its host.
+placement (:func:`~repro.fleet.driver.boot_host`) and audits its host.
 If a twin ever admits something the real hypervisor rejects, the worker
 returns a typed failed-host result and the campaign reports it loudly;
 ``tests/test_cluster.py`` pins twin ≡ real decision for decision.
@@ -58,13 +56,16 @@ from __future__ import annotations
 
 import resource
 import time
+from itertools import compress
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro import obs
 from repro.chaos.plan import ChaosPlan
 from repro.errors import FleetError, PlacementError
 from repro.hv.hypervisor import VmSpec, admission_bytes
 from repro.log import get_logger
+from repro.mm.numa import NodeKind
 
 from repro.fleet.admission import (
     AdmissionController,
@@ -73,7 +74,8 @@ from repro.fleet.admission import (
     check_fleet_fields,
     iter_arrival_trace,
 )
-from repro.fleet.driver import SCENARIOS, HostTask, run_host_task, warm_worker
+from repro.fleet.driver import SCENARIOS, HostTask, boot_host
+from repro.fleet.driver import run_host_task, warm_worker
 from repro.fleet.host import Fleet, Host, HostSpec, derive_host_seed
 from repro.fleet.report import StreamingMerge, _config_dict
 from repro.fleet.scheduler import make_scheduler
@@ -127,19 +129,6 @@ class ClusterConfig:
             raise FleetError("shards must be in 1..hosts")
 
 
-def _host_specs(config: ClusterConfig, host_ids: range) -> list[HostSpec]:
-    return [
-        HostSpec(
-            host_id=i,
-            seed=derive_host_seed(config.seed, i),
-            sockets=config.sockets,
-            backend=config.backend,
-            mitigation=config.mitigation,
-        )
-        for i in host_ids
-    ]
-
-
 # ----------------------------------------------------------------------
 # Logical capacity twins
 # ----------------------------------------------------------------------
@@ -155,14 +144,16 @@ class HostShape:
 
     backing_page_bytes: int
     sockets: int
-    #: Free guest-reserved subarray-group nodes on a fresh host.
-    guest_nodes: int
-    #: Bytes per guest node (uniform — verified at measurement).
-    node_bytes: int
+    #: The template's guest nodes as ``(node id, socket, free bytes,
+    #: total bytes)``, ascending by node id.
+    nodes: tuple[tuple[int, int, int, int], ...]
+    #: Whether a tenant reserves its chosen nodes whole
+    #: (``not mitigation.shared_domains``) or draws pages from a pool.
+    exclusive: bool
 
     @property
     def guest_capacity_bytes(self) -> int:
-        return self.guest_nodes * self.node_bytes
+        return sum(free for _, _, free, _ in self.nodes)
 
 
 def measure_host_shape(
@@ -178,56 +169,35 @@ def measure_host_shape(
             mitigation=mitigation,
         )
     )
-    cap = template.capacity()
-    free_ids = list(cap.free_guest_node_ids)
-    if not free_ids:
-        raise FleetError("template host has no free guest nodes")
-    sizes = {cap.free_bytes_by_node[n] for n in free_ids}
-    if len(sizes) != 1:
-        raise FleetError(
-            f"twin admission needs uniform guest nodes, got sizes {sorted(sizes)}"
+    hv = template.hv
+    nodes = tuple(
+        (n.node_id, n.physical_node, n.free_bytes, n.total_bytes)
+        for n in sorted(
+            hv.topology.nodes_of_kind(NodeKind.GUEST_RESERVED),
+            key=lambda n: n.node_id,
         )
+    )
+    if not nodes:
+        raise FleetError("template host has no guest nodes")
     return HostShape(
-        backing_page_bytes=template.hv.backing_page_bytes,
-        sockets=template.hv.machine.geom.sockets,
-        guest_nodes=len(free_ids),
-        node_bytes=sizes.pop(),
+        backing_page_bytes=hv.backing_page_bytes,
+        sockets=hv.machine.geom.sockets,
+        nodes=nodes,
+        exclusive=not template.mitigation.shared_domains,
     )
 
 
-class _LogicalDram:
-    """Admission backoff advances simulated time fleet-wide; twins keep
-    no clock (the real clocks live in the workers), so this is a no-op
-    that preserves the controller's call surface."""
-
-    def advance_time(self, seconds: float) -> None:
-        if seconds < 0:
-            raise FleetError("cannot advance time backwards")
-
-
-class _LogicalGeom:
-    __slots__ = ("sockets",)
-
-    def __init__(self, sockets: int):
-        self.sockets = sockets
-
-
-class _LogicalMachine:
-    __slots__ = ("geom", "dram")
-
-    def __init__(self, sockets: int):
-        self.geom = _LogicalGeom(sockets)
-        self.dram = _LogicalDram()
-
-
-class _LogicalHv:
-    """The ``host.hv.*`` slice schedulers and admission actually touch."""
-
-    __slots__ = ("backing_page_bytes", "machine")
-
-    def __init__(self, shape: HostShape):
-        self.backing_page_bytes = shape.backing_page_bytes
-        self.machine = _LogicalMachine(shape.sockets)
+def _logical_hv(shape: HostShape) -> SimpleNamespace:
+    """The ``host.hv.*`` slice schedulers and admission touch.  Twins
+    keep no clock (the real clocks live in the workers), so admission
+    backoff's ``dram.advance_time`` is a no-op."""
+    return SimpleNamespace(
+        backing_page_bytes=shape.backing_page_bytes,
+        machine=SimpleNamespace(
+            geom=SimpleNamespace(sockets=shape.sockets),
+            dram=SimpleNamespace(advance_time=lambda seconds: None),
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -243,24 +213,33 @@ class _LogicalCapacity:
 class LogicalHost:
     """Integer-bookkeeping twin of one unbooted fleet host.
 
-    Mirrors the §5.3 admission arithmetic: a placement needs
-    :func:`~repro.hv.hypervisor.admission_bytes` and consumes whole
-    subarray-group nodes (``ceil(needed / node_bytes)`` of them — a
-    chosen group is fully reserved for its single tenant even when
-    partially used).  ``host_fits``'s documented sufficient-and-necessary
-    condition is exactly ``free bytes >= needed``, which is what makes
-    this twin faithful for one-tenant-per-group mitigations (the only
-    ones a campaign admits against twins); workers re-verify every
-    admission against the real hypervisor.
+    Tracks free bytes per guest node and mirrors the §5.3 admission
+    arithmetic of every hypervisor's ``_place_vm``: scan the nodes home
+    socket first, then by node id, skipping empty ones, until they hold
+    :func:`~repro.hv.hypervisor.admission_bytes`.  An exclusive
+    mitigation then reserves the chosen nodes whole (one tenant per
+    domain, even when partially used); a shared pool gives up the
+    backing pages ``Hypervisor._mmap`` draws for RAM + ROM, from the
+    chosen pools in order.  ``host_fits``'s documented
+    sufficient-and-necessary condition is exactly ``free bytes >=
+    needed``, which is what makes this twin faithful; workers re-verify
+    every admission against the real hypervisor.
     """
 
-    __slots__ = ("spec", "shape", "hv", "free_nodes", "vm_specs")
+    __slots__ = ("spec", "shape", "hv", "ids", "free", "free_groups", "vm_specs")
 
-    def __init__(self, spec: HostSpec, shape: HostShape, hv: _LogicalHv):
+    def __init__(self, spec: HostSpec, shape: HostShape, hv: SimpleNamespace):
         self.spec = spec
         self.shape = shape
         self.hv = hv
-        self.free_nodes = shape.guest_nodes
+        #: Guest node ids, in ``shape.nodes`` order.
+        self.ids = tuple(node_id for node_id, _, _, _ in shape.nodes)
+        #: Free bytes per guest node, in ``shape.nodes`` order.
+        self.free = [free for _, _, free, _ in shape.nodes]
+        #: Guest nodes a new tenant may still be placed on (a shared
+        #: pool withholds none).  Kept as a count: the saturation fast
+        #: path sums it over a shard for every pruned arrival.
+        self.free_groups = len(self.ids)
         #: Admitted VmSpecs in placement order (replayed by workers).
         self.vm_specs: dict[str, VmSpec] = {}
 
@@ -268,38 +247,62 @@ class LogicalHost:
     def host_id(self) -> int:
         return self.spec.host_id
 
-    def needed_nodes(self, spec: VmSpec) -> int:
-        needed = admission_bytes(spec, self.shape.backing_page_bytes)
-        return -(-needed // self.shape.node_bytes)
-
     def capacity(self) -> _LogicalCapacity:
-        """A capacity snapshot shaped like the real hypervisor's."""
+        """A capacity snapshot shaped like the real hypervisor's: a
+        shared pool withholds no node, an exclusive one every reserved
+        node."""
         return _LogicalCapacity(
-            # Ids are synthetic: callers only take len() of them.
-            free_guest_node_ids=tuple(range(self.free_nodes)),
-            free_guest_bytes=self.free_nodes * self.shape.node_bytes,
-            total_guest_nodes=self.shape.guest_nodes,
+            free_guest_node_ids=(
+                tuple(compress(self.ids, self.free))
+                if self.shape.exclusive
+                else self.ids
+            ),
+            free_guest_bytes=sum(self.free),
+            total_guest_nodes=len(self.ids),
             vm_count=len(self.vm_specs),
         )
 
     def create_vm(self, spec: VmSpec) -> None:
-        """Consume group nodes for *spec*, or raise the same typed
-        capacity :class:`PlacementError` a real host would."""
-        needed = admission_bytes(spec, self.shape.backing_page_bytes)
-        take = self.needed_nodes(spec)
-        if self.free_nodes * self.shape.node_bytes < needed:
+        """Take capacity for *spec*, or raise the same typed capacity
+        :class:`PlacementError` a real host would."""
+        shape = self.shape
+        page = shape.backing_page_bytes
+        needed = admission_bytes(spec, page)
+        order = sorted(
+            range(len(shape.nodes)),
+            key=lambda i: (shape.nodes[i][1] != spec.socket, shape.nodes[i][0]),
+        )
+        chosen: list[int] = []
+        total = 0
+        for i in order:
+            if self.free[i] <= 0:
+                continue
+            chosen.append(i)
+            total += self.free[i]
+            if total >= needed:
+                break
+        if total < needed:
             raise PlacementError(
                 f"logical host {self.host_id} cannot place {spec.name!r}",
-                requested_groups=take,
-                available_groups=self.free_nodes,
+                requested_groups=-(-needed // max(n[3] for n in shape.nodes)),
+                available_groups=len(chosen),
             )
-        self.free_nodes -= take
+        if shape.exclusive:
+            for i in chosen:
+                self.free[i] = 0
+            self.free_groups -= len(chosen)
+        else:
+            pages = -(-(spec.memory_bytes + spec.rom_bytes) // page)
+            for i in chosen:
+                take = min(pages, self.free[i] // page)
+                self.free[i] -= take * page
+                pages -= take
         self.vm_specs[spec.name] = spec
 
     def __repr__(self) -> str:
         return (
             f"LogicalHost(id={self.host_id}, vms={len(self.vm_specs)}, "
-            f"free_groups={self.free_nodes}/{self.shape.guest_nodes})"
+            f"free={sum(self.free)}/{self.shape.guest_capacity_bytes})"
         )
 
 
@@ -313,11 +316,21 @@ class LogicalFleet:
     def build(
         cls, host_ids: range, shape: HostShape, config: ClusterConfig
     ) -> "LogicalFleet":
-        hv = _LogicalHv(shape)  # shared: twins are stateless through hv
+        hv = _logical_hv(shape)  # shared: twins are stateless through hv
         return cls(
             hosts=[
-                LogicalHost(spec, shape, hv)
-                for spec in _host_specs(config, host_ids)
+                LogicalHost(
+                    HostSpec(
+                        host_id=i,
+                        seed=derive_host_seed(config.seed, i),
+                        sockets=config.sockets,
+                        backend=config.backend,
+                        mitigation=config.mitigation,
+                    ),
+                    shape,
+                    hv,
+                )
+                for i in host_ids
             ]
         )
 
@@ -329,7 +342,7 @@ class LogicalFleet:
 
     @property
     def free_groups(self) -> int:
-        return sum(h.free_nodes for h in self.hosts)
+        return sum(h.free_groups for h in self.hosts)
 
 
 # ----------------------------------------------------------------------
@@ -344,21 +357,16 @@ class ClusterShard:
     queue drained immediately, so retries happen in place and every
     arrival yields exactly one decision, in arrival order — the
     property the streaming decision fold depends on.  The hosts are
-    logical twins, or real booted hosts with ``real_hosts``.
+    logical twins.
     """
 
     def __init__(self, shard_id: int, host_ids: range, config: ClusterConfig,
-                 shape: HostShape, on_decision, *,
-                 real_hosts: bool = False) -> None:
+                 shape: HostShape, on_decision) -> None:
         self.shard_id = shard_id
         self.shape = shape
-        self.fleet = (
-            Fleet([Host.boot(spec) for spec in _host_specs(config, host_ids)])
-            if real_hosts
-            else LogicalFleet.build(host_ids, shape, config)
-        )
+        self.fleet = LogicalFleet.build(host_ids, shape, config)
         self.controller = AdmissionController(
-            self.fleet,  # type: ignore[arg-type] — possibly a twin fleet
+            self.fleet,  # type: ignore[arg-type] — a twin fleet
             make_scheduler(config.policy),
             queue_depth=config.queue_depth,
             max_retries=config.max_retries,
@@ -373,12 +381,11 @@ class ClusterShard:
         #: Arrivals still to queue undrained under a chaos queue stall.
         self.wedged = 0
 
-    def stall(self, seconds: float, width: int) -> None:
-        """Chaos: the shard's admission daemon wedges.  Simulated time
-        passes and the next *width* arrivals are queued without
-        draining, so a full queue's ``QUEUE_FULL`` is final —
-        backpressure instead of a blocked arrival loop."""
-        self.controller.stall(seconds)
+    def stall(self, width: int) -> None:
+        """Chaos: the shard's admission daemon wedges.  The next *width*
+        arrivals are queued without draining, so a full queue's
+        ``QUEUE_FULL`` is final — backpressure instead of a blocked
+        arrival loop."""
         self.wedged = width
 
     def offer(self, spec: VmSpec) -> None:
@@ -545,17 +552,6 @@ class ClusterCampaign:
         #: Shards folded back from a resume journal instead of re-run.
         self.resumed_shards = 0
 
-    @property
-    def real_hosts(self) -> bool:
-        """Whether shards admit against booted hosts: twins cannot
-        model a shared pool, and chaos evacuation migrates real memory."""
-        from repro.mitigations import MITIGATIONS
-
-        return (
-            self.chaos is not None
-            or MITIGATIONS[self.config.mitigation].shared_domains
-        )
-
     def identity(self) -> dict:
         """What the merge digest and the journal header hash: the
         config, plus the chaos plan when there is one."""
@@ -576,9 +572,8 @@ class ClusterCampaign:
         )
         fold = StreamingMerge(self.identity())
         fold.guest_capacity_bytes = cfg.hosts * shape.guest_capacity_bytes
-        real = self.real_hosts
         self.shards = [
-            ClusterShard(s, ids, cfg, shape, fold.add_decision, real_hosts=real)
+            ClusterShard(s, ids, cfg, shape, fold.add_decision)
             for s, ids in enumerate(shard_ranges(cfg.hosts, cfg.shards))
         ]
         stalls = (
@@ -594,7 +589,7 @@ class ClusterCampaign:
             shard = self.shards[i % n]
             stall = stalls.get(i)
             if stall is not None:
-                shard.stall(stall.stall_s, stall.stall_width)
+                shard.stall(stall.stall_width)
                 _log.warning(
                     "chaos: shard %d admission stalled %.4fs at arrival %d "
                     "(%d arrival(s) wedged)",
@@ -666,12 +661,7 @@ class ClusterCampaign:
             self.place()
         fold = self.fold
         assert fold is not None
-        auditor = audits = None
-        if self.chaos is not None:
-            auditor = IsolationAuditor(
-                Fleet([h for s in self.shards for h in s.fleet.hosts])
-            )
-            audits = [auditor.audit("placement").to_dict()]
+        tasks = self.tasks()
         crashed: list[int] = []
 
         def take(result: dict) -> None:
@@ -703,7 +693,7 @@ class ClusterCampaign:
         try:
             supervisor = CampaignSupervisor(run_host_task, warmup=warm_worker)
             _, supervision = supervisor.run(
-                [t for t in self.tasks() if t.spec.host_id not in done],
+                [t for t in tasks if t.spec.host_id not in done],
                 cfg.workers,
                 on_result=take if journal is None else record,
                 collect=False,
@@ -712,10 +702,13 @@ class ClusterCampaign:
             if journal is not None:
                 journal.close()
         degraded: dict = {}
-        if auditor is not None:
+        audits: list = []
+        if self.chaos is not None:
+            auditor = IsolationAuditor(Fleet([boot_host(t) for t in tasks]))
+            audits.append(auditor.audit("placement").to_dict())
             degraded = self._evacuate(sorted(crashed), auditor, audits)
             audits.append(auditor.audit("final").to_dict())
-        fold.set_aftermath(degraded=degraded, audit=audits or [])
+        fold.set_aftermath(degraded=degraded, audit=audits)
         elapsed = time.monotonic() - t0
 
         summary = fold.summary()
@@ -746,9 +739,10 @@ class ClusterCampaign:
 
     def _evacuate(self, crashed: list[int], auditor, audits: list) -> dict:
         """Evacuate every crashed host's tenants to survivors (the
-        driver's booted hosts still hold their placements), arming any
-        planned digest corruption; folds each migration and audits
-        after every evacuation.  Returns the ``degraded`` section."""
+        auditor's fleet, booted from the host tasks, holds their
+        placements), arming any planned digest corruption; folds each
+        migration and audits after every evacuation.  Returns the
+        ``degraded`` section."""
         from repro.fleet.migration import evacuate_host
 
         if not crashed:

@@ -183,6 +183,15 @@ def _trace_summary(before: dict[str, float]) -> dict:
     return {"merged_counters": merged, "events": "sampled"}
 
 
+def boot_host(task: HostTask) -> Host:
+    """Boot the task's host and replay its admitted VMs in placement
+    order: the real placement the twins admitted against."""
+    host = Host.boot(task.spec)
+    for spec in task.vm_specs:
+        host.create_vm(spec)
+    return host
+
+
 def run_host_task(task: HostTask, attempt: int = 1) -> dict:
     """Worker entry point: boot the host, replay its placements, apply
     the shard's chaos events, run the scenario.  **Pure** in
@@ -193,9 +202,7 @@ def run_host_task(task: HostTask, attempt: int = 1) -> dict:
     dead-worker handling is what gets exercised."""
     mark = _counter_mark()
     try:
-        host = Host.boot(task.spec)
-        for spec in task.vm_specs:
-            host.create_vm(spec)
+        host = boot_host(task)
         chaos_notes: list[dict] = []
         for spec in task.chaos:
             dram = host.hv.machine.dram
@@ -260,6 +267,7 @@ def run_host_task(task: HostTask, attempt: int = 1) -> dict:
 __all__ = [
     "HostTask",
     "SCENARIOS",
+    "boot_host",
     "derive_host_seed",
     "run_host_task",
 ]

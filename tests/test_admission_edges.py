@@ -160,15 +160,6 @@ class TestBackoff:
         assert not decision.admitted and decision.attempts == 1
         assert ctl.fleet.hosts[0].hv.machine.dram.clock == clock_before
 
-    def test_stall_advances_all_hosts(self):
-        ctl = _controller(hosts=2)
-        before = [h.hv.machine.dram.clock for h in ctl.fleet.hosts]
-        ctl.stall(0.25)
-        for host, b in zip(ctl.fleet.hosts, before):
-            assert host.hv.machine.dram.clock == pytest.approx(b + 0.25)
-        with pytest.raises(HvError):
-            ctl.stall(-1.0)
-
 
 class TestEvictionRestoresCapacity:
     """Fleet-side eviction makes rejected requests admissible again."""

@@ -13,12 +13,16 @@ import importlib.util
 import json
 import pathlib
 import sys
+import types
 
 import pytest
 
 BENCH_PATH = (
     pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_fleet.py"
 )
+
+
+_RUNNER = {"cpu_count": 8, "python": "3", "numpy": "1", "commit": "c" * 40}
 
 
 class _FakeReport:
@@ -33,6 +37,11 @@ def bench(tmp_path, monkeypatch):
     """A fresh bench_fleet module, stubbed and redirected into tmp."""
     spec = importlib.util.spec_from_file_location("bench_fleet_under_test", BENCH_PATH)
     mod = importlib.util.module_from_spec(spec)
+    # The bench imports its runner record from benchmarks/conftest.py;
+    # under this suite ``conftest`` names tests/conftest.py.
+    monkeypatch.setitem(
+        sys.modules, "conftest", types.SimpleNamespace(runner_record=lambda: _RUNNER)
+    )
     spec.loader.exec_module(mod)
     # Serial takes 1s, N workers take 1/N s: a clean N-x scaling stub.
     monkeypatch.setattr(
@@ -68,6 +77,7 @@ def test_multi_core_records_speedup_and_no_marker(bench, monkeypatch):
     assert payload["speedup"] == pytest.approx(4.0)  # stub: N-x scaling
     assert payload["target_enforced"] is True
     assert payload["cpu_count"] == 8
+    assert json.loads(bench.BENCH_JSON.read_text())["runner"] == _RUNNER
 
 
 def test_multi_core_below_worker_count_is_not_enforced(bench, monkeypatch):

@@ -414,6 +414,54 @@ class TestJournal:
         assert config_digest(base) != config_digest(other)
 
 
+#: A one-host fleet campaign: the cheapest run that writes a journal.
+_TINY_FLEET = ["--seed", "7", "fleet", "--hosts", "1", "--vms", "1",
+               "--budget", "1"]
+
+#: One hostile record per case, appended after a valid header.
+_HOSTILE_RECORDS = {
+    "shard-not-int": {"shard": "zero", "result": {"host_id": 0}},
+    "no-result": {"shard": 0},
+    "result-not-dict": {"shard": 0, "result": [0]},
+    "no-host-id": {"shard": 0, "result": {"ok": True}},
+}
+
+
+@pytest.fixture(scope="module")
+def journal_header(tmp_path_factory) -> str:
+    from repro.cli import main
+
+    path = tmp_path_factory.mktemp("journal") / "j.jsonl"
+    assert main(_TINY_FLEET + ["--journal", str(path)]) == 0
+    return path.read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "case", ["not-utf8", "directory", *_HOSTILE_RECORDS]
+)
+def test_hostile_journal_is_a_typed_refusal(
+    tmp_path, capsys, journal_header, case
+):
+    # A resume from a file this module did not write exits 2 with one
+    # stderr line, never a traceback.
+    from repro.cli import main
+
+    path = tmp_path / "j.jsonl"
+    if case == "not-utf8":
+        path.write_bytes(b"\xff\xfe not a journal\n")
+    elif case == "directory":
+        path.mkdir()
+    else:
+        path.write_text(
+            journal_header + "\n" + json.dumps(_HOSTILE_RECORDS[case]) + "\n"
+        )
+    capsys.readouterr()
+    assert main(_TINY_FLEET + ["--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("repro fleet: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Isolation auditor
 # ---------------------------------------------------------------------------
@@ -705,6 +753,26 @@ class TestChaosCampaign:
         for kw in ({"workers": 2}, {"workers": 2, "backend": "vectorized"}):
             variant = _chaos_campaign(shards=shards, **kw).run()
             assert variant.merge_digest == reference.merge_digest
+
+    @pytest.mark.parametrize("mitigation, digest", [
+        ("none", "5577740f70ab4f871f6f8342ede39df24059b7e24aea3d1a022c2059d964b927"),
+        ("para", "8a40be3f9816bf7a522b612e6fb58a763b3fc915831fdb46d362c5b00b9d7a10"),
+        ("guard-rows", "b21c580dcd184218595b0e7232a2c5a92a8f7a60ecb02404710b979f170e1732"),
+    ])
+    def test_shared_pool_chaos_digest_is_pinned(self, mitigation, digest):
+        # `repro --seed 7 fleet --hosts 4 --vms 10 --budget 2
+        # --chaos-seed 0 --chaos-events 6 --shards 2 --mitigation M`.
+        # The digests were computed with booted-host admission: the pool
+        # twins and the aftermath's `boot_host` replay must reproduce
+        # every admission, evacuation and audit.
+        report = ClusterCampaign(
+            ClusterConfig(hosts=4, vms=10, budget=2, seed=7, shards=2,
+                          mitigation=mitigation),
+            ChaosPlan.generate(0, 4, events=6, arrivals=10),
+        ).run()
+        assert report.degraded["evacuated_vms"] == 5
+        assert report.summary["audit_clean"]
+        assert report.merge_digest == digest
 
     def test_queue_stall_forces_final_backpressure_rejections(self):
         campaign = ClusterCampaign(

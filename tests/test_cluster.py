@@ -29,7 +29,6 @@ from repro.fleet import (
     ClusterCampaign,
     ClusterConfig,
     Fleet,
-    Host,
     StreamingMerge,
     generate_arrival_trace,
     iter_arrival_trace,
@@ -39,6 +38,7 @@ from repro.fleet import (
 from repro.fleet.cluster import (
     ClusterShard,
     LogicalFleet,
+    LogicalHost,
     measure_host_shape,
     shard_ranges,
 )
@@ -47,55 +47,89 @@ from repro.mitigations import mitigation_names
 
 
 def _decision_tuple(d) -> tuple:
-    return (d.vm, d.outcome, d.host_id, d.attempts)
+    return (
+        d.vm, d.outcome, d.host_id, d.attempts, d.reason,
+        d.requested_groups, d.available_groups,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Logical twins vs the real fleet
 # ---------------------------------------------------------------------------
 
+_SHARED_POOLS = ["none", "para", "guard-rows"]
+
+
+def _assert_twin_matches_real(
+    policy: str, mitigation: str, *, hosts: int, vms: int, sockets: int = 1
+):
+    # Drive an oversubscribed trace through admission twice — once
+    # against real booted hosts, once against the logical twins — with
+    # the same drain-per-arrival cadence.  Decisions (shortfall detail
+    # included), per-host VM lists and, after every arrival, each
+    # host's free node ids and free bytes per node must be identical:
+    # the twin replays the §5.3 arithmetic, it does not approximate
+    # it, whether tenants reserve nodes or share a pool.
+    seed = 7
+    shape = measure_host_shape(sockets=sockets, mitigation=mitigation)
+    real_fleet = Fleet.boot(
+        hosts, seed=seed, sockets=sockets, mitigation=mitigation
+    )
+    real = AdmissionController(real_fleet, make_scheduler(policy))
+    cfg = ClusterConfig(
+        hosts=hosts, vms=vms, seed=seed, policy=policy, shards=1,
+        sockets=sockets, mitigation=mitigation,
+    )
+    logical_fleet = LogicalFleet.build(range(hosts), shape, cfg)
+    logical = AdmissionController(
+        logical_fleet,  # type: ignore[arg-type]
+        make_scheduler(policy),
+    )
+    for spec in generate_arrival_trace(seed, vms, sockets=sockets):
+        real.submit(spec)
+        real.drain()
+        logical.submit(spec)
+        logical.drain()
+        for rh, lh in zip(real_fleet.hosts, logical_fleet.hosts):
+            rc, lc = rh.capacity(), lh.capacity()
+            assert lc.free_guest_node_ids == rc.free_guest_node_ids, spec.name
+            assert lc.free_guest_bytes == rc.free_guest_bytes, spec.name
+            twin_free = dict(zip(lh.ids, lh.free))
+            assert {n: twin_free[n] for n in lc.free_guest_node_ids} == {
+                n: rc.free_bytes_by_node[n] for n in rc.free_guest_node_ids
+            }, spec.name
+    assert any(not d.admitted for d in real.decisions), "must oversubscribe"
+    assert [_decision_tuple(d) for d in logical.decisions] == [
+        _decision_tuple(d) for d in real.decisions
+    ]
+    for rh, lh in zip(real_fleet.hosts, logical_fleet.hosts):
+        assert list(lh.vm_specs) == list(rh.vm_specs)
+
 
 class TestLogicalTwins:
-    @pytest.mark.parametrize("mitigation", ["siloz", "catt", "domain-buddy"])
+    @pytest.mark.parametrize(
+        "mitigation",
+        ["siloz", "catt", "domain-buddy", "none", "para", "guard-rows"],
+    )
     @pytest.mark.parametrize("policy", ["first-fit", "best-fit", "spread"])
     def test_twin_admission_matches_real_fleet(self, policy, mitigation):
-        # Drive an oversubscribed trace through admission twice — once
-        # against real booted hosts, once against the logical twins —
-        # with the same drain-per-arrival cadence.  Decisions and
-        # per-host VM lists must be identical: the twin replays the
-        # §5.3 arithmetic, it does not approximate it, for every
-        # mitigation that gives each tenant whole group nodes.
-        hosts, vms, seed = 3, 40, 7
-        shape = measure_host_shape(mitigation=mitigation)
-        real_fleet = Fleet.boot(hosts, seed=seed, mitigation=mitigation)
-        real = AdmissionController(real_fleet, make_scheduler(policy))
-        cfg = ClusterConfig(
-            hosts=hosts, vms=vms, seed=seed, policy=policy, shards=1,
-            mitigation=mitigation,
+        _assert_twin_matches_real(policy, mitigation, hosts=3, vms=40)
+
+    @pytest.mark.parametrize("mitigation", ["none", "siloz"])
+    def test_twin_admission_matches_real_fleet_two_sockets(self, mitigation):
+        _assert_twin_matches_real(
+            "best-fit", mitigation, hosts=2, vms=60, sockets=2
         )
-        logical_fleet = LogicalFleet.build(range(hosts), shape, cfg)
-        logical = AdmissionController(
-            logical_fleet,  # type: ignore[arg-type]
-            make_scheduler(policy),
-        )
-        for spec in generate_arrival_trace(seed, vms):
-            real.submit(spec)
-            real.drain()
-            logical.submit(spec)
-            logical.drain()
-        assert [_decision_tuple(d) for d in logical.decisions] == [
-            _decision_tuple(d) for d in real.decisions
-        ]
-        for rh, lh in zip(real_fleet.hosts, logical_fleet.hosts):
-            assert list(lh.vm_specs) == list(rh.vm_specs)
-            assert lh.free_nodes == len(rh.capacity().free_guest_node_ids)
 
     def test_shape_measurement(self):
-        shape = measure_host_shape()
-        assert shape.guest_nodes > 0
-        assert shape.node_bytes > 0
-        assert shape.backing_page_bytes > 0
-        assert shape.guest_capacity_bytes == shape.guest_nodes * shape.node_bytes
+        for mitigation in mitigation_names():
+            shape = measure_host_shape(mitigation=mitigation)
+            assert shape.nodes and shape.backing_page_bytes > 0
+            assert shape.exclusive is (mitigation not in _SHARED_POOLS)
+            ids = [n[0] for n in shape.nodes]
+            assert ids == sorted(ids)
+            assert all(0 < free <= total for _, _, free, total in shape.nodes)
+            assert shape.guest_capacity_bytes == sum(n[2] for n in shape.nodes)
 
     def test_saturation_fast_path_is_bit_equivalent(self):
         # Same shard inputs, pruning on vs off: identical decision
@@ -147,20 +181,20 @@ class TestLogicalTwins:
         with pytest.raises(FleetError, match="max_retries"):
             ClusterConfig(max_retries=-1)
 
-    @pytest.mark.parametrize("mitigation", ["none", "para", "guard-rows"])
-    def test_shared_pool_mitigations_admit_on_real_hosts(self, mitigation):
-        # One shared pool node per host: a twin would hand all of it to
-        # the first tenant and reject the rest, so these admit against
-        # booted hosts.
+    @pytest.mark.parametrize("mitigation", _SHARED_POOLS)
+    def test_shared_pool_mitigations_admit_on_twins(self, mitigation):
+        # One shared pool node per host: the twin draws pages from it
+        # instead of reserving it whole, so a host takes many tenants.
         campaign = ClusterCampaign(
             ClusterConfig(hosts=4, vms=40, shards=2, mitigation=mitigation)
         )
-        assert campaign.real_hosts
         fold = campaign.place()
         assert all(
-            isinstance(h, Host) for s in campaign.shards for h in s.fleet.hosts
+            isinstance(h, LogicalHost)
+            for s in campaign.shards
+            for h in s.fleet.hosts
         )
-        assert fold.admitted > 4, "a twin would admit one tenant per host"
+        assert fold.admitted > 4, "a pool host admits more than one tenant"
 
     def test_iter_arrival_trace_matches_list_form(self):
         assert list(iter_arrival_trace(7, 25)) == generate_arrival_trace(7, 25)
