@@ -25,7 +25,7 @@ from repro.core.groups import ProvisionResult, provision
 from repro.ept.integrity import SecureEptChecker
 from repro.ept.table import ExtendedPageTable
 from repro.errors import OutOfMemoryError, PlacementError
-from repro.hv.hypervisor import Hypervisor, VmSpec, admission_bytes
+from repro.hv.hypervisor import Hypervisor, VmSpec
 from repro.hv.machine import Machine
 from repro.hv.vm import VirtualMachine
 from repro.mm.numa import NodeKind
@@ -38,10 +38,7 @@ _log = get_logger("core.siloz")
 class SilozHypervisor(Hypervisor):
     """Linux/KVM with subarray-group isolation."""
 
-    #: Placement policies: "pack" fills the preferred socket's lowest
-    #: nodes first (maximises contiguous free groups for big VMs);
-    #: "spread" balances VMs across sockets (evens memory traffic).
-    PLACEMENT_POLICIES = ("pack", "spread")
+    exclusive_nodes = True
 
     def __init__(
         self,
@@ -49,17 +46,10 @@ class SilozHypervisor(Hypervisor):
         config: SilozConfig | None = None,
         *,
         backing_page_bytes: int = PAGE_2M,
-        placement_policy: str = "pack",
     ):
-        if placement_policy not in self.PLACEMENT_POLICIES:
-            raise PlacementError(
-                f"unknown placement policy {placement_policy!r}; "
-                f"know {self.PLACEMENT_POLICIES}"
-            )
         # _build_topology (called by the base initializer) needs the
         # config, so stash it first.
         self.config = config or SilozConfig.paper_default()
-        self.placement_policy = placement_policy
         self._provision: ProvisionResult | None = None
         super().__init__(machine, backing_page_bytes=backing_page_bytes)
 
@@ -122,11 +112,7 @@ class SilozHypervisor(Hypervisor):
                 config = SilozConfig.paper_default()
             else:
                 config = SilozConfig.scaled_for(geom)
-        if backing_page_bytes is None:
-            backing_page_bytes = (
-                PAGE_2M if geom.subarray_group_bytes >= 16 * PAGE_2M else 16 * PAGE_4K
-            )
-        hv = cls(machine, config, backing_page_bytes=backing_page_bytes)
+        hv = super().boot(machine, config, backing_page_bytes=backing_page_bytes)
         if repairs or (dimm_transforms is not None and dimm_transforms.scrambling):
             # §6: remove isolation-violating rows from allocatable
             # memory (inter-subarray repairs, scrambling boundaries).
@@ -175,79 +161,20 @@ class SilozHypervisor(Hypervisor):
         """Geometry with the *presumed* subarray size (§7.4 variants)."""
         return self.config.effective_geometry(self.machine.geom)
 
-    def _guest_nodes_exclusive(self) -> bool:
-        return True
-
     # ------------------------------------------------------------------
     # Placement (§5.1)
     # ------------------------------------------------------------------
 
-    def _reserved_node_ids(self) -> set[int]:
-        return self._nodes_unavailable_for_placement()
-
-    def _socket_preference(self, spec: VmSpec, free_nodes) -> dict[int, int]:
-        """Rank sockets for this VM.  "pack" honours spec.socket then
-        socket order; "spread" prefers the socket with the most free
-        guest nodes (ties to spec.socket)."""
-        if self.placement_policy == "pack":
-            return {
-                s: (0 if s == spec.socket else 1 + s)
-                for s in range(self.machine.geom.sockets)
-            }
-        free_per_socket: dict[int, int] = {}
-        for node in free_nodes:
-            free_per_socket[node.physical_node] = (
-                free_per_socket.get(node.physical_node, 0) + 1
-            )
-        return {
-            s: (-free_per_socket.get(s, 0), s != spec.socket)
-            for s in range(self.machine.geom.sockets)
-        }
-
     def _place_vm(self, spec: VmSpec) -> tuple[tuple[int, ...], frozenset]:
-        """Pick enough free guest-reserved nodes, preferring the VM's
-        socket (physical-NUMA locality, §5.2), falling back remote."""
-        needed = admission_bytes(spec, self.backing_page_bytes)
-        chosen: list[int] = []
-        total = 0
-        reserved = self._reserved_node_ids()
-        free_nodes = [
-            n
-            for n in self.topology.nodes_of_kind(NodeKind.GUEST_RESERVED)
-            if n.node_id not in reserved
-        ]
-        rank = self._socket_preference(spec, free_nodes)
-        candidates = sorted(
-            free_nodes,
-            key=lambda n: (rank[n.physical_node], n.node_id),
-        )
-        for node in candidates:
-            chosen.append(node.node_id)
-            total += node.free_bytes
-            if total >= needed:
-                break
-        if total < needed:
-            # Typed capacity error: how many guest nodes the request
-            # would have needed (at this host's provisioning granularity)
-            # vs how many were actually free — the fleet scheduler keys
-            # "host full" off these fields (``PlacementError.is_capacity``).
-            per_node = max(
-                (n.total_bytes for n in self.topology.nodes_of_kind(NodeKind.GUEST_RESERVED)),
-                default=self.managed_geom.subarray_group_bytes,
-            )
-            raise PlacementError(
-                f"cannot reserve {spec.memory_bytes:#x} bytes of guest-"
-                f"reserved subarray groups for VM {spec.name!r}: "
-                f"{len(free_nodes)} free group node(s) hold {total:#x} bytes",
-                requested_groups=-(-needed // per_node),
-                available_groups=len(free_nodes),
-            )
+        """The shared placement rule (home socket first, §5.2), plus the
+        (socket, subarray group) set the chosen nodes reserve."""
+        node_ids, _ = super()._place_vm(spec)
         groups = frozenset(
             (self.topology.node(nid).physical_node, g)
-            for nid in chosen
+            for nid in node_ids
             for g in self.topology.node(nid).subarray_groups
         )
-        return tuple(chosen), groups
+        return node_ids, groups
 
     # ------------------------------------------------------------------
     # EPT placement and protection (§5.4)

@@ -9,13 +9,14 @@ A :class:`ClusterCampaign` runs in three phases:
    arrival (:meth:`ClusterShard.offer`), so every arrival yields one
    decision, in arrival order, folded straight into the
    :class:`~repro.fleet.report.StreamingMerge`.  Shards admit against
-   **logical capacity twins**: :class:`LogicalHost` replays the §5.3
-   admission arithmetic (:func:`~repro.hv.hypervisor.admission_bytes`
-   against free bytes per guest node) as integer bookkeeping against a
-   shape measured from ONE real template boot, for every mitigation:
-   an exclusive one reserves the chosen nodes whole (one tenant per
-   domain), a shared pool gives up backing pages from them.  The
-   schedulers and :class:`AdmissionController` run unchanged over it.
+   **logical capacity twins**: :class:`LogicalHost` calls the one
+   placement rule every hypervisor calls
+   (:func:`~repro.hv.hypervisor.choose_nodes`) over integer free bytes
+   per guest node, against a shape measured from ONE real template
+   boot, for every mitigation: an exclusive one reserves the chosen
+   nodes whole (one tenant per domain), a shared pool gives up backing
+   pages from them.  The schedulers and :class:`AdmissionController`
+   run unchanged over it.
 2. **Execution** (supervised workers).  Every host's
    :func:`~repro.fleet.driver.run_host_task` runs serially or on the
    persistent pool under a
@@ -62,8 +63,8 @@ from types import SimpleNamespace
 
 from repro import obs
 from repro.chaos.plan import ChaosPlan
-from repro.errors import FleetError, PlacementError
-from repro.hv.hypervisor import VmSpec, admission_bytes
+from repro.errors import FleetError
+from repro.hv.hypervisor import VmSpec, admission_bytes, choose_nodes
 from repro.log import get_logger
 from repro.mm.numa import NodeKind
 
@@ -147,13 +148,31 @@ class HostShape:
     #: The template's guest nodes as ``(node id, socket, free bytes,
     #: total bytes)``, ascending by node id.
     nodes: tuple[tuple[int, int, int, int], ...]
-    #: Whether a tenant reserves its chosen nodes whole
-    #: (``not mitigation.shared_domains``) or draws pages from a pool.
+    #: Whether a tenant reserves its chosen nodes whole (the template
+    #: hypervisor's ``exclusive_nodes``) or draws pages from a pool.
     exclusive: bool
 
     @property
     def guest_capacity_bytes(self) -> int:
         return sum(free for _, _, free, _ in self.nodes)
+
+    @classmethod
+    def of(cls, hv) -> "HostShape":
+        """The capacity geometry of the booted hypervisor *hv*."""
+        nodes = tuple(
+            sorted(
+                (n.node_id, n.physical_node, n.free_bytes, n.total_bytes)
+                for n in hv.topology.nodes_of_kind(NodeKind.GUEST_RESERVED)
+            )
+        )
+        if not nodes:
+            raise FleetError("template host has no guest nodes")
+        return cls(
+            backing_page_bytes=hv.backing_page_bytes,
+            sockets=hv.machine.geom.sockets,
+            nodes=nodes,
+            exclusive=hv.exclusive_nodes,
+        )
 
 
 def measure_host_shape(
@@ -169,22 +188,7 @@ def measure_host_shape(
             mitigation=mitigation,
         )
     )
-    hv = template.hv
-    nodes = tuple(
-        (n.node_id, n.physical_node, n.free_bytes, n.total_bytes)
-        for n in sorted(
-            hv.topology.nodes_of_kind(NodeKind.GUEST_RESERVED),
-            key=lambda n: n.node_id,
-        )
-    )
-    if not nodes:
-        raise FleetError("template host has no guest nodes")
-    return HostShape(
-        backing_page_bytes=hv.backing_page_bytes,
-        sockets=hv.machine.geom.sockets,
-        nodes=nodes,
-        exclusive=not template.mitigation.shared_domains,
-    )
+    return HostShape.of(template.hv)
 
 
 def _logical_hv(shape: HostShape) -> SimpleNamespace:
@@ -213,33 +217,31 @@ class _LogicalCapacity:
 class LogicalHost:
     """Integer-bookkeeping twin of one unbooted fleet host.
 
-    Tracks free bytes per guest node and mirrors the §5.3 admission
-    arithmetic of every hypervisor's ``_place_vm``: scan the nodes home
-    socket first, then by node id, skipping empty ones, until they hold
-    :func:`~repro.hv.hypervisor.admission_bytes`.  An exclusive
-    mitigation then reserves the chosen nodes whole (one tenant per
-    domain, even when partially used); a shared pool gives up the
-    backing pages ``Hypervisor._mmap`` draws for RAM + ROM, from the
-    chosen pools in order.  ``host_fits``'s documented
-    sufficient-and-necessary condition is exactly ``free bytes >=
-    needed``, which is what makes this twin faithful; workers re-verify
-    every admission against the real hypervisor.
+    Tracks free bytes per guest node and admits by the same rule every
+    hypervisor's ``_place_vm`` calls,
+    :func:`~repro.hv.hypervisor.choose_nodes`, over that free list (a
+    node an exclusive tenant reserved holds 0).  It keeps only the
+    bookkeeping that follows the choice: an exclusive mitigation
+    reserves the chosen nodes whole (one tenant per domain, even when
+    partially used); a shared pool gives up the backing pages
+    ``Hypervisor._mmap`` draws for RAM + ROM, from the chosen pools in
+    order.  Workers re-verify every admission against the real
+    hypervisor.
     """
 
-    __slots__ = ("spec", "shape", "hv", "ids", "free", "free_groups", "vm_specs")
+    __slots__ = ("spec", "shape", "hv", "fleet", "ids", "free", "vm_specs")
 
-    def __init__(self, spec: HostSpec, shape: HostShape, hv: SimpleNamespace):
+    def __init__(self, spec: HostSpec, shape: HostShape, hv: SimpleNamespace,
+                 fleet: "LogicalFleet"):
         self.spec = spec
         self.shape = shape
         self.hv = hv
+        #: The shard's twin fleet, which keeps the free-node count.
+        self.fleet = fleet
         #: Guest node ids, in ``shape.nodes`` order.
         self.ids = tuple(node_id for node_id, _, _, _ in shape.nodes)
         #: Free bytes per guest node, in ``shape.nodes`` order.
         self.free = [free for _, _, free, _ in shape.nodes]
-        #: Guest nodes a new tenant may still be placed on (a shared
-        #: pool withholds none).  Kept as a count: the saturation fast
-        #: path sums it over a shard for every pruned arrival.
-        self.free_groups = len(self.ids)
         #: Admitted VmSpecs in placement order (replayed by workers).
         self.vm_specs: dict[str, VmSpec] = {}
 
@@ -263,34 +265,23 @@ class LogicalHost:
         )
 
     def create_vm(self, spec: VmSpec) -> None:
-        """Take capacity for *spec*, or raise the same typed capacity
-        :class:`PlacementError` a real host would."""
+        """Take capacity for *spec*, or raise the typed capacity
+        ``PlacementError`` :func:`~repro.hv.hypervisor.choose_nodes`
+        raises on a real host."""
         shape = self.shape
         page = shape.backing_page_bytes
-        needed = admission_bytes(spec, page)
-        order = sorted(
-            range(len(shape.nodes)),
-            key=lambda i: (shape.nodes[i][1] != spec.socket, shape.nodes[i][0]),
-        )
-        chosen: list[int] = []
-        total = 0
-        for i in order:
-            if self.free[i] <= 0:
-                continue
-            chosen.append(i)
-            total += self.free[i]
-            if total >= needed:
-                break
-        if total < needed:
-            raise PlacementError(
-                f"logical host {self.host_id} cannot place {spec.name!r}",
-                requested_groups=-(-needed // max(n[3] for n in shape.nodes)),
-                available_groups=len(chosen),
+        chosen = [
+            self.ids.index(node_id)
+            for node_id in choose_nodes(
+                [(n[0], n[1], free, n[3]) for n, free in zip(shape.nodes, self.free)],
+                spec,
+                page,
             )
+        ]
         if shape.exclusive:
             for i in chosen:
                 self.free[i] = 0
-            self.free_groups -= len(chosen)
+            self.fleet.free_groups -= len(chosen)
         else:
             pages = -(-(spec.memory_bytes + spec.rom_bytes) // page)
             for i in chosen:
@@ -311,38 +302,40 @@ class LogicalFleet:
     """Duck-typed :class:`~repro.fleet.host.Fleet` slice for one shard."""
 
     hosts: list[LogicalHost] = field(default_factory=list)
+    #: Guest nodes a new tenant may still be placed on, over every host
+    #: (a shared pool withholds none).  A running count, kept by the
+    #: twins' admissions: the saturation fast path reads it for every
+    #: pruned arrival.
+    free_groups: int = 0
 
     @classmethod
     def build(
         cls, host_ids: range, shape: HostShape, config: ClusterConfig
     ) -> "LogicalFleet":
         hv = _logical_hv(shape)  # shared: twins are stateless through hv
-        return cls(
-            hosts=[
-                LogicalHost(
-                    HostSpec(
-                        host_id=i,
-                        seed=derive_host_seed(config.seed, i),
-                        sockets=config.sockets,
-                        backend=config.backend,
-                        mitigation=config.mitigation,
-                    ),
-                    shape,
-                    hv,
-                )
-                for i in host_ids
-            ]
-        )
+        fleet = cls(free_groups=len(host_ids) * len(shape.nodes))
+        fleet.hosts = [
+            LogicalHost(
+                HostSpec(
+                    host_id=i,
+                    seed=derive_host_seed(config.seed, i),
+                    sockets=config.sockets,
+                    backend=config.backend,
+                    mitigation=config.mitigation,
+                ),
+                shape,
+                hv,
+                fleet,
+            )
+            for i in host_ids
+        ]
+        return fleet
 
     def __len__(self) -> int:
         return len(self.hosts)
 
     def __iter__(self):
         return iter(self.hosts)
-
-    @property
-    def free_groups(self) -> int:
-        return sum(h.free_groups for h in self.hosts)
 
 
 # ----------------------------------------------------------------------

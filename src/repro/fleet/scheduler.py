@@ -1,9 +1,11 @@
 """Fleet-wide VM placement schedulers.
 
 A scheduler ranks the hosts that *can* take a :class:`VmSpec` (by the
-same §5.3 admission arithmetic ``SilozHypervisor._place_vm`` applies:
-enough free bytes across unreserved guest-group nodes, plus the ROM
-slack) and the fleet places on the first candidate that accepts.  Three
+§5.3 admission arithmetic of the one placement rule every hypervisor
+and capacity twin admits through,
+:func:`~repro.hv.hypervisor.choose_nodes`: enough free bytes across
+the guest nodes a new tenant may use, plus the ROM slack) and the fleet
+places on the first candidate that accepts.  Three
 policies ship, mirroring the classic bin-packing trade-offs Citadel-style
 domain-aware allocators study:
 
@@ -16,8 +18,9 @@ domain-aware allocators study:
 All three enforce the §4.2 page-size constraint (a VM's memory must be
 a whole number of the host's 2 MiB/1 GiB-analogue backing pages) and
 never propose a host whose free subarray-group nodes cannot hold the
-request — the one-tenant-per-group invariant is enforced underneath by
-``SilozHypervisor`` and re-asserted by :meth:`Host.create_vm`.
+request — one tenant per node is enforced underneath by every
+hypervisor whose ``exclusive_nodes`` is set (Siloz, CATT) and
+re-asserted by :meth:`Host.create_vm`.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ def spec_page_aligned(host: Host, spec: VmSpec) -> bool:
 def host_fits(host: Host, spec: VmSpec) -> bool:
     """Whether *host* can currently admit *spec*.
 
-    Sufficient and necessary for ``_place_vm`` to succeed: the host
-    placement loop accumulates free bytes over every unreserved guest
-    node, so fitting is exactly "total free guest bytes >= needed".
+    Sufficient and necessary for ``_place_vm`` to succeed:
+    :func:`~repro.hv.hypervisor.choose_nodes` accumulates free bytes
+    over every guest node a new tenant may use (on an
+    ``exclusive_nodes`` hypervisor, every node no tenant holds), so
+    fitting is exactly "total free guest bytes >= needed".
     """
     if not spec_page_aligned(host, spec):
         return False

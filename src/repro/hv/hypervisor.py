@@ -2,9 +2,11 @@
 (paper §2.1, §5; evaluated against in §7).
 
 :class:`Hypervisor` holds everything common to the baseline and Siloz:
-NUMA topology, cgroups, the offline registry, VM lifecycle, and the
-QEMU-ish region construction.  Subclasses decide *placement*: which
-nodes exist, where a VM's unmediated/mediated/EPT pages come from.
+NUMA topology, cgroups, the offline registry, VM lifecycle, the
+QEMU-ish region construction, and the one placement rule,
+:func:`choose_nodes`.  Subclasses decide which nodes exist, whether a
+tenant owns its nodes (:attr:`Hypervisor.exclusive_nodes`), and where
+EPT pages come from.
 
 :class:`BaselineHypervisor` is stock Linux/KVM: one node per socket,
 all allocations from the socket's general pool, EPT pages kmalloc'd
@@ -15,6 +17,7 @@ vulnerability Table 3 demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro import obs
 from repro.dram.mapping import AddressRange, merge_ranges
@@ -103,8 +106,46 @@ def admission_bytes(spec: VmSpec, backing_page_bytes: int) -> int:
     return spec.memory_bytes + 2 * backing_page_bytes
 
 
+def choose_nodes(
+    nodes: list[tuple[int, int, int, int]], spec: VmSpec, backing_page_bytes: int
+) -> tuple[int, ...]:
+    """The one placement rule (§5.1–§5.3) every hypervisor and the
+    fleet's capacity twin admit by.
+
+    *nodes* lists every guest node as ``(node id, socket, placeable free
+    bytes, total bytes)``; a node another tenant owns enters with 0
+    placeable bytes.  Scan the home socket first, then by node id,
+    skipping empty nodes, until the chosen nodes hold
+    :func:`admission_bytes`.  On a shortfall, raise the typed capacity
+    :class:`PlacementError`: how many nodes the request needs at this
+    host's largest node size vs how many usable nodes there were (the
+    fleet scheduler keys "host full" off these fields)."""
+    needed = admission_bytes(spec, backing_page_bytes)
+    chosen: list[int] = []
+    total = 0
+    for node_id, _, free, _ in sorted(
+        nodes, key=lambda n: (n[1] != spec.socket, n[0])
+    ):
+        if free <= 0:
+            continue
+        chosen.append(node_id)
+        total += free
+        if total >= needed:
+            return tuple(chosen)
+    raise PlacementError(
+        f"cannot place {spec.memory_bytes:#x} bytes for VM {spec.name!r}: "
+        f"{len(chosen)} usable guest node(s) hold {total:#x} bytes",
+        requested_groups=-(-needed // max((n[3] for n in nodes), default=needed)),
+        available_groups=len(chosen),
+    )
+
+
 class Hypervisor:
-    """Common machinery; see subclasses for placement policy."""
+    """Common machinery; see subclasses for topology and placement."""
+
+    #: Whether a tenant owns the guest nodes it is placed on (one tenant
+    #: per node: Siloz, CATT) or draws pages from pools it shares.
+    exclusive_nodes: ClassVar[bool] = False
 
     def __init__(self, machine: Machine, *, backing_page_bytes: int = PAGE_2M):
         if backing_page_bytes % PAGE_4K:
@@ -126,14 +167,33 @@ class Hypervisor:
             for n in self.topology.nodes_of_kind(NodeKind.HOST_RESERVED)
         }
 
+    @classmethod
+    def boot(cls, machine: Machine, *args, backing_page_bytes: int | None = None,
+             **kwargs) -> "Hypervisor":
+        """Construct on *machine*.  Unless given, the backing page is
+        2 MiB, or page-granular (64 KiB) on small machines so multi-MiB
+        machines stay schedulable."""
+        if backing_page_bytes is None:
+            big = machine.geom.subarray_group_bytes >= 16 * PAGE_2M
+            backing_page_bytes = PAGE_2M if big else 16 * PAGE_4K
+        return cls(machine, *args, backing_page_bytes=backing_page_bytes, **kwargs)
+
     # -- subclass responsibilities -------------------------------------
 
     def _build_topology(self) -> None:
         raise NotImplementedError
 
     def _place_vm(self, spec: VmSpec) -> tuple[tuple[int, ...], frozenset]:
-        """Choose (node_ids, reserved (socket, group) set) for a VM."""
-        raise NotImplementedError
+        """Choose (node_ids, reserved (socket, group) set) for a VM:
+        :func:`choose_nodes` over the guest nodes, with the nodes other
+        tenants own unplaceable.  No subarray group is claimed."""
+        taken = self._nodes_unavailable_for_placement()
+        nodes = [
+            (n.node_id, n.physical_node,
+             0 if n.node_id in taken else n.free_bytes, n.total_bytes)
+            for n in self.topology.nodes_of_kind(NodeKind.GUEST_RESERVED)
+        ]
+        return choose_nodes(nodes, spec, self.backing_page_bytes), frozenset()
 
     def _alloc_ept_page(self, socket: int) -> int:
         """Allocate one 4 KiB page for an EPT (or IOMMU) table node
@@ -208,7 +268,7 @@ class Hypervisor:
         host_mems = {
             n.node_id for n in self.topology.nodes_of_kind(NodeKind.HOST_RESERVED)
         }
-        if self._guest_nodes_exclusive():
+        if self.exclusive_nodes:
             cgroup = self.cgroups.create(
                 f"vm-{spec.name}",
                 mems=host_mems - set(node_ids),
@@ -268,11 +328,6 @@ class Hypervisor:
     def _map_regions(self, vm: VirtualMachine) -> None:
         for _, gpa, hpa, size in vm.extents():
             vm.ept.map(gpa, hpa, size)
-
-    def _guest_nodes_exclusive(self) -> bool:
-        """Whether VM cgroups claim their mems exclusively (Siloz: yes;
-        baseline: no such notion)."""
-        return False
 
     def destroy_vm(self, name: str) -> None:
         """Shut a VM down: free its backing to the owning nodes (§5.3).
@@ -408,17 +463,12 @@ class Hypervisor:
     # -- introspection ---------------------------------------------------
 
     def _nodes_unavailable_for_placement(self) -> set[int]:
-        """Node ids a *new* tenant may not be placed on.
-
-        The default is exclusive-reservation semantics: every node any
-        VM holds is off the table (Siloz, CATT).  Shared-pool
-        hypervisors override this to ``set()`` so capacity reflects the
-        pool's remaining free bytes rather than going to zero after the
-        first tenant."""
-        reserved: set[int] = set()
-        for vm in self.vms.values():
-            reserved.update(vm.node_ids)
-        return reserved
+        """Node ids a *new* tenant may not be placed on: every node any
+        VM holds on an exclusive hypervisor, none on a shared pool (its
+        capacity is the pool's remaining free bytes)."""
+        if not self.exclusive_nodes:
+            return set()
+        return {nid for vm in self.vms.values() for nid in vm.node_ids}
 
     def capacity(self) -> CapacitySnapshot:
         """Read-only snapshot of this host's placement capacity.

@@ -1,12 +1,14 @@
 """The pluggable mitigation interface behind the bake-off harness.
 
 A :class:`Mitigation` bundles everything the fleet needs to run one
-Rowhammer defence as a drop-in: how to boot its hypervisor (placement
-policy + topology), which runtime knobs to attach to the DRAM
-(probabilistic refresh hooks), what its *protection domains* are, and
-how to account the capacity it sacrifices.  The Siloz reproduction
-itself is just one registered mitigation; the bake-off runs it against
-rivals under byte-identical seeded fleet scenarios.
+Rowhammer defence as a drop-in: how to boot its hypervisor (topology
+and EPT placement; every hypervisor admits VMs through the one rule,
+:func:`~repro.hv.hypervisor.choose_nodes`), which runtime knobs to
+attach to the DRAM (probabilistic refresh hooks), what its *protection
+domains* are, and how to account the capacity it sacrifices.  The
+Siloz reproduction itself is just one registered mitigation; the
+bake-off runs it against rivals under byte-identical seeded fleet
+scenarios.
 
 **The interface contract** (locked down by
 ``tests/test_mitigation_properties.py``):
@@ -14,7 +16,9 @@ rivals under byte-identical seeded fleet scenarios.
 * ``boot`` is a pure function of the machine — booting twice from
   equal machines yields identical topology and placement behaviour.
 * A mitigation may never place two tenants in one protection domain
-  (:meth:`domains_of`) unless it declares ``shared_domains = True``.
+  (:meth:`domains_of`) unless its hypervisor class declares shared
+  pools (:attr:`~repro.hv.hypervisor.Hypervisor.exclusive_nodes` is
+  False).
 * :meth:`capacity` numbers are never negative and ``loss_fraction``
   stays within [0, 1].
 
@@ -23,7 +27,8 @@ verdict every layer reads — :meth:`Mitigation.assert_isolation` after
 each placement and host task, and the chaos
 :class:`~repro.chaos.audit.IsolationAuditor` in every audit phase.  It
 is two parts: domain exclusivity (no protection domain holds two
-tenants; skipped for ``shared_domains``), then the enforced subset of
+tenants; checked only when the hypervisor's ``exclusive_nodes`` is
+set), then the enforced subset of
 :func:`repro.core.policy.audit_hypervisor`, which checks Siloz's
 invariants in *subarray* terms.  Its "co-location" finding flags any
 two VMs whose backing shares a subarray group.  That is exactly the
@@ -102,10 +107,6 @@ class Mitigation:
     name: ClassVar[str] = ""
     #: One-line description for tables and ``--help``.
     summary: ClassVar[str] = ""
-    #: True when tenants intentionally share protection domains (no
-    #: per-tenant exclusivity is claimed; e.g. PARA protects rows, not
-    #: placement).
-    shared_domains: ClassVar[bool] = False
     #: Audit kinds that are hard invariants for this mitigation; the
     #: rest are accepted exposure (see module docstring).
     enforced_audit_kinds: ClassVar[tuple[str, ...]] = ALL_AUDIT_KINDS
@@ -161,10 +162,11 @@ class Mitigation:
 
     def audit(self, hv: "Hypervisor") -> tuple[Violation, ...]:
         """This mitigation's invariant violations on *hv*: domain
-        exclusivity (skipped for ``shared_domains``), then the enforced
-        subset of the placement audit."""
+        exclusivity (only on a hypervisor whose tenants own their nodes,
+        ``hv.exclusive_nodes``), then the enforced subset of the
+        placement audit."""
         findings: list[Violation] = []
-        if not self.shared_domains:
+        if hv.exclusive_nodes:
             claimed: dict = {}
             for name in sorted(hv.vms):
                 for domain in sorted(self.domains_of(hv, hv.vms[name])):
@@ -198,7 +200,7 @@ class Mitigation:
         dram = host.hv.machine.dram
         return {
             "name": self.name,
-            "shared_domains": self.shared_domains,
+            "shared_domains": not host.hv.exclusive_nodes,
             "capacity": self.capacity(host.hv).to_dict(),
             "activations": dram.counters.activations,
             "refresh_ops": self.refresh_ops(host.hv),

@@ -1,6 +1,8 @@
 """Rival hypervisors for the bake-off: shared-pool, guard-stripe, CATT.
 
-Three placement policies that bracket Siloz's design point:
+Three topologies that bracket Siloz's design point, all admitting
+through the one placement rule
+(:func:`~repro.hv.hypervisor.choose_nodes`):
 
 * :class:`SharedPoolHypervisor` — one big guest pool per socket
   (group 0 stays host-reserved so host/EPT state is off the guest
@@ -23,18 +25,12 @@ Three placement policies that bracket Siloz's design point:
 from __future__ import annotations
 
 from repro.dram.mapping import AddressRange, merge_ranges
-from repro.errors import MitigationError, PlacementError
-from repro.hv.hypervisor import Hypervisor, VmSpec, admission_bytes
+from repro.errors import MitigationError
+from repro.hv.hypervisor import Hypervisor
 from repro.hv.machine import Machine
 from repro.mm.numa import NodeKind, NumaNode
 from repro.mm.offline import OfflineReason
-from repro.units import PAGE_2M, PAGE_4K
-
-
-def _infer_backing(geom) -> int:
-    """Same heuristic as ``SilozHypervisor.boot``: page-granular backing
-    on small machines so multi-MiB machines stay schedulable."""
-    return PAGE_2M if geom.subarray_group_bytes >= 16 * PAGE_2M else 16 * PAGE_4K
+from repro.units import PAGE_4K
 
 
 class SharedPoolHypervisor(Hypervisor):
@@ -70,51 +66,10 @@ class SharedPoolHypervisor(Hypervisor):
                 )
             )
 
-    def _nodes_unavailable_for_placement(self) -> set[int]:
-        """Shared pool: tenants co-habit nodes, nothing is withheld."""
-        return set()
-
-    def _place_vm(self, spec: VmSpec) -> tuple[tuple[int, ...], frozenset]:
-        """First-fit over the shared pools, preferred socket first.
-
-        ``reserved_groups`` is empty: nothing is guaranteed to the
-        tenant (the point of the "none" baseline)."""
-        needed = admission_bytes(spec, self.backing_page_bytes)
-        pools = sorted(
-            self.topology.nodes_of_kind(NodeKind.GUEST_RESERVED),
-            key=lambda n: (n.physical_node != spec.socket, n.node_id),
-        )
-        chosen: list[int] = []
-        total = 0
-        for node in pools:
-            if node.free_bytes <= 0:
-                continue
-            chosen.append(node.node_id)
-            total += node.free_bytes
-            if total >= needed:
-                break
-        if total < needed:
-            per_node = max(
-                (n.total_bytes for n in pools),
-                default=self.machine.geom.subarray_group_bytes,
-            )
-            raise PlacementError(
-                f"shared guest pool cannot back {spec.memory_bytes:#x} bytes "
-                f"for VM {spec.name!r}: {total:#x} bytes free",
-                requested_groups=-(-needed // per_node),
-                available_groups=len(chosen),
-            )
-        return tuple(chosen), frozenset()
-
     def _alloc_ept_page(self, socket: int) -> int:
         """EPT pages come from the host-reserved pool (kmalloc-ish but
         kept off tenant rows so the guest pool stays whole)."""
         return self.topology.alloc_on_node(socket, PAGE_4K)
-
-    @classmethod
-    def boot(cls, machine: Machine, **kwargs) -> "SharedPoolHypervisor":
-        kwargs.setdefault("backing_page_bytes", _infer_backing(machine.geom))
-        return cls(machine, **kwargs)
 
 
 class GuardStripeHypervisor(SharedPoolHypervisor):
@@ -156,7 +111,12 @@ class GuardStripeHypervisor(SharedPoolHypervisor):
 
 
 class CattHypervisor(Hypervisor):
-    """CATT-style fixed physical partitions with trailing guard rows."""
+    """CATT-style fixed physical partitions with trailing guard rows.
+
+    Each tenant gets whole partitions exclusively; partitions are
+    row-aligned, so no subarray-group claim is made."""
+
+    exclusive_nodes = True
 
     def __init__(
         self,
@@ -224,48 +184,5 @@ class CattHypervisor(Hypervisor):
                         self.offline.offline(node, rg, OfflineReason.GUARD_ROW)
                 next_id += 1
 
-    def _guest_nodes_exclusive(self) -> bool:
-        return True
-
-    def _place_vm(self, spec: VmSpec) -> tuple[tuple[int, ...], frozenset]:
-        """Whole partitions, exclusively, preferred socket first."""
-        needed = admission_bytes(spec, self.backing_page_bytes)
-        reserved = self._nodes_unavailable_for_placement()
-        free_nodes = [
-            n
-            for n in self.topology.nodes_of_kind(NodeKind.GUEST_RESERVED)
-            if n.node_id not in reserved
-        ]
-        candidates = sorted(
-            free_nodes,
-            key=lambda n: (n.physical_node != spec.socket, n.node_id),
-        )
-        chosen: list[int] = []
-        total = 0
-        for node in candidates:
-            chosen.append(node.node_id)
-            total += node.free_bytes
-            if total >= needed:
-                break
-        if total < needed:
-            per_node = max(
-                (n.total_bytes for n in self.topology.nodes_of_kind(NodeKind.GUEST_RESERVED)),
-                default=self.machine.geom.subarray_group_bytes,
-            )
-            raise PlacementError(
-                f"cannot reserve {spec.memory_bytes:#x} bytes of CATT "
-                f"partitions for VM {spec.name!r}: {len(free_nodes)} free "
-                f"partition(s) hold {total:#x} bytes",
-                requested_groups=-(-needed // per_node),
-                available_groups=len(free_nodes),
-            )
-        # Partitions are row-aligned; no subarray-group claim is made.
-        return tuple(chosen), frozenset()
-
     def _alloc_ept_page(self, socket: int) -> int:
         return self.topology.alloc_on_node(socket, PAGE_4K)
-
-    @classmethod
-    def boot(cls, machine: Machine, **kwargs) -> "CattHypervisor":
-        kwargs.setdefault("backing_page_bytes", _infer_backing(machine.geom))
-        return cls(machine, **kwargs)

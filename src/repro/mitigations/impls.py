@@ -49,7 +49,6 @@ class NoMitigation(Mitigation):
 
     name: ClassVar[str] = "none"
     summary: ClassVar[str] = "shared guest pool, no Rowhammer defence"
-    shared_domains: ClassVar[bool] = True
     enforced_audit_kinds: ClassVar[tuple[str, ...]] = _NON_EXCLUSIVE_KINDS
 
     def boot(self, machine: Machine) -> Hypervisor:
@@ -73,7 +72,6 @@ class ParaMitigation(Mitigation):
 
     name: ClassVar[str] = "para"
     summary: ClassVar[str] = "PARA probabilistic neighbour refresh"
-    shared_domains: ClassVar[bool] = True
     enforced_audit_kinds: ClassVar[tuple[str, ...]] = _NON_EXCLUSIVE_KINDS
 
     def __init__(self, *, probability: float = 0.002, distance: int = 1):
@@ -154,7 +152,6 @@ class GuardRowsMitigation(Mitigation):
 
     name: ClassVar[str] = "guard-rows"
     summary: ClassVar[str] = "periodic offlined guard stripes, shared pool"
-    shared_domains: ClassVar[bool] = True
     enforced_audit_kinds: ClassVar[tuple[str, ...]] = _NON_EXCLUSIVE_KINDS
 
     def __init__(self, *, stripe_rows: int = 32, guard_rows: int = 1):

@@ -37,13 +37,20 @@ from repro.fleet import (
 )
 from repro.fleet.cluster import (
     ClusterShard,
+    HostShape,
     LogicalFleet,
     LogicalHost,
     measure_host_shape,
     shard_ranges,
 )
 from repro.fleet.report import host_result_digest, scrub_host_result
+from repro.core import SilozHypervisor
+from repro.dram.mapping import AddressRange
+from repro.hv import Machine, VmSpec
 from repro.mitigations import mitigation_names
+from repro.mitigations.hypervisors import CattHypervisor
+from repro.mm.offline import OfflineReason
+from repro.units import MiB
 
 
 def _decision_tuple(d) -> tuple:
@@ -198,6 +205,44 @@ class TestLogicalTwins:
 
     def test_iter_arrival_trace_matches_list_form(self):
         assert list(iter_arrival_trace(7, 25)) == generate_arrival_trace(7, 25)
+
+
+class TestOnePlacementRule:
+    """Every hypervisor and the capacity twin choose guest nodes through
+    ``repro.hv.hypervisor.choose_nodes``."""
+
+    @pytest.mark.parametrize(
+        "hypervisor", [SilozHypervisor, CattHypervisor], ids=["siloz", "catt"]
+    )
+    def test_offlined_node_is_never_chosen(self, hypervisor):
+        # A guest node with no free bytes left (here: fully offlined as
+        # faulty) but no tenant is skipped, not reserved: no VM lands on
+        # it and none claims its subarray groups, on the real host and
+        # on a twin of the same shape alike.
+        hv = hypervisor.boot(Machine.small())
+        dead = hv.topology.node(1)
+        for r in dead.ranges:
+            for addr, size in dead.allocator.free_blocks_within(r):
+                hv.offline.offline(
+                    dead, AddressRange(addr, addr + size), OfflineReason.FAULTY
+                )
+        assert dead.free_bytes == 0
+        dead_groups = {(dead.physical_node, g) for g in dead.subarray_groups}
+        twin = LogicalFleet.build(
+            range(1), HostShape.of(hv), ClusterConfig(hosts=1)
+        ).hosts[0]
+        for i in range(3):
+            spec = VmSpec(name=f"vm{i}", memory_bytes=2 * MiB)
+            vm = hv.create_vm(spec)
+            twin.create_vm(spec)
+            assert dead.node_id not in vm.node_ids
+            assert not vm.reserved_groups & dead_groups
+            assert len(vm.node_ids) == 1, "2 MiB fits one live node"
+            taken = {n for v in hv.vms.values() for n in v.node_ids}
+            free = hv.capacity().free_bytes_by_node
+            assert dict(zip(twin.ids, twin.free)) == {
+                n: 0 if n in taken else free[n] for n in twin.ids
+            }
 
 
 # ---------------------------------------------------------------------------

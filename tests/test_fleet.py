@@ -106,15 +106,10 @@ class TestTypedPlacementError:
         assert err.value.requested_groups > err.value.available_groups
 
     def test_non_capacity_errors_are_distinguishable(self):
-        from repro.core import SilozConfig
-
-        machine = Machine.small()
+        hv = BaselineHypervisor(Machine.small())
+        beyond = hv.machine.geom.sockets
         with pytest.raises(PlacementError) as err:
-            SilozHypervisor(
-                machine,
-                SilozConfig.scaled_for(machine.geom),
-                placement_policy="bogus",
-            )
+            hv.create_vm(VmSpec(name="nowhere", memory_bytes=2 * MiB, socket=beyond))
         assert not err.value.is_capacity
         assert err.value.requested_groups is None
 

@@ -211,7 +211,7 @@ class TestDomainDisjointness:
                 if domain in claims and claims[domain] != vm.name:
                     overlaps.append((domain, claims[domain], vm.name))
                 claims[domain] = vm.name
-        if mitigation.shared_domains:
+        if not hv.exclusive_nodes:
             # Shared-pool semantics must be *declared*, and the sweeps
             # must actually witness sharing somewhere (else the flag is
             # dead weight) — asserted aggregate in test_shared_flag below.
@@ -223,11 +223,11 @@ class TestDomainDisjointness:
 
     def test_shared_flag_is_honest(self):
         # At least one shared-domain mitigation must demonstrably share.
-        shared = [n for n in NAMES if make_mitigation(n).shared_domains]
+        booted = [_boot(name) for name in NAMES]
+        shared = [(m, hv) for m, hv in booted if not hv.exclusive_nodes]
         assert shared, "no mitigation declares shared domains"
         witnessed = False
-        for name in shared:
-            mitigation, hv = _boot(name)
+        for mitigation, hv in shared:
             vms = [
                 hv.create_vm(VmSpec(name=f"vm{i}", memory_bytes=1 * MiB))
                 for i in range(2)
@@ -235,7 +235,7 @@ class TestDomainDisjointness:
             domains = [set(mitigation.domains_of(hv, vm)) for vm in vms]
             if domains[0] & domains[1]:
                 witnessed = True
-        assert witnessed, "shared_domains declared but never witnessed"
+        assert witnessed, "shared pools declared but never witnessed"
 
 
 class _FakeHost:

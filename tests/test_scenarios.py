@@ -1,8 +1,6 @@
 """Long-horizon integration scenarios: churn, placement policies, and
 the invariants that must survive all of it."""
 
-import pytest
-
 from repro.attack import attack_from_vm
 from repro.core import SilozHypervisor, audit_hypervisor
 from repro.errors import PlacementError
@@ -13,7 +11,7 @@ from repro.workloads import run_in_vm
 
 
 class TestPlacementPolicies:
-    def _boot(self, policy):
+    def _boot(self):
         machine = Machine.small(sockets=2, seed=71)
         from repro.core import SilozConfig
 
@@ -21,34 +19,15 @@ class TestPlacementPolicies:
             machine,
             SilozConfig.scaled_for(machine.geom),
             backing_page_bytes=64 * 1024,
-            placement_policy=policy,
         )
 
     def test_pack_fills_preferred_socket(self):
-        hv = self._boot("pack")
+        hv = self._boot()
         sockets = []
         for i in range(4):
             vm = hv.create_vm(VmSpec(name=f"vm{i}", memory_bytes=2 * MiB))
             sockets.append(hv.topology.node(vm.node_ids[0]).physical_node)
         assert sockets == [0, 0, 0, 0]
-
-    def test_spread_balances_sockets(self):
-        hv = self._boot("spread")
-        sockets = []
-        for i in range(4):
-            vm = hv.create_vm(VmSpec(name=f"vm{i}", memory_bytes=2 * MiB))
-            sockets.append(hv.topology.node(vm.node_ids[0]).physical_node)
-        assert sockets.count(0) == 2 and sockets.count(1) == 2
-
-    def test_spread_still_isolates(self):
-        hv = self._boot("spread")
-        for i in range(4):
-            hv.create_vm(VmSpec(name=f"vm{i}", memory_bytes=2 * MiB))
-        assert audit_hypervisor(hv) == []
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(PlacementError):
-            self._boot("random")
 
 
 class TestCloudChurn:
