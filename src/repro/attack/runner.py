@@ -41,8 +41,8 @@ def rows_owned_by_vm(hv: Hypervisor, vm: VirtualMachine) -> dict[int, list[int]]
         start = -(-r.start // step) * step  # first aligned row group
         hpa = start
         while hpa + step <= r.end:
-            media = mapping.decode(hpa)
-            rows.setdefault(media.socket, set()).add(media.row)
+            socket, _bank, _channel, row, _col = mapping.decode_flat(hpa)
+            rows.setdefault(socket, set()).add(row)
             hpa += step
     return {s: sorted(v) for s, v in rows.items()}
 
@@ -104,6 +104,8 @@ def attack_from_vm(
     ``banks_per_socket`` samples that many banks per socket for speed
     (flip physics are per-bank identical); ``None`` uses all banks.
     """
+    if pattern_budget <= 0:
+        raise AttackError(f"pattern budget must be positive, got {pattern_budget}")
     geom = hv.machine.geom
     owned = rows_owned_by_vm(hv, attacker)
     if not owned:

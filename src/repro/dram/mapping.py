@@ -31,12 +31,12 @@ from repro.dram.media import MediaAddress
 from repro.errors import MappingError
 from repro.units import CACHE_LINE, MiB, is_aligned
 
-#: Entries kept in each of a mapping's two decode LRUs: the flat decode
-#: the memory controllers use and the per-line decode behind the
-#: simulated module's sub-line accesses (page-table entries).  Sized for
-#: the working sets of the perf experiments and a host's placement
-#: traffic (thousands of distinct cache lines) while bounding memory on
-#: adversarial scans.
+#: Entries kept in a mapping's decode LRU (:meth:`SkylakeMapping.decode_flat`),
+#: which serves the memory controllers, the simulated module's sub-line
+#: accesses (page-table entries) and the hypervisor's per-address
+#: lookups.  Sized for the working sets of the perf experiments and a
+#: host's placement traffic (thousands of distinct cache lines) while
+#: bounding memory on adversarial scans.
 DECODE_CACHE_SIZE = 1 << 16
 
 
@@ -128,10 +128,11 @@ class SkylakeMapping:
         # Hot-path memoization (repro.engine): the chunk permutation as
         # flat lookup tables, the derived shape as plain ints (the
         # properties recompute products on every call), and the
-        # LRU-wrapped flat and line decoders bound as instance
-        # attributes.  All are pure functions of the frozen fields, so
-        # caching cannot change results — the mapping property tests
-        # verify cached == uncached.
+        # LRU-wrapped flat decoder bound as an instance attribute.  All
+        # are pure functions of the frozen fields, so caching cannot
+        # change results — the mapping property tests verify cached ==
+        # uncached.  A miss looks ``_decode_flat`` up at call time, so a
+        # wrapper installed on the class later still sees every miss.
         n_chunks = 2 * self.chunks_per_range
         object.__setattr__(
             self,
@@ -154,12 +155,9 @@ class SkylakeMapping:
         object.__setattr__(
             self,
             "decode_flat",
-            functools.lru_cache(maxsize=DECODE_CACHE_SIZE)(self._decode_flat),
-        )
-        object.__setattr__(
-            self,
-            "_line_decode",
-            functools.lru_cache(maxsize=DECODE_CACHE_SIZE)(self._decode_line),
+            functools.lru_cache(maxsize=DECODE_CACHE_SIZE)(
+                lambda hpa: self._decode_flat(hpa)
+            ),
         )
 
     @classmethod
@@ -226,28 +224,15 @@ class SkylakeMapping:
 
     def decode(self, hpa: int) -> MediaAddress:
         """Translate a host physical address to its media address."""
-        g = self.geom
-        self._check_hpa(hpa)
-        socket, off = divmod(hpa, g.socket_bytes)
-        region, roff = divmod(off, self.region_bytes)
-        phys_chunk, coff = divmod(roff, self.chunk_bytes)
-        rg_chunk = self._phys_chunk_to_rg_chunk(phys_chunk)
-        rg_in_chunk, within = divmod(coff, g.row_group_bytes)
-        row = (
-            region * self.region_row_groups
-            + rg_chunk * self.chunk_row_groups
-            + rg_in_chunk
-        )
-        line, line_off = divmod(within, CACHE_LINE)
-        socket_bank = line % g.banks_per_socket
-        col = (line // g.banks_per_socket) * CACHE_LINE + line_off
-        return MediaAddress.from_socket_bank(g, socket, socket_bank, row, col)
+        socket, socket_bank, _channel, row, col = self._decode_flat(hpa)
+        return MediaAddress.from_socket_bank(self.geom, socket, socket_bank, row, col)
 
-    def _decode_flat(self, hpa: int) -> tuple[int, int, int, int]:
-        """Decode to ``(socket, socket_bank, channel, row)`` without
-        building a :class:`MediaAddress` — the fields the controllers'
-        hot loops actually consume.  Exposed (LRU-cached) as
-        :meth:`decode_flat`; always agrees with :meth:`decode`."""
+    def _decode_flat(self, hpa: int) -> tuple[int, int, int, int, int]:
+        """The decode arithmetic: ``(socket, socket_bank, channel, row,
+        col)`` without building a :class:`MediaAddress`.  Exposed
+        LRU-cached as :meth:`decode_flat`, wrapped by :meth:`decode`, and
+        vectorized (same columns, same order) by
+        :meth:`decode_media_batch`."""
         if not 0 <= hpa < self._c_total_bytes:
             raise MappingError(
                 f"HPA {hpa:#x} outside installed memory [0, {self._c_total_bytes:#x})"
@@ -261,17 +246,15 @@ class SkylakeMapping:
             + self._phys2rg[phys_chunk] * self.chunk_row_groups
             + rg_in_chunk
         )
-        socket_bank = (within // CACHE_LINE) % self._c_banks_per_socket
-        return socket, socket_bank, socket_bank // self._c_banks_per_channel, row
-
-    def _decode_line(self, line: int) -> tuple[int, int, int, int]:
-        """``(socket, socket_bank, row, col)`` of cache line *line*'s first
-        byte, through :meth:`decode` (so out-of-range lines raise
-        :class:`MappingError`, and errors are never cached).  Bound
-        LRU-cached as ``_line_decode`` for the simulated module's sub-line
-        accesses, which add the in-line offset to ``col``."""
-        media = self.decode(line * CACHE_LINE)
-        return media.socket, media.socket_bank_index(self.geom), media.row, media.col
+        line, line_off = divmod(within, CACHE_LINE)
+        bank_stride, socket_bank = divmod(line, self._c_banks_per_socket)
+        return (
+            socket,
+            socket_bank,
+            socket_bank // self._c_banks_per_channel,
+            row,
+            bank_stride * CACHE_LINE + line_off,
+        )
 
     def _np_phys2rg_table(self):
         """Chunk-permutation LUT as an int64 ndarray (built on first use)."""
@@ -284,12 +267,12 @@ class SkylakeMapping:
         return tab
 
     def decode_media_batch(self, hpas):
-        """Vectorized :meth:`decode` over an array of HPAs.
+        """Vectorized :meth:`decode_flat` over an array of HPAs.
 
-        Returns ``(socket, socket_bank, row, col)`` int64 ndarrays that
-        agree element-wise with :meth:`decode` (the mapping property
-        tests enforce this).  Raises :class:`MappingError` on any
-        out-of-range address.
+        Returns ``(socket, socket_bank, channel, row, col)`` int64
+        ndarrays that agree element-wise with :meth:`decode_flat` (the
+        mapping property tests enforce this).  Raises
+        :class:`MappingError` on any out-of-range address.
         """
         import numpy as np
 
@@ -319,14 +302,13 @@ class SkylakeMapping:
         )
         line, line_off = div_mod(within, CACHE_LINE)
         bank_stride, socket_bank = div_mod(line, self._c_banks_per_socket)
-        col = bank_stride * CACHE_LINE + line_off
-        return socket, socket_bank, row, col
-
-    def decode_flat_batch(self, hpas):
-        """Vectorized :meth:`decode_flat`: ``(socket, socket_bank,
-        channel, row)`` int64 ndarrays for an array of HPAs."""
-        socket, socket_bank, row, _col = self.decode_media_batch(hpas)
-        return socket, socket_bank, socket_bank // self._c_banks_per_channel, row
+        return (
+            socket,
+            socket_bank,
+            socket_bank // self._c_banks_per_channel,
+            row,
+            bank_stride * CACHE_LINE + line_off,
+        )
 
     def encode(self, media: MediaAddress) -> int:
         """Exact inverse of :meth:`decode`."""
@@ -356,7 +338,7 @@ class SkylakeMapping:
         The row-group index equals the bank-local row number, so the
         group is simply row // rows_per_subarray.
         """
-        socket, _bank, _channel, row = self.decode_flat(hpa)
+        socket, _bank, _channel, row, _col = self.decode_flat(hpa)
         return socket, row // self.geom.rows_per_subarray
 
     def row_group_ranges(self, socket: int, row: int) -> list[AddressRange]:

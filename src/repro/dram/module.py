@@ -398,12 +398,12 @@ class SimulatedDram:
 
         Spans longer than one line decode every line start in one
         ``decode_media_batch`` call.  Shorter spans (at most two pieces —
-        the page-table entry accesses of placement) decode each line once
-        through the mapping's LRU-cached line decoder and add the in-line
-        offset to ``col``; a miss goes through the scalar ``decode``, so
-        out-of-range addresses still raise :class:`MappingError`.  Both
-        branches agree exactly with ``decode``
-        (``tests/test_engine_vector.py`` compares them)."""
+        the page-table entry accesses of placement) decode each line's
+        first byte once through the mapping's LRU (``decode_flat``) and
+        add the in-line offset to ``col``; out-of-range addresses raise
+        :class:`MappingError` and are never cached.  Both branches agree
+        exactly with ``decode`` (``tests/test_engine_vector.py`` compares
+        them)."""
         if length <= 0:
             raise DramError(f"length must be positive, got {length}")
         if length > CACHE_LINE:
@@ -416,7 +416,9 @@ class SimulatedDram:
             starts[0] = hpa
             ends = bounds[1:]
             ends[-1] = hpa + length
-            socket, socket_bank, row, col = self.mapping.decode_media_batch(starts)
+            socket, socket_bank, _channel, row, col = self.mapping.decode_media_batch(
+                starts
+            )
             return list(
                 zip(
                     socket.tolist(),
@@ -428,12 +430,12 @@ class SimulatedDram:
                 )
             )
         out = []
-        line_decode = self.mapping._line_decode
+        decode_flat = self.mapping.decode_flat
         offset = 0
         while offset < length:
             line, line_off = divmod(hpa + offset, CACHE_LINE)
             take = min(CACHE_LINE - line_off, length - offset)
-            socket, bank, row, col = line_decode(line)
+            socket, bank, _channel, row, col = decode_flat(line * CACHE_LINE)
             out.append((socket, bank, row, col + line_off, offset, take))
             offset += take
         return out

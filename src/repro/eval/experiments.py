@@ -131,6 +131,8 @@ def perf_experiment(
     """Run every workload x system x trial; returns the raw comparison."""
     if metric not in ("time", "bandwidth"):
         raise ReproError(f"unknown metric {metric!r}")
+    if trials <= 0:
+        raise ReproError(f"trials must be positive, got {trials}")
     comparison = PerfComparison(metric=metric)
     for workload in workloads:
         with obs.span(f"experiment.{workload}"):

@@ -122,9 +122,7 @@ def run_ce_storm_scenario(
 
     # Target: the row group behind the tenant's first backing block.
     target_hpa = tenant.backing[0].start
-    media = dram.mapping.decode(target_hpa)
-    socket, row = media.socket, media.row
-    bank = media.socket_bank_index(machine.geom)
+    socket, bank, _channel, row, _col = dram.mapping.decode_flat(target_hpa)
     rg = dram.mapping.row_group_ranges(socket, row)[0]
     unmediated = {r.name for r in tenant.regions if r.unmediated}
     target_gpas = [

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import resource
 import time
-from itertools import compress
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -229,7 +228,7 @@ class LogicalHost:
     hypervisor.
     """
 
-    __slots__ = ("spec", "shape", "hv", "fleet", "ids", "free", "vm_specs")
+    __slots__ = ("spec", "shape", "hv", "fleet", "ids", "free", "open_ids", "vm_specs")
 
     def __init__(self, spec: HostSpec, shape: HostShape, hv: SimpleNamespace,
                  fleet: "LogicalFleet"):
@@ -240,8 +239,13 @@ class LogicalHost:
         self.fleet = fleet
         #: Guest node ids, in ``shape.nodes`` order.
         self.ids = tuple(node_id for node_id, _, _, _ in shape.nodes)
-        #: Free bytes per guest node, in ``shape.nodes`` order.
+        #: Placeable free bytes per guest node, in ``shape.nodes`` order
+        #: (0 once an exclusive tenant reserves the node).
         self.free = [free for _, _, free, _ in shape.nodes]
+        #: Guest node ids no tenant reserves, in ``shape.nodes`` order —
+        #: every node on a shared pool, and empty nodes too: the ids the
+        #: real hypervisor's capacity lists as free.
+        self.open_ids = self.ids
         #: Admitted VmSpecs in placement order (replayed by workers).
         self.vm_specs: dict[str, VmSpec] = {}
 
@@ -250,15 +254,9 @@ class LogicalHost:
         return self.spec.host_id
 
     def capacity(self) -> _LogicalCapacity:
-        """A capacity snapshot shaped like the real hypervisor's: a
-        shared pool withholds no node, an exclusive one every reserved
-        node."""
+        """A capacity snapshot shaped like the real hypervisor's."""
         return _LogicalCapacity(
-            free_guest_node_ids=(
-                tuple(compress(self.ids, self.free))
-                if self.shape.exclusive
-                else self.ids
-            ),
+            free_guest_node_ids=self.open_ids,
             free_guest_bytes=sum(self.free),
             total_guest_nodes=len(self.ids),
             vm_count=len(self.vm_specs),
@@ -270,17 +268,16 @@ class LogicalHost:
         raises on a real host."""
         shape = self.shape
         page = shape.backing_page_bytes
-        chosen = [
-            self.ids.index(node_id)
-            for node_id in choose_nodes(
-                [(n[0], n[1], free, n[3]) for n, free in zip(shape.nodes, self.free)],
-                spec,
-                page,
-            )
-        ]
+        chosen_ids = choose_nodes(
+            [(n[0], n[1], free, n[3]) for n, free in zip(shape.nodes, self.free)],
+            spec,
+            page,
+        )
+        chosen = [self.ids.index(node_id) for node_id in chosen_ids]
         if shape.exclusive:
             for i in chosen:
                 self.free[i] = 0
+            self.open_ids = tuple(n for n in self.open_ids if n not in chosen_ids)
             self.fleet.free_groups -= len(chosen)
         else:
             pages = -(-(spec.memory_bytes + spec.rom_bytes) // page)

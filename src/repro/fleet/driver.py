@@ -70,21 +70,21 @@ def _health_result(host: Host, task: HostTask) -> dict:
     if not vms:
         return {"idle": True, "offlined": False, "migrated_blocks": 0}
     dram = host.hv.machine.dram
-    media = dram.mapping.decode(vms[0].backing[0].start)
+    socket, bank, _channel, row, _col = dram.mapping.decode_flat(vms[0].backing[0].start)
     run_ecc_storm(
         dram,
         host.monitor,
-        media.socket,
-        media.socket_bank_index(host.hv.machine.geom),
-        media.row,
+        socket,
+        bank,
+        row,
         errors=task.storm_errors,
         seed=task.spec.seed,
     )
     timeline = "\n".join(host.monitor.timeline)
     return {
         "idle": False,
-        "target": [media.socket, media.row],
-        "offlined": host.monitor.state_of(media.socket, media.row)
+        "target": [socket, row],
+        "offlined": host.monitor.state_of(socket, row)
         is HealthState.OFFLINED,
         "migrated_blocks": sum(len(r.migrated) for r in host.monitor.reports),
         "deferred_blocks": sum(len(r.deferred) for r in host.monitor.reports),
@@ -112,8 +112,8 @@ def _free_storm_target(host: Host) -> tuple[int, int, int]:
                 and not node.allocator.allocated_blocks_within(rg)
                 and not hv.offline.is_offline(rg.start)
             ):
-                media = mapping.decode(rg.start)
-                return media.socket, media.socket_bank_index(geom), media.row
+                socket, bank, _channel, row, _col = mapping.decode_flat(rg.start)
+                return socket, bank, row
     return 0, 0, 0
 
 

@@ -151,10 +151,10 @@ class HealthMonitor:
         """MCE-handler feed: an uncorrectable error was *consumed* at
         this host address (same ledger as the ECC stream, so a UE storm
         escalates even when patrol scrubbing never sees the row)."""
-        media = self.hv.machine.dram.mapping.decode(hpa)
+        socket, _bank, _channel, row, _col = self.hv.machine.dram.mapping.decode_flat(hpa)
         self._bump(
-            media.socket,
-            media.row,
+            socket,
+            row,
             self.policy.ue_weight,
             self.hv.machine.dram.clock,
             ue=True,
@@ -315,13 +315,13 @@ class HealthMonitor:
 
         out = []
         for item in list(self.hv.offline.pending):
-            media = self.hv.machine.dram.mapping.decode(item.range.start)
-            report = offline_row_group_live(
-                self.hv, media.socket, media.row, reason=item.reason
+            socket, _bank, _channel, row, _col = self.hv.machine.dram.mapping.decode_flat(
+                item.range.start
             )
+            report = offline_row_group_live(self.hv, socket, row, reason=item.reason)
             self.reports.append(report)
             out.append(report)
-            rg = self._group(media.socket, media.row)
+            rg = self._group(socket, row)
             if report.complete:
                 self.hv.offline.resolve_pending(item.range)
                 self._transition(

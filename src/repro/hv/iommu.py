@@ -85,9 +85,7 @@ class PassthroughDevice:
         Because every access goes through the IOMMU, the blast radius is
         bounded by what the domain maps."""
         hpa = self.domain.translate(iova)
-        media = self.dram.mapping.decode(hpa)
-        socket = media.socket
-        bank = media.socket_bank_index(self.dram.geom)
-        flips = self.dram.activate_batch(socket, bank, [media.row] * activations)
+        socket, bank, _channel, row, _col = self.dram.mapping.decode_flat(hpa)
+        flips = self.dram.activate_batch(socket, bank, [row] * activations)
         self.stats.hammer_activations += activations
         return flips

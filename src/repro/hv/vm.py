@@ -114,17 +114,14 @@ class VirtualMachine:
                 "exits, so it cannot be hammered at DRAM rates"
             )
         dram = self.machine.dram
-        media = dram.mapping.decode(self.translate(gpa))
-        socket, bank = media.socket, media.socket_bank_index(self.machine.geom)
+        socket, bank, _channel, row, _col = dram.mapping.decode_flat(self.translate(gpa))
         if open_seconds == 0.0:
             # Pure ACT storms go through the batch path (engine fast
             # path on the vectorized backend, plain loop on scalar).
-            return dram.activate_batch(socket, bank, [media.row] * activations)
+            return dram.activate_batch(socket, bank, [row] * activations)
         flips = []
         for _ in range(activations):
-            flips.extend(
-                dram.activate(socket, bank, media.row, open_seconds=open_seconds)
-            )
+            flips.extend(dram.activate(socket, bank, row, open_seconds=open_seconds))
         return flips
 
     def hammer_pattern(self, gpas: list[int], rounds: int):
@@ -136,10 +133,10 @@ class VirtualMachine:
         for gpa in gpas:
             if not self.region_at(gpa).unmediated:
                 raise HvError(f"VM {self.name}: GPA {gpa:#x} is mediated")
-            media = dram.mapping.decode(self.translate(gpa))
-            targets.append(
-                (media.socket, media.socket_bank_index(self.machine.geom), media.row)
+            socket, bank, _channel, row, _col = dram.mapping.decode_flat(
+                self.translate(gpa)
             )
+            targets.append((socket, bank, row))
         banks = {(socket, bank) for socket, bank, _ in targets}
         if len(banks) == 1 and targets:
             # All aggressors share one bank (the TRR-evasion shape):

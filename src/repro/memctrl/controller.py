@@ -78,6 +78,10 @@ class MemoryAccess:
     tag: int = 0
 
 
+#: One decoded address: ``(socket, socket_bank, channel, row, col)``.
+DecodedAddress = tuple[int, int, int, int, int]
+
+
 class DecodesToMedia(Protocol):
     """Anything that can translate an HPA to a media address."""
 
@@ -155,9 +159,10 @@ class MemoryController:
         self.mapping = mapping
         self.geom = mapping.geom
         # Fast decode (repro.engine): SkylakeMapping exposes an LRU-cached
-        # flat decoder; other DecodesToMedia implementations (e.g. the
-        # restricted-interleave mapping in tests) fall back to .decode.
-        self._decode_flat: Callable[[int], tuple[int, int, int, int]] | None = getattr(
+        # flat decoder and its array twin; other DecodesToMedia
+        # implementations (e.g. the restricted-interleave mapping in
+        # tests) go through the MediaAddress adaptor ``_decode_media``.
+        self._decode_flat: Callable[[int], DecodedAddress] | None = getattr(
             mapping, "decode_flat", None
         )
         self.timings = timings or DDR4Timings.ddr4_2933()
@@ -226,24 +231,21 @@ class MemoryController:
             )
         return result
 
-    def _decode_all(
-        self, accesses: list[MemoryAccess]
-    ) -> list[tuple[int, int, int, int]]:
-        """Decode every access to ``(socket, socket_bank, channel, row)``.
+    def _decode_all(self, hpas: Iterable[int]) -> list[DecodedAddress]:
+        """Decode every HPA to ``(socket, socket_bank, channel, row, col)``.
 
         Decode is a pure function of the HPA, so hoisting it out of the
-        issue loop cannot change results; accesses go through the flat
-        LRU or, for mappings without one, the MediaAddress reference
-        path."""
-        decode_flat = self._decode_flat
-        if decode_flat is not None:
-            return [decode_flat(a.hpa) for a in accesses]
-        geom = self.geom
-        decode = self.mapping.decode
-        return [
-            (m.socket, m.socket_bank_index(geom), m.channel, m.row)
-            for m in (decode(a.hpa) for a in accesses)
-        ]
+        issue loop cannot change results; addresses go through the flat
+        LRU or, for mappings without one, the MediaAddress adaptor."""
+        decode = self._decode_flat or self._decode_media
+        return [decode(hpa) for hpa in hpas]
+
+    def _decode_media(self, hpa: int) -> DecodedAddress:
+        """``decode_flat``'s fields through ``mapping.decode``: the one
+        MediaAddress adaptor, and the reference path the differential
+        tests select by setting ``_decode_flat`` to None."""
+        m = self.mapping.decode(hpa)
+        return m.socket, m.socket_bank_index(self.geom), m.channel, m.row, m.col
 
     def _classify(
         self,
@@ -274,7 +276,7 @@ class MemoryController:
 
     def _run_scalar(self, accesses: list[MemoryAccess]) -> TraceResult:
         t = self.timings
-        decoded = self._decode_all(accesses)
+        decoded = self._decode_all(a.hpa for a in accesses)
         prev_row: dict[tuple[int, int], int] = {}
         # Estimate-pass chains (discarded counters) and final chains.
         chans_est: dict[tuple[int, int], ChannelState] = {}
@@ -288,7 +290,7 @@ class MemoryController:
         throttle = float("-inf")  # running max of D0 up to i - k_lag
         now = 0.0
         arrival = 0.0
-        for i, (access, (socket, socket_bank, channel, row)) in enumerate(
+        for i, (access, (socket, socket_bank, channel, row, _col)) in enumerate(
             zip(accesses, decoded)
         ):
             gap = quantize_ns(access.cpu_gap_ns)

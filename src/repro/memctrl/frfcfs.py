@@ -30,6 +30,7 @@ from repro.engine.backend import SimBackend
 from repro.errors import MemCtrlError
 from repro.memctrl.controller import (
     AccessKind,
+    DecodedAddress,
     DecodesToMedia,
     MemoryAccess,
     MemoryController,
@@ -66,7 +67,7 @@ class FrFcfsController(MemoryController):
         self.window = window
 
     def _issue_order(
-        self, decoded: list[tuple[int, int, int, int]]
+        self, decoded: list[DecodedAddress]
     ) -> list[int]:
         """The static window permutation (see module docstring)."""
         order: list[int] = []
@@ -74,7 +75,7 @@ class FrFcfsController(MemoryController):
         for base in range(0, n, self.window):
             groups: dict[tuple[tuple[int, int], int], list[int]] = {}
             for i in range(base, min(base + self.window, n)):
-                socket, socket_bank, _channel, row = decoded[i]
+                socket, socket_bank, _channel, row, _col = decoded[i]
                 groups.setdefault(((socket, socket_bank), row), []).append(i)
             for members in groups.values():
                 order.extend(members)
@@ -82,7 +83,7 @@ class FrFcfsController(MemoryController):
 
     def _run_scalar(self, accesses: list[MemoryAccess]) -> TraceResult:
         t = self.timings
-        decoded = self._decode_all(accesses)
+        decoded = self._decode_all(a.hpa for a in accesses)
         arrivals: list[float] = []
         arrival = 0.0
         for access in accesses:
@@ -97,7 +98,7 @@ class FrFcfsController(MemoryController):
         now = 0.0
         for i in self._issue_order(decoded):
             access = accesses[i]
-            socket, socket_bank, channel, row = decoded[i]
+            socket, socket_bank, channel, row, _col = decoded[i]
             bank_key = (socket, socket_bank)
             chan_key = (socket, channel)
             remote = socket != access.home_socket

@@ -118,30 +118,15 @@ class AccessBatch:
 def _decode_arrays(controller: "MemoryController", hpa: np.ndarray) -> DecodeArrays:
     """Bulk-decode to (socket, socket_bank, channel, row) int64 columns.
 
-    Prefers the mapping's vectorized decoder; mappings without one (the
-    restricted-interleave ablation mapping) fall back to a Python loop —
-    still correct, just not fast."""
-    mapping = controller.mapping
-    batch_fn = getattr(mapping, "decode_flat_batch", None)
-    if batch_fn is not None and controller._decode_flat is not None:
-        socket, sbank, chan, row = batch_fn(hpa)
-        return (
-            np.asarray(socket, dtype=np.int64),
-            np.asarray(sbank, dtype=np.int64),
-            np.asarray(chan, dtype=np.int64),
-            np.asarray(row, dtype=np.int64),
-        )
-    decode_flat = controller._decode_flat
-    if decode_flat is not None:
-        rows = [decode_flat(h) for h in hpa.tolist()]
-    else:
-        geom = controller.geom
-        decode = mapping.decode
-        rows = [
-            (m.socket, m.socket_bank_index(geom), m.channel, m.row)
-            for m in (decode(h) for h in hpa.tolist())
-        ]
-    arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), 4)
+    Uses the mapping's vectorized decoder; mappings without one (the
+    restricted-interleave ablation mapping) and the reference path
+    (``_decode_flat`` set to None) loop over the controller's scalar
+    decode — still correct, just not fast."""
+    if controller._decode_flat is not None:
+        socket, sbank, chan, row, _col = controller.mapping.decode_media_batch(hpa)
+        return socket, sbank, chan, row
+    arr = np.asarray(controller._decode_all(hpa.tolist()), dtype=np.int64)
+    arr = arr.reshape(len(hpa), 5)
     return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
 
 

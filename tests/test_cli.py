@@ -257,6 +257,11 @@ class TestTypedErrors:
                  "--hosts", "1", "--vms", "1", "--mitigations", "siloz"],
                 id="bakeoff-storm-errors",
             ),
+            pytest.param(["attack", "--budget", "0"], id="attack-budget-zero"),
+            pytest.param(["attack", "--budget", "-1"], id="attack-budget-negative"),
+            pytest.param(
+                ["perf", "--figure", "5", "--trials", "0"], id="perf-no-trials"
+            ),
         ],
     )
     def test_exits_2_without_traceback(self, argv):

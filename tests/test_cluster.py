@@ -211,14 +211,9 @@ class TestOnePlacementRule:
     """Every hypervisor and the capacity twin choose guest nodes through
     ``repro.hv.hypervisor.choose_nodes``."""
 
-    @pytest.mark.parametrize(
-        "hypervisor", [SilozHypervisor, CattHypervisor], ids=["siloz", "catt"]
-    )
-    def test_offlined_node_is_never_chosen(self, hypervisor):
-        # A guest node with no free bytes left (here: fully offlined as
-        # faulty) but no tenant is skipped, not reserved: no VM lands on
-        # it and none claims its subarray groups, on the real host and
-        # on a twin of the same shape alike.
+    @staticmethod
+    def _boot_with_dead_node(hypervisor):
+        """A host whose guest node 1 is fully offlined as faulty."""
         hv = hypervisor.boot(Machine.small())
         dead = hv.topology.node(1)
         for r in dead.ranges:
@@ -227,6 +222,17 @@ class TestOnePlacementRule:
                     dead, AddressRange(addr, addr + size), OfflineReason.FAULTY
                 )
         assert dead.free_bytes == 0
+        return hv, dead
+
+    @pytest.mark.parametrize(
+        "hypervisor", [SilozHypervisor, CattHypervisor], ids=["siloz", "catt"]
+    )
+    def test_offlined_node_is_never_chosen(self, hypervisor):
+        # A guest node with no free bytes left (here: fully offlined as
+        # faulty) but no tenant is skipped, not reserved: no VM lands on
+        # it and none claims its subarray groups, on the real host and
+        # on a twin of the same shape alike.
+        hv, dead = self._boot_with_dead_node(hypervisor)
         dead_groups = {(dead.physical_node, g) for g in dead.subarray_groups}
         twin = LogicalFleet.build(
             range(1), HostShape.of(hv), ClusterConfig(hosts=1)
@@ -243,6 +249,26 @@ class TestOnePlacementRule:
             assert dict(zip(twin.ids, twin.free)) == {
                 n: 0 if n in taken else free[n] for n in twin.ids
             }
+
+    @pytest.mark.parametrize(
+        "hypervisor", [SilozHypervisor, CattHypervisor], ids=["siloz", "catt"]
+    )
+    def test_twin_lists_empty_nodes_like_real_host(self, hypervisor):
+        # An empty guest node that no tenant holds is still free for
+        # placement accounting: the twin lists exactly the node ids the
+        # real host lists, and the shard's running count agrees.
+        hv, dead = self._boot_with_dead_node(hypervisor)
+        fleet = LogicalFleet.build(range(1), HostShape.of(hv), ClusterConfig(hosts=1))
+        twin = fleet.hosts[0]
+        for i in range(3):
+            real_ids = hv.capacity().free_guest_node_ids
+            assert dead.node_id in real_ids
+            assert twin.capacity().free_guest_node_ids == real_ids
+            assert twin.capacity().free_guest_bytes == hv.capacity().free_guest_bytes
+            assert fleet.free_groups == len(real_ids)
+            spec = VmSpec(name=f"vm{i}", memory_bytes=2 * MiB)
+            hv.create_vm(spec)
+            twin.create_vm(spec)
 
 
 # ---------------------------------------------------------------------------

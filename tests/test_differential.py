@@ -376,8 +376,8 @@ class TestPageTableWalks:
     guest page table (nodes in guest RAM, walked through the EPT) and an
     IOMMU domain issue the same ACTs at the same clock and leave the
     same table bytes.  The ACT pins fix each walk's DRAM traffic; the
-    decode count keeps the walks' sub-line entry accesses on the cached
-    line decode (one scalar decode per distinct line)."""
+    decode count keeps the walks' sub-line entry accesses on the decode
+    LRU (one decode per distinct line)."""
 
     def test_table_builds_replay_identically(self, monkeypatch):
         from repro.dram.mapping import SkylakeMapping
@@ -385,7 +385,7 @@ class TestPageTableWalks:
         from repro.guest import GuestOS
         from repro.units import CACHE_LINE
 
-        decode, lines = SkylakeMapping.decode, SimulatedDram._lines
+        decode, lines = SkylakeMapping._decode_flat, SimulatedDram._lines
         decodes, sub_line = [0], set()
 
         def counting_decode(mapping, hpa):
@@ -404,7 +404,9 @@ class TestPageTableWalks:
             dram = hv.machine.dram
             decodes[0] = 0
             sub_line.clear()
-            monkeypatch.setattr(SkylakeMapping, "decode", counting_decode)
+            # Patched after the host boots: the decode LRU looks the
+            # arithmetic up on each miss, so it sees this wrapper.
+            monkeypatch.setattr(SkylakeMapping, "_decode_flat", counting_decode)
             monkeypatch.setattr(SimulatedDram, "_lines", recording_lines)
             marks = [dram.counters.activations]
             vm = hv.create_vm(_vm_spec())

@@ -160,23 +160,18 @@ class TestVectorizedDecode:
         ]
 
     def test_decode_media_batch_matches_scalar(self):
-        socket, bank, row, col = self.mapping.decode_media_batch(
-            np.asarray(self.hpas, dtype=np.int64)
-        )
+        columns = self.mapping.decode_media_batch(np.asarray(self.hpas, dtype=np.int64))
         for i, hpa in enumerate(self.hpas):
             media = self.mapping.decode(hpa)
-            assert (
+            expect = (
                 media.socket,
                 media.socket_bank_index(self.geom),
+                media.channel,
                 media.row,
                 media.col,
-            ) == (socket[i], bank[i], row[i], col[i]), hex(hpa)
-
-    def test_decode_flat_batch_matches_scalar(self):
-        flat = self.mapping.decode_flat_batch(np.asarray(self.hpas, dtype=np.int64))
-        for i, hpa in enumerate(self.hpas):
-            expect = self.mapping._decode_flat(hpa)
-            assert expect == tuple(int(f[i]) for f in flat), hex(hpa)
+            )
+            assert expect == self.mapping._decode_flat(hpa), hex(hpa)
+            assert expect == tuple(int(c[i]) for c in columns), hex(hpa)
 
     @staticmethod
     def _expected_lines(mapping, hpa: int, length: int) -> list:
@@ -191,7 +186,7 @@ class TestVectorizedDecode:
             offset += take
         return expect
 
-    def test_decode_lines_batch_matches_scalar_fallback(self):
+    def test_lines_match_scalar_decode(self):
         skylake = DRAMGeometry.small(sockets=2, rows_per_bank=512, rows_per_subarray=64)
         for mapping in (self.mapping, SkylakeMapping(skylake)):
             self._check_lines(mapping)
@@ -217,7 +212,7 @@ class TestVectorizedDecode:
                 hpa,
                 length,
             )
-        info = mapping._line_decode.cache_info()
+        info = mapping.decode_flat.cache_info()
         assert info.hits > info.misses
         assert info.maxsize == DECODE_CACHE_SIZE
         assert info.currsize <= DECODE_CACHE_SIZE
@@ -225,7 +220,7 @@ class TestVectorizedDecode:
         for hpa, length in ((-8, 8), (-1, 2), (total, 8), (total - 4, 8)):
             with pytest.raises(MappingError):
                 dram._lines(hpa, length)
-        assert mapping._line_decode.cache_info().currsize <= DECODE_CACHE_SIZE
+        assert mapping.decode_flat.cache_info().currsize <= DECODE_CACHE_SIZE
 
     def test_decode_batch_range_check(self):
         with pytest.raises(MappingError):

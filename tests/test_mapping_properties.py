@@ -6,9 +6,9 @@ Three properties the engine fast path leans on:
    MediaAddress ranges, at test, medium, and paper scale;
 2. 2 MiB pages never straddle subarray groups (§4.2's key observation,
    and the reason Siloz can provision VMs at 2 MiB granularity);
-3. the memoized ``decode_flat`` and the vectorized
-   ``decode_media_batch`` agree exactly with the uncached reference
-   decode.
+3. the memoized ``decode_flat``, the vectorized ``decode_media_batch``
+   and the ``MediaAddress`` decode return the same five fields
+   ``(socket, socket_bank, channel, row, col)``.
 
 Sampling is driven by ``random.Random(seed)`` so any failure reproduces
 from the printed seed alone.
@@ -24,7 +24,7 @@ from repro.dram.geometry import DRAMGeometry
 from repro.dram.mapping import SkylakeMapping
 from repro.dram.media import MediaAddress
 from repro.errors import MappingError
-from repro.units import MiB
+from repro.units import CACHE_LINE, MiB
 
 SEED = 20260806
 SAMPLES = 400
@@ -131,18 +131,21 @@ class TestDecodeMemoization:
                 ref.socket_bank_index(mapping.geom),
                 ref.channel,
                 ref.row,
+                ref.col,
             ), f"seed={SEED + 4} hpa={hpa:#x}"
 
     @pytest.mark.parametrize("mapping", _mappings())
     def test_decode_batch_equals_scalar_decode(self, mapping):
+        # One shape for the scalar and array decodes: row i of the batch
+        # is decode_flat(hpas[i]) on all five fields, at chunk, region
+        # and socket edges and on the last line too.
         rng = random.Random(SEED + 5)
-        hpas = [rng.randrange(mapping.geom.total_bytes) for _ in range(200)]
-        socket, bank, row, col = mapping.decode_media_batch(hpas)
-        assert list(
-            zip(socket.tolist(), bank.tolist(), row.tolist(), col.tolist())
-        ) == [
-            (m.socket, m.socket_bank_index(mapping.geom), m.row, m.col)
-            for m in (mapping.decode(h) for h in hpas)
+        total = mapping.geom.total_bytes
+        hpas = _sample_hpas(mapping, rng, n=200) + [total - CACHE_LINE, total - 1]
+        columns = mapping.decode_media_batch(hpas)
+        assert len(columns) == 5
+        assert list(zip(*(c.tolist() for c in columns))) == [
+            mapping.decode_flat(h) for h in hpas
         ]
 
     def test_cache_info_reports_hits(self):
@@ -166,8 +169,12 @@ class TestDecodeMemoization:
         m2 = SkylakeMapping.for_small_geometry(g2)
         hpa = g1.total_bytes - 64
         d1, d2 = m1.decode(hpa), m2.decode(hpa)
-        assert m1.decode_flat(hpa) == (d1.socket, d1.socket_bank_index(g1), d1.channel, d1.row)
-        assert m2.decode_flat(hpa) == (d2.socket, d2.socket_bank_index(g2), d2.channel, d2.row)
+        assert m1.decode_flat(hpa) == (
+            d1.socket, d1.socket_bank_index(g1), d1.channel, d1.row, d1.col
+        )
+        assert m2.decode_flat(hpa) == (
+            d2.socket, d2.socket_bank_index(g2), d2.channel, d2.row, d2.col
+        )
         # Each instance owns its own LRU: one miss each, no cross-talk.
         assert m1.decode_flat.cache_info().currsize == 1
         assert m2.decode_flat.cache_info().currsize == 1
