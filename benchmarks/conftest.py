@@ -8,7 +8,11 @@ Every benchmark prints its reproduced table/figure (run pytest with
 import os
 import pathlib
 import platform
+import statistics
 import subprocess
+import time
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import pytest
 
@@ -38,6 +42,60 @@ def runner_record() -> dict:
         "numpy": numpy.__version__,
         "commit": commit,
     }
+
+
+@dataclass
+class PairedTiming:
+    """Wall times of a reference and a candidate run in alternation,
+    with the last result of each side."""
+
+    ref_seconds: list[float]
+    cand_seconds: list[float]
+    ref_result: Any
+    cand_result: Any
+
+    @property
+    def ratios(self) -> list[float]:
+        """Per-pair speedups: reference seconds over candidate seconds."""
+        return [r / c for r, c in zip(self.ref_seconds, self.cand_seconds)]
+
+    @property
+    def median(self) -> float:
+        return statistics.median(self.ratios)
+
+    @property
+    def iqr(self) -> float:
+        """Distance between the quartiles of the per-pair speedups."""
+        q1, _, q3 = statistics.quantiles(self.ratios, n=4)
+        return q3 - q1
+
+
+def time_paired(
+    ref: Callable[[], Any], cand: Callable[[], Any], *, pairs: int = 5, warmup: int = 0
+) -> PairedTiming:
+    """Time *ref* and *cand* alternately: ref, cand, ref, cand, ...
+
+    Each pair runs its two sides back to back, so a slow phase of a
+    shared host slows both sides of the pairs it overlaps instead of
+    every run of one side (timing all of one side, then all of the
+    other, lets one slow phase decide the ratio).  *warmup* untimed
+    runs of each side come first, for one-off costs (lazy tables,
+    decode caches) that a user pays once.
+    """
+    for _ in range(warmup):
+        ref()
+        cand()
+    ref_seconds, cand_seconds = [], []
+    ref_result = cand_result = None
+    for _ in range(pairs):
+        t0 = time.perf_counter()
+        ref_result = ref()
+        t1 = time.perf_counter()
+        cand_result = cand()
+        t2 = time.perf_counter()
+        ref_seconds.append(t1 - t0)
+        cand_seconds.append(t2 - t1)
+    return PairedTiming(ref_seconds, cand_seconds, ref_result, cand_result)
 
 
 def banner(title: str) -> str:

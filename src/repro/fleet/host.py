@@ -212,8 +212,3 @@ class Fleet:
 
     def degraded_hosts(self) -> list[Host]:
         return [h for h in self.hosts if h.degraded]
-
-    def total_guest_capacity(self) -> int:
-        """Allocatable guest bytes across the fleet *right now* (free
-        unreserved group nodes only)."""
-        return sum(h.capacity().free_guest_bytes for h in self.hosts)

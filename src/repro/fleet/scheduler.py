@@ -26,7 +26,7 @@ re-asserted by :meth:`Host.create_vm`.
 from __future__ import annotations
 
 from repro.errors import FleetError, PlacementError
-from repro.hv.hypervisor import VmSpec, admission_bytes
+from repro.hv.hypervisor import CapacitySnapshot, VmSpec, admission_bytes
 from repro.log import get_logger
 
 from repro.fleet.host import Fleet, Host
@@ -48,12 +48,21 @@ def host_fits(host: Host, spec: VmSpec) -> bool:
     ``exclusive_nodes`` hypervisor, every node no tenant holds), so
     fitting is exactly "total free guest bytes >= needed".
     """
+    return _fits(host, spec, host.capacity())
+
+
+def _fits(host: Host, spec: VmSpec, cap: CapacitySnapshot) -> bool:
+    """:func:`host_fits` against a snapshot *cap* of *host*."""
     if not spec_page_aligned(host, spec):
         return False
     if spec.socket >= host.hv.machine.geom.sockets:
         return False
-    needed = admission_bytes(spec, host.hv.backing_page_bytes)
-    return host.capacity().free_guest_bytes >= needed
+    return cap.free_guest_bytes >= admission_bytes(spec, host.hv.backing_page_bytes)
+
+
+def _snapshots(fleet: Fleet, exclude: tuple[int, ...]) -> list[tuple[Host, CapacitySnapshot]]:
+    """One capacity snapshot per host not in *exclude*, in fleet order."""
+    return [(h, h.capacity()) for h in fleet.hosts if h.host_id not in exclude]
 
 
 class PlacementScheduler:
@@ -61,17 +70,19 @@ class PlacementScheduler:
 
     name = "?"
 
-    def _key(self, host: Host, spec: VmSpec):
+    def _key(self, host: Host, cap: CapacitySnapshot, spec: VmSpec):
         raise NotImplementedError
 
     def rank(self, fleet: Fleet, spec: VmSpec, *, exclude: tuple[int, ...] = ()):
         """Hosts that fit *spec*, best candidate first."""
-        fitting = [
-            h
-            for h in fleet.hosts
-            if h.host_id not in exclude and host_fits(h, spec)
-        ]
-        return sorted(fitting, key=lambda h: (self._key(h, spec), h.host_id))
+        return self._ranked(_snapshots(fleet, exclude), spec)
+
+    def _ranked(self, snapshots: list[tuple[Host, CapacitySnapshot]], spec: VmSpec):
+        """:meth:`rank` over one snapshot per host: the same snapshot
+        feeds the fit test and the ranking key."""
+        fitting = [(h, cap) for h, cap in snapshots if _fits(h, spec, cap)]
+        fitting.sort(key=lambda hc: (self._key(hc[0], hc[1], spec), hc[0].host_id))
+        return [h for h, _ in fitting]
 
     def place(self, fleet: Fleet, spec: VmSpec, *, exclude: tuple[int, ...] = ()) -> Host:
         """Place *spec* on the best-ranked host that accepts it.
@@ -79,9 +90,14 @@ class PlacementScheduler:
         A candidate whose estimate went stale (another placement landed
         between ranking and admission) is skipped; exhausting every
         candidate raises a typed capacity :class:`PlacementError` whose
-        counts aggregate the fleet's current free groups.
+        counts aggregate the fleet's current free groups.  Each host's
+        capacity is read once per decision, and again only for the
+        candidates that turned the VM down.
         """
-        for host in self.rank(fleet, spec, exclude=exclude):
+        snapshots = _snapshots(fleet, exclude)
+        tried = set()
+        for host in self._ranked(snapshots, spec):
+            tried.add(host.host_id)
             try:
                 host.create_vm(spec)
                 return host
@@ -93,9 +109,8 @@ class PlacementScheduler:
                     host.host_id, spec.name, exc,
                 )
         free_groups = sum(
-            len(h.capacity().free_guest_node_ids)
-            for h in fleet.hosts
-            if h.host_id not in exclude
+            len((h.capacity() if h.host_id in tried else cap).free_guest_node_ids)
+            for h, cap in snapshots
         )
         raise PlacementError(
             f"no host in the fleet can place VM {spec.name!r} "
@@ -110,7 +125,7 @@ class FirstFitScheduler(PlacementScheduler):
 
     name = "first-fit"
 
-    def _key(self, host: Host, spec: VmSpec):
+    def _key(self, host: Host, cap: CapacitySnapshot, spec: VmSpec):
         return 0  # ranking falls through to the host-id tiebreak
 
 
@@ -119,9 +134,8 @@ class BestFitScheduler(PlacementScheduler):
 
     name = "best-fit"
 
-    def _key(self, host: Host, spec: VmSpec):
-        needed = admission_bytes(spec, host.hv.backing_page_bytes)
-        return host.capacity().free_guest_bytes - needed
+    def _key(self, host: Host, cap: CapacitySnapshot, spec: VmSpec):
+        return cap.free_guest_bytes - admission_bytes(spec, host.hv.backing_page_bytes)
 
 
 class SpreadScheduler(PlacementScheduler):
@@ -129,8 +143,7 @@ class SpreadScheduler(PlacementScheduler):
 
     name = "spread"
 
-    def _key(self, host: Host, spec: VmSpec):
-        cap = host.capacity()
+    def _key(self, host: Host, cap: CapacitySnapshot, spec: VmSpec):
         return (cap.vm_count, -cap.free_guest_bytes)
 
 

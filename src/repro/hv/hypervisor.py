@@ -36,7 +36,9 @@ from repro.units import PAGE_2M, PAGE_4K
 class CapacitySnapshot:
     """Read-only capacity picture of one host (``Hypervisor.capacity()``).
 
-    The fleet scheduler packs VMs against this instead of poking at live
+    Built from counters in O(nodes): every free-byte figure is a buddy
+    allocator's running count, never a walk of its free lists.  The
+    fleet scheduler packs VMs against this instead of poking at live
     allocator state, and ``repro health`` can print it as a one-line
     utilization summary.  ``free_guest_node_ids`` are guest-reserved
     nodes not reserved by any VM (the only nodes a new tenant may be
@@ -473,22 +475,21 @@ class Hypervisor:
     def capacity(self) -> CapacitySnapshot:
         """Read-only snapshot of this host's placement capacity.
 
-        Cheap (no allocation, no DRAM access) and safe to call at any
-        point in the VM lifecycle; the fleet scheduler calls it per
+        O(nodes): each node's free bytes is its buddy allocator's
+        running counter, so no free list is walked, nothing is
+        allocated and DRAM is not touched.  Safe to call at any point
+        in the VM lifecycle; the fleet scheduler takes one per host per
         placement decision.
         """
         from repro.mm.offline import OfflineReason
 
         reserved = self._nodes_unavailable_for_placement()
-        free_guest = tuple(
-            n.node_id
-            for n in self.topology.nodes_of_kind(NodeKind.GUEST_RESERVED)
-            if n.node_id not in reserved
-        )
+        nodes = self.topology.nodes
+        guest = [n.node_id for n in nodes if n.kind is NodeKind.GUEST_RESERVED]
         return CapacitySnapshot(
-            free_guest_node_ids=free_guest,
-            free_bytes_by_node={n.node_id: n.free_bytes for n in self.topology.nodes},
-            total_guest_nodes=len(self.topology.nodes_of_kind(NodeKind.GUEST_RESERVED)),
+            free_guest_node_ids=tuple(n for n in guest if n not in reserved),
+            free_bytes_by_node={n.node_id: n.free_bytes for n in nodes},
+            total_guest_nodes=len(guest),
             guard_row_bytes=self.offline.total_bytes(OfflineReason.GUARD_ROW),
             offlined_bytes=self.offline.total_bytes(),
             vm_count=len(self.vms),

@@ -6,6 +6,11 @@ hands out naturally-aligned power-of-two blocks from 4 KiB up to 1 GiB,
 splitting and (on free) re-coalescing buddies.  ``reserve_range`` pulls
 arbitrary sub-ranges out of the free pool — the primitive page offlining
 (guard rows, §5.4; repaired rows, §6) is built on.
+
+Free memory is a running count (``free_bytes``), updated only where
+bytes enter or leave the free lists, the way Linux keeps
+``NR_FREE_PAGES``: splitting and coalescing move no bytes, so reading
+it never walks a list.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ class BuddyAllocator:
         if not ranges:
             raise MmError("allocator needs at least one range")
         self._free: list[set[int]] = [set() for _ in range(MAX_ORDER + 1)]
+        #: Bytes on the free lists, kept by every method that adds a
+        #: block to them or takes one off.
+        self.free_bytes = 0
         self._allocated: dict[int, int] = {}  # start -> order
         self._quarantined: dict[int, int] = {}  # start -> order (soak, §health)
         self.retired_bytes = 0  # permanently removed (runtime offlining)
@@ -65,12 +73,9 @@ class BuddyAllocator:
                 order -= 1
             self._free[order].add(addr)
             addr += MIN_BLOCK << order
+        self.free_bytes += r.size
 
     # ------------------------------------------------------------------
-
-    @property
-    def free_bytes(self) -> int:
-        return sum(len(s) * (MIN_BLOCK << o) for o, s in enumerate(self._free))
 
     @property
     def allocated_bytes(self) -> int:
@@ -95,6 +100,7 @@ class BuddyAllocator:
             half = MIN_BLOCK << current
             self._free[current].add(addr + half)
         self._allocated[addr] = order
+        self.free_bytes -= MIN_BLOCK << order
         return addr
 
     def alloc_bytes(self, size: int) -> int:
@@ -106,6 +112,7 @@ class BuddyAllocator:
         order = self._allocated.pop(addr, None)
         if order is None:
             raise MmError(f"free of unallocated address {addr:#x}")
+        self.free_bytes += MIN_BLOCK << order
         while order < MAX_ORDER:
             size = MIN_BLOCK << order
             buddy = addr ^ size
@@ -124,38 +131,43 @@ class BuddyAllocator:
 
         Every page of the target must currently be free; blocks that
         partially overlap are split until the target is exactly covered.
-        Used to offline guard rows and repair holes before any
+        A target that is not fully free raises and leaves the pool as it
+        was.  Used to offline guard rows and repair holes before any
         allocations happen (§5.4, §6).
         """
         if target.start % MIN_BLOCK or target.size % MIN_BLOCK:
             raise MmError(f"reserve target {target} not page-aligned")
-        remaining = target.size
-        guard = 0
-        while remaining > 0:
-            guard += 1
-            if guard > target.size // MIN_BLOCK * (MAX_ORDER + 2):
-                raise MmError(f"range {target} not fully free; cannot reserve")
+        covered = sum(
+            min(addr + size, target.end) - max(addr, target.start)
+            for addr, size in self.free_blocks_within(target)
+        )
+        if covered != target.size:
+            raise MmError(f"range {target} not fully free; cannot reserve")
+        if target.size:  # an empty target neither carves nor splits
+            self._carve(target)
+
+    def _carve(self, target: AddressRange) -> list[tuple[int, int]]:
+        """Take every free page inside the page-aligned *target* off the
+        free lists, splitting blocks that straddle its edges; returns
+        the removed (addr, order) blocks in removal order."""
+        taken = []
+        progressed = True
+        while progressed:
             progressed = False
             for order in range(MAX_ORDER + 1):
                 size = MIN_BLOCK << order
                 for addr in list(self._free[order]):
-                    block = AddressRange(addr, addr + size)
-                    if not block.overlaps(target):
+                    if addr >= target.end or addr + size <= target.start:
                         continue
                     self._free[order].remove(addr)
-                    if order > 0 and (
-                        block.start < target.start or block.end > target.end
-                    ):
-                        half = size // 2
+                    if target.start <= addr and addr + size <= target.end:
+                        taken.append((addr, order))
+                        self.free_bytes -= size
+                    else:  # straddles an edge, so order > 0: split
                         self._free[order - 1].add(addr)
-                        self._free[order - 1].add(addr + half)
-                    elif block.start >= target.start and block.end <= target.end:
-                        remaining -= size
-                    else:  # order-0 page partially overlapping: impossible
-                        raise MmError("page-aligned target cannot split a page")
+                        self._free[order - 1].add(addr + size // 2)
                     progressed = True
-            if not progressed:
-                raise MmError(f"range {target} not fully free; cannot reserve")
+        return taken
 
     # ------------------------------------------------------------------
     # Runtime fault handling: quarantine, retirement, block queries
@@ -197,28 +209,9 @@ class BuddyAllocator:
         :meth:`finalize_quarantine`."""
         if target.start % MIN_BLOCK or target.size % MIN_BLOCK:
             raise MmError(f"quarantine target {target} not page-aligned")
-        moved = 0
-        progressed = True
-        while progressed:
-            progressed = False
-            for order in range(MAX_ORDER + 1):
-                size = MIN_BLOCK << order
-                for addr in list(self._free[order]):
-                    block = AddressRange(addr, addr + size)
-                    if not block.overlaps(target):
-                        continue
-                    self._free[order].remove(addr)
-                    if block.start >= target.start and block.end <= target.end:
-                        self._quarantined[addr] = order
-                        moved += size
-                    elif order > 0:
-                        half = size // 2
-                        self._free[order - 1].add(addr)
-                        self._free[order - 1].add(addr + half)
-                    else:  # aligned target cannot split an order-0 page
-                        raise MmError("page-aligned target cannot split a page")
-                    progressed = True
-        return moved
+        taken = self._carve(target)
+        self._quarantined.update(taken)
+        return sum(MIN_BLOCK << order for _, order in taken)
 
     def release_quarantine(self, target: AddressRange | None = None) -> int:
         """Return quarantined blocks (all, or those inside *target*) to

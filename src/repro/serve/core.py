@@ -524,7 +524,9 @@ class ServeCore:
         return ok_response(
             request.id,
             hosts=per_host,
-            total_free_guest_bytes=self.sm.fleet.total_guest_capacity(),
+            total_free_guest_bytes=sum(
+                cap["free_guest_bytes"] for cap in per_host.values()
+            ),
             placed_vms=len(self.sm.owner),
         )
 

@@ -1,5 +1,7 @@
 """Unit tests for the buddy allocator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,11 @@ from repro.units import GiB, KiB, MiB, PAGE_2M, PAGE_4K
 
 def make(size=16 * MiB, base=0):
     return BuddyAllocator([AddressRange(base, base + size)])
+
+
+def recount(alloc):
+    """Free bytes summed over every free list (what ``free_bytes`` must equal)."""
+    return sum(len(s) * (MIN_BLOCK << o) for o, s in enumerate(alloc._free))
 
 
 class TestOrderOf:
@@ -192,6 +199,32 @@ class TestReserveRange:
         alloc.reserve_range(AddressRange(PAGE_4K, 2 * PAGE_4K))
         assert alloc.free_bytes == 256 * KiB - PAGE_4K
 
+    def test_reserve_splits_to_an_exact_cover(self):
+        alloc = make(size=1 * MiB)
+        alloc.reserve_range(AddressRange(64 * KiB, 128 * KiB))
+        by_size = {
+            MIN_BLOCK << o: sorted(s) for o, s in enumerate(alloc._free) if s
+        }
+        assert by_size == {
+            64 * KiB: [0],
+            128 * KiB: [128 * KiB],
+            256 * KiB: [256 * KiB],
+            512 * KiB: [512 * KiB],
+        }
+
+    def test_failed_reserve_leaves_pool_unchanged(self):
+        # Page 0 is allocated, so [0, 32 KiB) is only partly free: the
+        # call must raise before carving any of the free pages out.
+        alloc = make(size=64 * KiB)
+        alloc.alloc(0)
+        before = [set(s) for s in alloc._free]
+        with pytest.raises(MmError):
+            alloc.reserve_range(AddressRange(0, 0x8000))
+        assert alloc._free == before
+        assert alloc.free_bytes == 64 * KiB - PAGE_4K == recount(alloc)
+        assert alloc.allocated_bytes == PAGE_4K
+        assert alloc.quarantined_bytes == alloc.retired_bytes == 0
+
 
 class TestQuarantine:
     def test_quarantine_tolerates_allocated_blocks(self):
@@ -256,3 +289,65 @@ class TestRetire:
     def test_retire_unallocated_rejected(self):
         with pytest.raises(MmError):
             make().retire(0x3000)
+
+
+class TestFreeByteCounter:
+    """``free_bytes`` is a running count kept where blocks enter or
+    leave the free lists; after any sequence of operations it equals a
+    full recount, and every byte is free, allocated, quarantined,
+    retired or reserved."""
+
+    OPS = ("alloc", "free", "reserve", "quarantine", "release", "finalize", "retire")
+
+    @staticmethod
+    def _allocator(rng):
+        ranges, base = [], rng.randint(0, 64) * PAGE_4K
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(1, 96) * PAGE_4K
+            ranges.append(AddressRange(base, base + size))
+            base += size + rng.randint(0, 16) * PAGE_4K
+        return BuddyAllocator(ranges)
+
+    def test_counter_matches_recount(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            alloc = self._allocator(rng)
+            lo, hi = alloc.ranges[0].start, alloc.ranges[-1].end
+            reserved = 0
+            for step in range(60):
+                op = rng.choice(self.OPS)
+                start = rng.randrange(lo, hi, PAGE_4K)
+                target = AddressRange(start, start + rng.randint(0, 16) * PAGE_4K)
+                allocated = sorted(alloc._allocated)
+                if op == "alloc":
+                    try:
+                        alloc.alloc(rng.randint(0, 5))
+                    except OutOfMemoryError:
+                        pass
+                elif op == "free" and allocated:
+                    alloc.free(rng.choice(allocated))
+                elif op == "retire" and allocated:
+                    alloc.retire(rng.choice(allocated))
+                elif op == "reserve":
+                    before = [set(s) for s in alloc._free]
+                    try:
+                        alloc.reserve_range(target)
+                        reserved += target.size
+                    except MmError:
+                        assert alloc._free == before, (seed, step)
+                elif op == "quarantine":
+                    alloc.quarantine_range(target)
+                elif op == "release":
+                    alloc.release_quarantine(rng.choice((None, target)))
+                elif op == "finalize":
+                    alloc.finalize_quarantine(target)
+                where = (seed, step, op)
+                assert alloc.free_bytes == recount(alloc), where
+                assert (
+                    alloc.free_bytes
+                    + alloc.allocated_bytes
+                    + alloc.quarantined_bytes
+                    + alloc.retired_bytes
+                    + reserved
+                    == alloc.total_bytes
+                ), where
