@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from repro.dram.disturbance import BitFlip
+from repro.dram.mapping import AddressRange
 from repro.dram.media import MediaAddress
 from repro.hv.hypervisor import Hypervisor
 from repro.hv.vm import VirtualMachine, VmState
@@ -146,27 +147,80 @@ def classify_flips(
     which reserves nothing — the groups its backing actually occupies,
     so the same query is meaningful there.  Flips are accounted in the
     *managed* geometry's group units.
+
+    Every flip in media row *row* lies in that row's row group, one
+    contiguous HPA range, so ownership is looked up once per
+    ``(socket, row)``.  Only a row group that other tenants own in part
+    (buddy blocks split it on a shared pool) is resolved per flip, from
+    the HPA of the cache line holding the flipped bit.
     """
     groups = frozenset(attacker.reserved_groups) or frozenset(
         hv.groups_of_vm(attacker)
     )
     rows_per_subarray = getattr(hv, "managed_geom", hv.machine.geom).rows_per_subarray
     geom = hv.machine.geom
-    encode = hv.machine.mapping.encode
+    mapping = hv.machine.mapping
     others = [(name, vm) for name, vm in hv.vms.items() if name != attacker.name]
     verdict = FlipVerdict(groups, [], [], {})
+    victim_flips = verdict.victim_flips
+    # (socket, row) -> (inside the attacker's groups, row owner); local
+    # to this call, since tenants come and go between calls.
+    rows: dict[tuple[int, int], tuple[bool, object]] = {}
     for flip in flips:
-        if (flip.socket, flip.row // rows_per_subarray) in groups:
-            verdict.inside.append(flip)
-        else:
-            verdict.escaped.append(flip)
+        key = (flip.socket, flip.row)
+        cached = rows.get(key)
+        if cached is None:
+            (span,) = mapping.row_group_ranges(flip.socket, flip.row)
+            cached = rows[key] = (
+                (flip.socket, flip.row // rows_per_subarray) in groups,
+                _row_owner(span, others),
+            )
+        inside, owner = cached
+        (verdict.inside if inside else verdict.escaped).append(flip)
+        if owner is None:
+            continue
+        if owner is not _MIXED:
+            victim_flips[owner] = victim_flips.get(owner, 0) + 1
+            continue
         # The flip's HPA: the cache line holding the flipped bit.
-        hpa = encode(
+        hpa = mapping.encode(
             MediaAddress.from_socket_bank(
                 geom, flip.socket, flip.bank, flip.row, (flip.bit // 8 // 64) * 64
             )
         )
         for name, vm in others:
             if vm.owns_hpa(hpa):
-                verdict.victim_flips[name] = verdict.victim_flips.get(name, 0) + 1
+                victim_flips[name] = victim_flips.get(name, 0) + 1
     return verdict
+
+
+#: Row owner of a row group that other tenants own only in part.
+_MIXED = object()
+
+
+def _row_owner(
+    span: AddressRange, others: list[tuple[str, VirtualMachine]]
+) -> object:
+    """Who owns HPA range *span* among *others*: the one tenant whose
+    backing (mediated or not) covers all of it, ``None`` when no tenant
+    touches it, or ``_MIXED`` when ownership varies within it."""
+    owner = None
+    for name, vm in others:
+        pieces = sorted(
+            (max(r.start, span.start), min(r.end, span.end))
+            for r in (*vm.backing, *vm.mediated_backing)
+            if r.start < span.end and span.start < r.end
+        )
+        if not pieces:
+            continue
+        if owner is not None:
+            return _MIXED  # a second tenant overlaps the range
+        covered = span.start
+        for start, end in pieces:
+            if start > covered:
+                return _MIXED  # a gap: part of the range is not this tenant's
+            covered = max(covered, end)
+        if covered < span.end:
+            return _MIXED
+        owner = name
+    return owner

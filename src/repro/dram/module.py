@@ -207,7 +207,8 @@ class SimulatedDram:
         self._spare_owner.setdefault(key, {})[spare_row] = defective_row
 
     def _to_internal(self, socket: int, bank: int, row: int) -> int:
-        return self._repairs.get((socket, bank), {}).get(row, row)
+        repairs = self._repairs.get((socket, bank))
+        return repairs.get(row, row) if repairs else row
 
     def _to_media_victim(self, socket: int, bank: int, internal_row: int) -> int | None:
         """Media row whose data lives in *internal_row*, or None when the
@@ -300,8 +301,13 @@ class SimulatedDram:
         self, socket: int, bank: int, raw: list[BitFlip]
     ) -> list[BitFlip]:
         out: list[BitFlip] = []
+        # A bank without repairs maps every internal row to itself, so
+        # the raw flips are already media flips (BitFlip is frozen).
+        repaired = (socket, bank) in self._repairs
         for flip in raw:
-            media_row = self._to_media_victim(socket, bank, flip.row)
+            media_row = (
+                self._to_media_victim(socket, bank, flip.row) if repaired else flip.row
+            )
             if media_row is None:
                 continue
             if self.data_dependent_flips:
@@ -309,13 +315,17 @@ class SimulatedDram:
                 if self._effective_bit(socket, bank, media_row, flip.bit) == resting:
                     self.flips_suppressed += 1
                     continue  # cell already at rest: nothing to lose
-            media_flip = BitFlip(
-                socket=socket,
-                bank=bank,
-                row=media_row,
-                bit=flip.bit,
-                aggressor_row=flip.aggressor_row,
-                when=flip.when,
+            media_flip = (
+                flip
+                if media_row == flip.row
+                else BitFlip(
+                    socket=socket,
+                    bank=bank,
+                    row=media_row,
+                    bit=flip.bit,
+                    aggressor_row=flip.aggressor_row,
+                    when=flip.when,
+                )
             )
             self._toggle_bit(socket, bank, media_row, flip.bit)
             self.flips_log.append(media_flip)

@@ -143,14 +143,16 @@ class BuddyAllocator:
         )
         if covered != target.size:
             raise MmError(f"range {target} not fully free; cannot reserve")
-        if target.size:  # an empty target neither carves nor splits
-            self._carve(target)
+        self._carve(target)
 
     def _carve(self, target: AddressRange) -> list[tuple[int, int]]:
         """Take every free page inside the page-aligned *target* off the
         free lists, splitting blocks that straddle its edges; returns
-        the removed (addr, order) blocks in removal order."""
+        the removed (addr, order) blocks in removal order.  An empty
+        target neither carves nor splits."""
         taken = []
+        if not target.size:
+            return taken
         progressed = True
         while progressed:
             progressed = False

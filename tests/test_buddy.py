@@ -273,6 +273,17 @@ class TestQuarantine:
         with pytest.raises(MmError):
             make().quarantine_range(AddressRange(100, 4196))
 
+    def test_empty_target_leaves_free_lists_unchanged(self):
+        # An empty range inside the one 1 MiB block must not split it.
+        alloc = make(size=1 * MiB)
+        before = [set(s) for s in alloc._free]
+        empty = AddressRange(64 * KiB, 64 * KiB)
+        assert alloc.quarantine_range(empty) == 0
+        alloc.reserve_range(empty)
+        assert alloc._free == before
+        assert alloc.free_bytes == 1 * MiB == recount(alloc)
+        assert alloc.quarantined_bytes == 0
+
 
 class TestRetire:
     def test_retire_allocated_block(self):

@@ -300,3 +300,151 @@ class TestFlipAccounting:
         assert verdict.inside == flips[:1]
         assert verdict.escaped == flips[1:]
         assert verdict.victim_flips == {"victim": 1}
+
+
+def _per_flip_classify(hv, attacker, flips):
+    """The per-flip reference: encode every flip's cache line and ask
+    every other tenant whether it owns that HPA."""
+    from repro.dram.media import MediaAddress
+
+    groups = frozenset(attacker.reserved_groups) or frozenset(
+        hv.groups_of_vm(attacker)
+    )
+    rows_per_subarray = getattr(hv, "managed_geom", hv.machine.geom).rows_per_subarray
+    geom = hv.machine.geom
+    inside, escaped, victims = [], [], {}
+    for flip in flips:
+        bucket = (flip.socket, flip.row // rows_per_subarray) in groups
+        (inside if bucket else escaped).append(flip)
+        hpa = hv.machine.mapping.encode(
+            MediaAddress.from_socket_bank(
+                geom, flip.socket, flip.bank, flip.row, (flip.bit // 8 // 64) * 64
+            )
+        )
+        for name, vm in hv.vms.items():
+            if name != attacker.name and vm.owns_hpa(hpa):
+                victims[name] = victims.get(name, 0) + 1
+    return groups, inside, escaped, victims
+
+
+class TestClassifyFlipsMatchesPerFlip:
+    """``classify_flips`` looks ownership up once per row group; it must
+    agree with the per-flip reference flip for flip, in the same order."""
+
+    @staticmethod
+    def _flips(hv, rows, seed, per_row=3):
+        import random
+
+        from repro.dram.disturbance import BitFlip
+
+        geom = hv.machine.geom
+        rng = random.Random(seed)
+        flips = [
+            BitFlip(
+                socket,
+                rng.randrange(geom.banks_per_socket),
+                row,
+                rng.randrange(geom.row_bytes * 8),
+                row + 1,
+                float(i),
+            )
+            for i, (socket, row) in enumerate(rows * per_row)
+        ]
+        rng.shuffle(flips)  # victims hit in interleaved order
+        return flips
+
+    @staticmethod
+    def _owner_kinds(hv, attacker, rows):
+        """Which of the three cached owner kinds *rows* exercise."""
+        from repro.core import policy
+
+        others = [(n, vm) for n, vm in hv.vms.items() if n != attacker.name]
+        kinds = set()
+        for socket, row in rows:
+            (span,) = hv.machine.mapping.row_group_ranges(socket, row)
+            owner = policy._row_owner(span, others)
+            kinds.add(
+                "mixed" if owner is policy._MIXED else "none" if owner is None
+                else "owned"
+            )
+        return kinds
+
+    def _check(self, hv, attacker, rows, seed):
+        flips = self._flips(hv, rows, seed)
+        got = classify_flips(hv, attacker, flips)
+        want = _per_flip_classify(hv, attacker, flips)
+        assert (got.groups, got.inside, got.escaped) == want[:3]
+        assert list(got.victim_flips.items()) == list(want[3].items())
+        return got
+
+    def _all_rows(self, hv):
+        geom = hv.machine.geom
+        return [(s, r) for s in range(geom.sockets) for r in range(geom.rows_per_bank)]
+
+    def test_siloz(self):
+        hv = small_siloz()
+        attacker = hv.create_vm(spec("attacker"))
+        hv.create_vm(spec("victim-a", 1 * MiB))
+        hv.create_vm(spec("victim-b", 1 * MiB))
+        rows = self._all_rows(hv)
+        # Host-reserved rows hold both victims' mediated pages (and the
+        # EPT pages), so they are shared; guest rows belong to one
+        # tenant or to nobody.
+        assert self._owner_kinds(hv, attacker, rows) == {"mixed", "none", "owned"}
+        got = self._check(hv, attacker, rows, seed=1)
+        assert set(got.victim_flips) == {"victim-a", "victim-b"}
+
+    def test_baseline_shared_pool(self):
+        hv = BaselineHypervisor(Machine.small(), backing_page_bytes=4 * KiB)
+        # A departed tenant's hole, refilled in part, splits row groups
+        # between the victims, the attacker and the free pool.
+        hv.create_vm(spec("departed", 1 * MiB))
+        hv.create_vm(spec("victim-a", 1 * MiB))
+        hv.destroy_vm("departed")
+        hv.release_reservation("departed")
+        hv.create_vm(spec("victim-b", 512 * KiB))
+        attacker = hv.create_vm(spec("attacker", 1 * MiB))
+        rows = self._all_rows(hv)
+        assert self._owner_kinds(hv, attacker, rows) == {"mixed", "none", "owned"}
+        got = self._check(hv, attacker, rows, seed=2)
+        assert set(got.victim_flips) == {"victim-a", "victim-b"}
+
+    def test_baseline_campaign(self):
+        # The Table 3 baseline contrast: a real campaign's flips.
+        from repro.attack import attack_from_vm
+
+        hv = BaselineHypervisor(
+            Machine.small(seed=200, backend="vectorized"), backing_page_bytes=64 * KiB
+        )
+        attacker = hv.create_vm(spec("attacker"))
+        hv.create_vm(spec("victim"))
+        outcome = attack_from_vm(hv, attacker, seed=200, pattern_budget=80)
+        want = _per_flip_classify(hv, attacker, outcome.report.flips)
+        assert (outcome.flips_inside, outcome.flips_escaped) == want[1:3]
+        assert list(outcome.victim_flips.items()) == list(want[3].items())
+        assert outcome.victim_flips
+
+    def test_mediated_backing_is_owned(self):
+        hv = small_siloz()
+        attacker = hv.create_vm(spec("attacker"))
+        victim = hv.create_vm(spec("victim"))
+        assert victim.mediated_backing
+        rows = set()
+        for r in victim.mediated_backing:
+            socket, _bank, _channel, row, _col = hv.machine.mapping.decode_flat(r.start)
+            rows.add((socket, row))
+        rows = sorted(rows)
+        got = self._check(hv, attacker, rows, seed=3)
+        assert got.victim_flips  # the cache lines of its mediated pages
+
+    def test_unowned_rows_corrupt_nobody(self):
+        hv = small_siloz()
+        attacker = hv.create_vm(spec("attacker"))
+        hv.create_vm(spec("victim"))
+        rows = [
+            (s, r) for s, r in self._all_rows(hv)
+            if self._owner_kinds(hv, attacker, [(s, r)]) == {"none"}
+        ]
+        assert rows
+        got = self._check(hv, attacker, rows, seed=4)
+        assert got.victim_flips == {}
