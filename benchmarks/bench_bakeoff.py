@@ -8,6 +8,9 @@ attack that corrupts a victim VM on the unmitigated baseline), then
 records wall times, the backend speedup, and the comparison metrics to
 ``BENCH_bakeoff.json`` at the repo root, with a ``runner`` record (CPU
 count, python and numpy versions, commit) naming who measured them.
+The two backends alternate (scalar, vectorized, scalar, ...) after one
+warm-up of each; the speedup is the median of the per-pair speedups,
+recorded with every pair and their interquartile range.
 
 ``check_trajectory.py --key bakeoff_campaign`` gates the recorded
 speedup run-over-run; ``--field siloz_loss_pct --direction down`` and
@@ -20,9 +23,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import time
+import statistics
 
-from conftest import runner_record
+from conftest import runner_record, time_paired
 
 from repro.mitigations.bakeoff import BakeoffConfig, run_bakeoff
 
@@ -37,6 +40,9 @@ HOSTS = 4
 VMS = 8
 BUDGET = 150
 WORKERS = 2
+#: Timed scalar/vectorized pairs; a scalar bake-off takes ~16 s on a
+#: 2-vCPU runner, so three pairs keep the bench near a minute and a half.
+PAIRS = 3
 
 _RESULTS: dict = {
     "bench": "bakeoff",
@@ -67,14 +73,17 @@ def _bakeoff(backend: str):
         backend=backend,
         workers=WORKERS,
     )
-    t0 = time.perf_counter()
-    report = run_bakeoff(config)
-    return time.perf_counter() - t0, report
+    return run_bakeoff(config)
 
 
 def test_bakeoff_campaign() -> None:
-    scalar_s, scalar = _bakeoff("scalar")
-    vector_s, vector = _bakeoff("vectorized")
+    timing = time_paired(
+        lambda: _bakeoff("scalar"),
+        lambda: _bakeoff("vectorized"),
+        pairs=PAIRS,
+        warmup=1,
+    )
+    scalar, vector = timing.ref_result, timing.cand_result
 
     assert scalar.digest() == vector.digest(), (
         "scalar and vectorized bake-off reports diverged"
@@ -101,7 +110,9 @@ def test_bakeoff_campaign() -> None:
 
     siloz_loss_pct = 100.0 * scalar.entry("siloz")["capacity"]["loss_fraction"]
     para_rpk = scalar.entry("para")["overhead"]["refreshes_per_kact"]
-    speedup = scalar_s / vector_s
+    scalar_s = statistics.median(timing.ref_seconds)
+    vector_s = statistics.median(timing.cand_seconds)
+    speedup = timing.median
     print(_banner(
         f"Bake-off: {'/'.join(MITIGATIONS)} on {HOSTS} hosts, "
         f"scalar vs vectorized"
@@ -109,7 +120,8 @@ def test_bakeoff_campaign() -> None:
     print(scalar.render_table())
     print(
         f"scalar {scalar_s * 1e3:8.1f} ms   vectorized {vector_s * 1e3:8.1f} ms"
-        f"   speedup {speedup:.2f}x   identical reports: yes"
+        f" (medians)   speedup {speedup:.2f}x median of {len(timing.ratios)} "
+        f"alternating pairs, IQR {timing.iqr:.2f}   identical reports: yes"
     )
     _record(
         "bakeoff_campaign",
@@ -117,6 +129,8 @@ def test_bakeoff_campaign() -> None:
             "scalar_seconds": round(scalar_s, 6),
             "vectorized_seconds": round(vector_s, 6),
             "speedup": round(speedup, 3),
+            "speedup_iqr": round(timing.iqr, 3),
+            "pair_speedups": [round(r, 3) for r in timing.ratios],
             "cpu_count": os.cpu_count() or 1,
             "identical_results": True,
             "hosts": HOSTS,

@@ -57,18 +57,11 @@ def _record(key: str, payload: dict) -> None:
     BENCH_JSON.write_text(json.dumps(_RESULTS, indent=2) + "\n")
 
 
-def _time_best(fn, repeats: int = 3, warmup: int = 0):
-    """(best wall seconds, last result) over *repeats* timed runs.
-
-    *warmup* extra untimed runs precede the timed ones: the first run
-    of a backend pays one-off costs (numpy import, lazy decode tables,
-    allocator growth) that best-of-N would otherwise fold into the
-    measurement on short campaigns.
-    """
+def _time_best(fn, repeats: int = 3):
+    """(best wall seconds, last result) over *repeats* timed runs (the
+    tracing gate's timer)."""
     best = float("inf")
     result = None
-    for _ in range(warmup):
-        fn()
     for _ in range(repeats):
         t0 = time.perf_counter()
         result = fn()
@@ -267,7 +260,10 @@ def test_engine_fig5_e2e_speedup(benchmark):
     controller scheduling (scalar fold vs segmented closed forms) — over
     the full Figure 5 workload sweep on both systems.  Gate: vectorized
     ≥20× over scalar with bit-identical TraceResults, or the speedup is
-    void."""
+    void.  The two backends alternate (scalar, vectorized, scalar, ...)
+    after one warm-up of each, and the gate reads the median of the
+    per-pair speedups; the record keeps every pair and their
+    interquartile range."""
     from repro.eval.experiments import baseline_system, siloz_system
     from repro.workloads import THROUGHPUT_SUITES
     from repro.workloads.runner import run_in_vm
@@ -295,23 +291,22 @@ def test_engine_fig5_e2e_speedup(benchmark):
     def _measure():
         scalar_systems = _systems("scalar")
         vector_systems = _systems("vectorized")
-        scalar_s, scalar_out = _time_best(
-            lambda: _sweep(scalar_systems), repeats=2, warmup=1
+        return time_paired(
+            lambda: _sweep(scalar_systems), lambda: _sweep(vector_systems), warmup=1
         )
-        vector_s, vector_out = _time_best(
-            lambda: _sweep(vector_systems), repeats=5, warmup=1
-        )
-        return scalar_s, scalar_out, vector_s, vector_out
 
-    scalar_s, scalar_out, vector_s, vector_out = benchmark.pedantic(
-        _measure, rounds=1, iterations=1
+    timing = benchmark.pedantic(_measure, rounds=1, iterations=1)
+    assert timing.ref_result == timing.cand_result, (
+        "vectorized pipeline diverged: speedup is void"
     )
-    assert scalar_out == vector_out, "vectorized pipeline diverged: speedup is void"
-    speedup = scalar_s / vector_s
+    scalar_s = statistics.median(timing.ref_seconds)
+    vector_s = statistics.median(timing.cand_seconds)
+    speedup = timing.median
     print(banner("Engine: Figure 5 campaign end-to-end, scalar vs vectorized"))
     print(
         f"scalar {scalar_s * 1e3:8.1f} ms   vectorized {vector_s * 1e3:8.1f} ms"
-        f"   speedup {speedup:.2f}x (target >= {FIG5_E2E_TARGET}x)"
+        f" (medians)   speedup {speedup:.2f}x median of {len(timing.ratios)} "
+        f"alternating pairs, IQR {timing.iqr:.2f} (target >= {FIG5_E2E_TARGET}x)"
     )
     _record(
         "fig5_e2e",
@@ -319,6 +314,8 @@ def test_engine_fig5_e2e_speedup(benchmark):
             "scalar_seconds": round(scalar_s, 6),
             "vectorized_seconds": round(vector_s, 6),
             "speedup": round(speedup, 3),
+            "speedup_iqr": round(timing.iqr, 3),
+            "pair_speedups": [round(r, 3) for r in timing.ratios],
             "target": FIG5_E2E_TARGET,
             "identical_results": True,
         },

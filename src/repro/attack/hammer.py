@@ -47,7 +47,7 @@ def run_pattern(
     if not synchronize:
         # One batch for the whole pattern: the engine fast path (when
         # the module runs the vectorized backend) folds every round
-        # into one whole-batch kernel.
+        # into one tiled kernel.
         return dram.activate_batch(socket, bank, rows * pattern.rounds)
     flips: list[BitFlip] = []
     for _ in range(pattern.rounds):

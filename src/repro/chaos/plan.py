@@ -122,7 +122,7 @@ class ChaosSpec:
         )
 
     def to_dict(self) -> dict:
-        """Plain-dict form (JSON-serialisable) for storage/replay."""
+        """Plain-dict form of one spec (see :meth:`ChaosPlan.to_dict`)."""
         return {
             "kind": self.kind.value,
             "host_id": self.host_id,
@@ -134,21 +134,6 @@ class ChaosSpec:
             "stall_s": self.stall_s,
             "stall_width": self.stall_width,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            kind=ChaosKind(data["kind"]),
-            host_id=data["host_id"],
-            at_clock=data.get("at_clock", 0.0),
-            kills=data.get("kills", 1),
-            ue_errors=data.get("ue_errors", 0),
-            flip_offset=data.get("flip_offset", 0),
-            arrival_index=data.get("arrival_index", 0),
-            stall_s=data.get("stall_s", 0.0),
-            stall_width=data.get("stall_width", 0),
-        )
 
 
 def _order(spec: ChaosSpec) -> tuple:
@@ -206,16 +191,9 @@ class ChaosPlan:
         return [s.describe() for s in self.specs]
 
     def to_dict(self) -> dict:
-        """Plain-dict form (JSON-serialisable) of the whole plan."""
+        """Plain-dict form of the whole plan, hashed into a chaos
+        campaign's identity (merge digest and journal header)."""
         return {"seed": self.seed, "specs": [s.to_dict() for s in self.specs]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            specs=[ChaosSpec.from_dict(d) for d in data.get("specs", [])],
-            seed=data.get("seed", 0),
-        )
 
     # ------------------------------------------------------------------
     # Generator (all randomness resolved here, at build time)

@@ -160,7 +160,11 @@ def classify_flips(
     rows_per_subarray = getattr(hv, "managed_geom", hv.machine.geom).rows_per_subarray
     geom = hv.machine.geom
     mapping = hv.machine.mapping
-    others = [(name, vm) for name, vm in hv.vms.items() if name != attacker.name]
+    others = [
+        (name, vm)
+        for name, vm in hv.vms.items()
+        if name != attacker.name and vm.state is VmState.RUNNING
+    ]
     verdict = FlipVerdict(groups, [], [], {})
     victim_flips = verdict.victim_flips
     # (socket, row) -> (inside the attacker's groups, row owner); local

@@ -1,8 +1,8 @@
 """Fast hot-path simulation engine (vectorized).
 
 ``SimBackend`` selects between the scalar golden-reference path and the
-numpy fast path; ``run_activation_batch_vectorized`` is the whole-batch
-kernel behind :meth:`repro.dram.module.SimulatedDram.activate_batch`.
+numpy fast path; ``run_activation_batch_vectorized`` is the batch entry
+point behind :meth:`repro.dram.module.SimulatedDram.activate_batch`.
 
 The vectorized names resolve lazily (PEP 562): the DRAM layer imports
 ``repro.engine.backend`` at module load, and importing the numpy engine

@@ -6,11 +6,12 @@ Two backends drive the disturbance/TRR/refresh core of
 - ``SCALAR`` — the original per-access object-graph walk.  It is the
   *golden reference*: every fast-path result is defined as "whatever the
   scalar path would have produced".
-- ``VECTORIZED`` — the :mod:`repro.engine.vector` numpy path: whole-batch
-  pressure/TRR/clock math as float64 array kernels, dropping to the
-  exact scalar code only at RNG-consuming events (first-touch threshold
-  draws, flip emission) and to an inlined per-ACT loop for hooked,
-  traced or short batches.  It consumes the same RNG streams in the
+- ``VECTORIZED`` — the :mod:`repro.engine.vector` numpy path: a batch
+  that tiles a short hammer pattern folds its pressure and clock math
+  into float64 array kernels, dropping to the exact scalar code only at
+  RNG-consuming events (first-touch threshold draws, flip emission);
+  every other batch (hooked, traced, short, TRR-enabled, non-periodic
+  or crossing a refresh window) runs an inlined per-ACT loop.  It consumes the same RNG streams in the
   same order as the scalar path, so flip sets, TRR decisions, ECC
   events and health escalations are bit-for-bit identical (enforced by
   ``tests/test_differential.py``).

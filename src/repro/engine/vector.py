@@ -5,57 +5,52 @@ scalar reference's disturbance, TRR and refresh semantics with the
 RNG-free bulk math of a whole activation batch moved into numpy, while
 keeping the repo's golden equivalence contract — every flip set, TRR
 decision, ECC event and health escalation is bit-identical to the scalar
-reference.  The design splits each batch into:
+reference.
 
-1. **Deterministic bulk math (numpy).**  The clock trajectory, refresh
-   window detection, TRR tick schedule, per-victim pressure trajectories
-   and threshold-crossing detection are all RNG-free, so they vectorize.
-   Exactness holds because ``np.cumsum`` on float64 is a sequential left
-   fold (identical rounding to the scalar ``+=`` chain), zero terms obey
-   ``p + 0.0 == p``, and the refresh-window check replicates the scalar
-   subtraction form ``clock - last_refresh >= window`` elementwise.
+One dispatch rule decides each batch.  The per-ACT loop
+:func:`_run_per_act` is the scalar path's exact operation sequence
+flattened into one loop, and it takes every batch that is empty,
+shorter than :data:`MIN_VECTOR_BATCH`, fault-hooked or traced, issued
+with TRR enabled, not an exact tiling of a short period, or whose span
+would cross a full refresh window: hooks mutate mid-batch state,
+traces interleave per ACT, TRR samples and refreshes per ACT, and
+short vectors do not amortize the numpy set-up cost.  Every other
+batch — a ``rows * rounds`` tiling of a short hammer pattern
+(:func:`repro.attack.hammer.run_pattern`), the shape every attack
+builds — runs the one vector kernel, :func:`_span_tiled`, which does
+its victim math on the period only and folds all rounds with one small
+tiled cumsum:
+
+1. **Deterministic bulk math (numpy).**  The clock trajectory,
+   per-victim pressure trajectories and threshold-crossing screening are
+   RNG-free, so they vectorize.  Exactness holds because ``np.cumsum``
+   on float64 is a sequential left fold (identical rounding to the
+   scalar ``+=`` chain) and zero terms obey ``p + 0.0 == p``.  The
+   refresh-window test is the scalar subtraction form
+   ``clock - last_refresh >= window`` on the span's last ACT; the clock
+   only grows, so that one test answers for every ACT of the span.
 
 2. **Rare RNG-consuming events (exact scalar code).**  First-touch
-   threshold draws are handled by running the per-ACT loop over a
-   prefix of the batch until every victim has a drawn threshold;
-   threshold-crossing flip emission replays the scalar draw sequence in
-   global ``(ACT index, neighbor order)`` order.  Crucially the pressure
+   threshold draws are handled by running the per-ACT loop over the
+   batch's first period, which touches every victim; threshold-crossing
+   flip emission replays the scalar draw sequence in global
+   ``(ACT index, neighbor order)`` order.  Crucially the pressure
    trajectory itself is RNG-free (the crossing loop subtracts the
    threshold deterministically; randomness only picks flipped bits), so
    crossings never invalidate the bulk math of other victims.
 
-3. **TRR sampling via MT19937 state transplant.**  CPython's ``random``
-   and numpy's legacy ``RandomState`` share the Mersenne Twister core
-   and the 53-bit double recipe, so :func:`bulk_uniforms` generates the
-   exact per-ACT sampling stream in one call and resynchronizes the
-   Python generator afterwards.  Sampler counter updates (a fraction of
-   ACTs) and REF-tick target selection stay scalar, replayed in time
-   order.
-
-Attack batches are almost always ``rows * rounds`` tilings of a short
-hammer pattern (:func:`repro.attack.hammer.run_pattern`), so the runner
-first looks for an exact period.  A periodic batch does its per-ACT
-victim math on the period only and folds all rounds with one small
-tiled cumsum (:func:`_span_tiled`); everything else — non-periodic
-batches, spans containing refresh windows or TRR victim refreshes —
-takes the generic whole-batch matrix path (:func:`_finals_generic`).
-Both produce identical state.
-
-Batches with registered fault hooks, with tracing enabled, or shorter
-than :data:`MIN_VECTOR_BATCH` run through :func:`_run_per_act`, the
-scalar path's exact operation sequence flattened into one loop: hooks
-mutate mid-batch state, traces must interleave per ACT, and short
-vectors do not amortize the numpy set-up cost.  The per-bank tables are
-``array('d')`` so that loop indexes plain Python floats; the numpy
-kernels work on cached zero-copy ``np.frombuffer`` views of the same
-memory.
+The per-bank tables are ``array('d')`` so the per-ACT loop indexes
+plain Python floats; the tile kernel works on cached zero-copy
+``np.frombuffer`` views of the same memory.  :func:`bulk_uniforms`
+(the MT19937 state transplant behind
+:func:`repro.workloads.trace.generate_trace_batch`) lives here too.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -76,13 +71,13 @@ MIN_VECTOR_BATCH: int = 96
 #: detecting ``rows * rounds`` tilings; hammer patterns are far shorter.
 _PERIOD_WINDOW: int = 128
 
-#: Relative slack used when screening approximate trajectories against
-#: thresholds.  The approximation (cumsum minus a segment baseline, or
-#: the periodic-case count/gap bounds) can differ from the exact fold by
-#: accumulated rounding of order ``n * eps * max|cumsum|``; the screen
-#: widens the threshold test by a far larger slack so no exact crossing
-#: is ever missed, and every screened victim is re-walked with exact
-#: scalar arithmetic anyway.
+#: Relative slack used when screening the tile kernel's trajectory
+#: bounds (entry pressure plus the span's added pressure, or the
+#: self-reset gap bound) against thresholds.  A bound can differ from
+#: the exact fold by accumulated rounding of order
+#: ``n * eps * max|cumsum|``; the screen widens the threshold test by a
+#: far larger slack so no exact crossing is ever missed, and every
+#: screened victim is re-walked with exact scalar arithmetic anyway.
 _SCREEN_SLACK: float = 1e-9
 
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
@@ -137,7 +132,7 @@ class VectorizedDisturbanceModel(DisturbanceModel):
     first-touch order as the scalar model's dict, so both backends see
     identical threshold values and identical downstream flip randomness.
     Each bank also carries ``np.frombuffer`` views of its two tables,
-    built once with the tables, for the whole-batch kernels.  Every
+    built once with the tables, for the tile kernel.  Every
     table update is in place, so hoisted references held by an
     in-flight batch stay valid.
     """
@@ -463,111 +458,97 @@ def run_activation_batch_vectorized(
     if not isinstance(dist, VectorizedDisturbanceModel):
         raise DramError("run_activation_batch_vectorized needs the vectorized backend")
     rows = rows if isinstance(rows, list) else list(rows)
-    if not rows or len(rows) < MIN_VECTOR_BATCH or dram._hooks or obs.ENABLED:
+    if (
+        not rows
+        or len(rows) < MIN_VECTOR_BATCH
+        or dram._hooks
+        or obs.ENABLED
+        or dram.trr is not None
+    ):
         # Fault hooks mutate mid-batch state, tracing must interleave
-        # events per ACT, and short batches don't amortize the numpy
-        # set-up; the per-ACT loop is exact in all three cases.
+        # events per ACT, TRR samples and refreshes per ACT, and short
+        # batches don't amortize the numpy set-up; the per-ACT loop is
+        # exact in every case.
         return _run_per_act(dram, dist, socket, bank, rows)
 
-    geom = dram.geom
     try:
         rows_arr = np.asarray(rows, dtype=np.int64)
     except (OverflowError, TypeError):
         return _run_per_act(dram, dist, socket, bank, rows)
-    minrow = int(rows_arr.min())
-    maxrow = int(rows_arr.max())
-    if minrow < 0 or maxrow >= geom.rows_per_bank:
-        bad = (rows_arr < 0) | (rows_arr >= geom.rows_per_bank)
-        geom.check_row(int(rows_arr[np.argmax(bad)]))  # raises the canonical error
-
-    repairs = dram._repairs.get((socket, bank))
-    _, thresh, _, thresh_v = dist._bank_tables(socket, bank)
-    out: list[BitFlip] = []
-
     period = _find_period(rows_arr)
-    if period:
-        # Media -> internal rows (vendor repairs); static without hooks.
-        base_media = rows_arr[:period]
-        if repairs:
-            media_distinct, base_inv = np.unique(base_media, return_inverse=True)
-            internal_of = np.asarray(
-                [repairs.get(int(r), int(r)) for r in media_distinct],
-                dtype=np.int64,
-            )
-            base_internal = internal_of[base_inv]
-        else:
-            base_internal = base_media
-        rounds = len(rows) // period
-        if repairs:
-            iminrow = int(base_internal.min())
-            imaxrow = int(base_internal.max())
-        else:
-            iminrow, imaxrow = minrow, maxrow
-        # The victim structure is translation-invariant: neighbor tables
-        # depend only on row deltas, the subarray alignment of the rows,
-        # and bank-edge clamping.  Key entries on the shifted pattern so
-        # a pattern swept across base rows reuses one entry.
-        radius = dist.profile.blast_radius
-        lo, hi = iminrow - radius, imaxrow + radius
-        if 0 <= lo and hi < geom.rows_per_bank and lo // geom.rows_per_subarray == hi // geom.rows_per_subarray:
-            # Whole blast span interior to one subarray: no victim is
-            # dropped at a subarray or bank edge, so the entry is fully
-            # shift-invariant and every base row shares one key.
-            align, anchor = -1, -1
-        else:
-            align = iminrow % geom.rows_per_subarray
-            anchor = iminrow if (lo < 0 or hi >= geom.rows_per_bank) else -1
-        key = (align, anchor, (base_internal - iminrow).tobytes())
-        entry = dist._tile_cache.get(key)
-        if entry is None:
-            distinct, base_idx = np.unique(base_internal, return_inverse=True)
-            entry = _build_tile_entry(dist, base_internal, base_idx, distinct, iminrow)
-            if len(dist._tile_cache) >= 128:
-                dist._tile_cache.clear()
-            dist._tile_cache[key] = entry
-        shift = iminrow - entry["minrow0"]
-        if entry["V"]:
-            vr = entry["vrows_arr"] + shift if shift else entry["vrows_arr"]
-            if bool(np.isnan(thresh_v[vr]).any()):
-                # First-touch threshold draws: run one whole period
-                # through the exact per-ACT loop (every aggressor —
-                # hence every victim — occurs in it, so every victim
-                # threshold gets drawn), then vectorize the other rounds.
-                out.extend(_run_per_act(dram, dist, socket, bank, rows[:period]))
-                rounds -= 1
-                if not rounds:
-                    return out
-        out.extend(_span_tiled(dram, dist, socket, bank, entry, rounds, shift))
-        return out
+    if not period:
+        return _run_per_act(dram, dist, socket, bank, rows)
 
-    distinct_media, inv = np.unique(rows_arr, return_inverse=True)
+    # The batch tiles its first period, so that period holds every row
+    # and its first bad row is the batch's first bad row.
+    geom = dram.geom
+    base_media = rows_arr[:period]
+    minrow = int(base_media.min())
+    maxrow = int(base_media.max())
+    if minrow < 0 or maxrow >= geom.rows_per_bank:
+        bad = (base_media < 0) | (base_media >= geom.rows_per_bank)
+        geom.check_row(int(base_media[np.argmax(bad)]))  # raises the canonical error
+
+    # Media -> internal rows (vendor repairs); static without hooks.
+    repairs = dram._repairs.get((socket, bank))
     if repairs:
+        media_distinct, base_inv = np.unique(base_media, return_inverse=True)
         internal_of = np.asarray(
-            [repairs.get(int(r), int(r)) for r in distinct_media], dtype=np.int64
+            [repairs.get(int(r), int(r)) for r in media_distinct],
+            dtype=np.int64,
         )
-        internal_arr = internal_of[inv]
-        distinct, agg_idx = np.unique(internal_arr, return_inverse=True)
+        base_internal = internal_of[base_inv]
+        iminrow = int(base_internal.min())
+        imaxrow = int(base_internal.max())
     else:
-        internal_arr = rows_arr
-        distinct, agg_idx = distinct_media, inv
+        base_internal = base_media
+        iminrow, imaxrow = minrow, maxrow
+    rounds = len(rows) // period
+    # The victim structure is translation-invariant: neighbor tables
+    # depend only on row deltas, the subarray alignment of the rows,
+    # and bank-edge clamping.  Key entries on the shifted pattern so
+    # a pattern swept across base rows reuses one entry.
+    radius = dist.profile.blast_radius
+    lo, hi = iminrow - radius, imaxrow + radius
+    if 0 <= lo and hi < geom.rows_per_bank and lo // geom.rows_per_subarray == hi // geom.rows_per_subarray:
+        # Whole blast span interior to one subarray: no victim is
+        # dropped at a subarray or bank edge, so the entry is fully
+        # shift-invariant and every base row shares one key.
+        align, anchor = -1, -1
+    else:
+        align = iminrow % geom.rows_per_subarray
+        anchor = iminrow if (lo < 0 or hi >= geom.rows_per_bank) else -1
+    key = (align, anchor, (base_internal - iminrow).tobytes())
+    entry = dist._tile_cache.get(key)
+    if entry is None:
+        distinct, base_idx = np.unique(base_internal, return_inverse=True)
+        entry = _build_tile_entry(dist, base_internal, base_idx, distinct, iminrow)
+        if len(dist._tile_cache) >= 128:
+            dist._tile_cache.clear()
+        dist._tile_cache[key] = entry
+    shift = iminrow - entry["minrow0"]
 
-    # First-touch prefix: run the exact per-ACT loop until every victim
-    # of every aggressor in the batch has a drawn (non-NaN) threshold,
-    # so the vector span below never consumes the disturbance RNG except
-    # at crossings.
-    k = 0
-    for ai, r in enumerate(distinct.tolist()):
-        if any(thresh[v] != thresh[v] for v, _w in dist._neighbor_tuple(int(r))):
-            k = max(k, int(np.argmax(agg_idx == ai)) + 1)
-    if k:
-        out.extend(_run_per_act(dram, dist, socket, bank, rows[:k]))
-        if k == len(rows):
-            return out
-        # Keep the full `distinct`: absent aggressors simply never match
-        # in the sliced agg_idx, so their wlut rows go unused.
-        internal_arr = internal_arr[k:]
-        agg_idx = agg_idx[k:]
-    out.extend(_span_generic(dram, dist, socket, bank, internal_arr, distinct, agg_idx))
+    out: list[BitFlip] = []
+    if entry["V"]:
+        _, _, _, thresh_v = dist._bank_tables(socket, bank)
+        vr = entry["vrows_arr"] + shift if shift else entry["vrows_arr"]
+        if bool(np.isnan(thresh_v[vr]).any()):
+            # First-touch threshold draws: run one whole period through
+            # the exact per-ACT loop (every aggressor — hence every
+            # victim — occurs in it, so every victim threshold gets
+            # drawn), then vectorize the other rounds.
+            out.extend(_run_per_act(dram, dist, socket, bank, rows[:period]))
+            rounds -= 1
+            if not rounds:
+                return out
+    clk = _span_clock(dram, period * rounds)
+    if clk[-1] - dram._last_full_refresh >= dram.refresh_window:
+        # The span crosses a refresh window.  The clock only grows, so
+        # the last ACT's test is the whole span's; the per-ACT loop
+        # places the window exactly.
+        out.extend(_run_per_act(dram, dist, socket, bank, rows[-period * rounds :]))
+        return out
+    out.extend(_span_tiled(dram, dist, socket, bank, entry, rounds, shift, clk))
     return out
 
 
@@ -582,102 +563,6 @@ def _span_clock(dram: "SimulatedDram", n: int) -> np.ndarray:
     return clk[1:]
 
 
-def _span_head(
-    dram: "SimulatedDram",
-    socket: int,
-    bank: int,
-    n: int,
-    clk: np.ndarray,
-    row_at: Callable[[int], int],
-) -> tuple[list[int], list[tuple[int, list[int]]], float]:
-    """Per-span refresh-window scan and TRR pass, shared by both spans.
-
-    Returns ``(window_pos, trr_victims, last_refresh)`` and mutates the
-    TRR sampler/RNG/counter state exactly like the per-ACT loop would.
-    Disturbance state never feeds back into TRR, so this whole pass is
-    valid regardless of later crossing events.
-    """
-    counters = dram.counters
-
-    # Refresh-window events (rare): exact subtraction-form scan.
-    window = dram.refresh_window
-    last_refresh = dram._last_full_refresh
-    window_pos: list[int] = []
-    t0 = 0
-    while True:
-        hit = np.nonzero(clk[t0:] - last_refresh >= window)[0]
-        if hit.size == 0:
-            break
-        t = t0 + int(hit[0])
-        window_pos.append(t)
-        last_refresh = float(clk[t])
-        t0 = t + 1
-
-    # TRR pass: tick schedule, bulk sampling draws, scalar counter/REF
-    # replay in time order.
-    trr = dram.trr
-    bank_key = (socket, bank)
-    trr_victims: list[tuple[int, list[int]]] = []
-    if trr is not None:
-        sampler = trr._sampler(socket, bank)
-        cfg = trr.config
-        trr_every = dram.trr_ref_every
-        bank_acts0 = dram._acts_by_bank.get(bank_key, 0)
-        first_tick = trr_every - (bank_acts0 % trr_every) - 1
-        ticks = (
-            np.arange(first_tick, n, trr_every, dtype=np.int64)
-            if first_tick < n
-            else np.empty(0, dtype=np.int64)
-        )
-        tpos = np.arange(n, dtype=np.int64)
-        s0 = sampler._acts_since_ref
-        if ticks.size:
-            prev = np.searchsorted(ticks, tpos, side="left")
-            s_arr = np.where(
-                prev == 0, s0 + tpos + 1, tpos - ticks[np.maximum(prev - 1, 0)]
-            )
-        else:
-            s_arr = s0 + tpos + 1
-        draw_mask = s_arr > cfg.sampled_acts_after_ref
-        draws = bulk_uniforms(trr._rng, int(draw_mask.sum()))
-        observed = ~draw_mask
-        if draws.size:
-            observed[draw_mask] = draws < cfg.sample_prob
-        olist = np.nonzero(observed)[0].tolist()
-        tlist = ticks.tolist()
-        s_counters = sampler._counters
-        slots = cfg.slots
-        oi = ti = 0
-        while oi < len(olist) or ti < len(tlist):
-            # A sample and a REF tick on the same ACT: sample first.
-            if ti >= len(tlist) or (oi < len(olist) and olist[oi] <= tlist[ti]):
-                t = olist[oi]
-                oi += 1
-                row = row_at(t)
-                c = s_counters.get(row)
-                if c is not None:
-                    s_counters[row] = c + 1
-                elif len(s_counters) < slots:
-                    s_counters[row] = 1
-                else:
-                    for tracked in list(s_counters):
-                        v = s_counters[tracked] - 1
-                        if v <= 0:
-                            del s_counters[tracked]
-                        else:
-                            s_counters[tracked] = v
-            else:
-                t = tlist[ti]
-                ti += 1
-                counters.trr_refs += 1
-                victims = trr.on_ref(socket, bank, when=float(clk[t]))
-                if victims:
-                    trr_victims.append((t, victims))
-        sampler._acts_since_ref = (n - 1 - tlist[-1]) if tlist else s0 + n
-        dram._acts_by_bank[bank_key] = bank_acts0 + n
-    return window_pos, trr_victims, last_refresh
-
-
 def _emit_events(
     dram: "SimulatedDram",
     dist: VectorizedDisturbanceModel,
@@ -685,12 +570,14 @@ def _emit_events(
     bank: int,
     events: list[tuple[int, int, int, int]],
     clk: np.ndarray,
-    row_at: Callable[[int], int],
+    period_rows: list[int],
     vrows: list[int],
 ) -> list[BitFlip]:
     """Replay threshold crossings in global (ACT, neighbor-order) order,
-    consuming the disturbance RNG exactly like the scalar path."""
+    consuming the disturbance RNG exactly like the scalar path.  ACT
+    ``t`` activates ``period_rows[t % len(period_rows)]``."""
     events.sort()
+    L = len(period_rows)
     rng = dist._rng
     profile = dist.profile
     inv_bits_mean = 1.0 / profile.flip_bits_mean
@@ -708,211 +595,13 @@ def _emit_events(
                         bank=bank,
                         row=vrows[j],
                         bit=rng.randrange(row_bits),
-                        aggressor_row=row_at(t),
+                        aggressor_row=period_rows[t % L],
                         when=when,
                     )
                 )
         dist.flips.extend(new_flips)
         dram.clock = when
         flips_out.extend(dram._apply_internal_flips(socket, bank, new_flips))
-    return flips_out
-
-
-def _span_generic(
-    dram: "SimulatedDram",
-    dist: VectorizedDisturbanceModel,
-    socket: int,
-    bank: int,
-    internal_arr: np.ndarray,
-    distinct: np.ndarray,
-    agg_idx: np.ndarray,
-) -> list[BitFlip]:
-    """Whole-batch matrix path for non-periodic spans."""
-    n = int(internal_arr.size)
-    clk = _span_clock(dram, n)
-    window_pos, trr_victims, last_refresh = _span_head(
-        dram, socket, bank, n, clk, lambda t: int(internal_arr[t])
-    )
-    return _finals_generic(
-        dram,
-        dist,
-        socket,
-        bank,
-        internal_arr,
-        distinct,
-        agg_idx,
-        clk,
-        window_pos,
-        trr_victims,
-        last_refresh,
-    )
-
-
-def _finals_generic(
-    dram: "SimulatedDram",
-    dist: VectorizedDisturbanceModel,
-    socket: int,
-    bank: int,
-    internal_arr: np.ndarray,
-    distinct: np.ndarray,
-    agg_idx: np.ndarray,
-    clk: np.ndarray,
-    window_pos: list[int],
-    trr_victims: list[tuple[int, list[int]]],
-    last_refresh: float,
-) -> list[BitFlip]:
-    """Generic finals: dense (ACT, victim) reset masks, screened cumsum
-    trajectories, exact re-walk of screened victims."""
-    n = int(internal_arr.size)
-    counters = dram.counters
-    _, _, press, thresh = dist._bank_tables(socket, bank)
-
-    # Victim structure: per-ACT contribution matrix Wt (n, V) and the
-    # neighbor-order table used to sequence same-ACT crossing draws.
-    nbs = [dist._neighbor_tuple(int(r)) for r in distinct.tolist()]
-    vrows: list[int] = []
-    vindex: dict[int, int] = {}
-    for nb in nbs:
-        for v, _w in nb:
-            if v not in vindex:
-                vindex[v] = len(vrows)
-                vrows.append(v)
-    V = len(vrows)
-    A = len(nbs)
-    wlut = np.zeros((A, max(V, 1)), dtype=np.float64)
-    order_lut = np.zeros((A, max(V, 1)), dtype=np.int64)
-    for ai, nb in enumerate(nbs):
-        for no_, (v, w) in enumerate(nb):
-            wlut[ai, vindex[v]] = w
-            order_lut[ai, vindex[v]] = no_
-
-    extra_refreshed: list[int] = []
-    flips_out: list[BitFlip] = []
-    if V:
-        Wt = wlut[agg_idx]  # (n, V)
-        vrows_arr = np.asarray(vrows, dtype=np.int64)
-
-        # Reset masks.  Before ACT t's adds: the victim's own activation
-        # (an ACT refreshes its row) and full refresh windows.  After
-        # ACT t's adds: TRR neighbor refreshes at that tick.
-        Rb = np.zeros((n, V), dtype=bool)
-        for ai, r in enumerate(distinct.tolist()):
-            j = vindex.get(int(r))
-            if j is not None:
-                Rb[:, j] = agg_idx == ai
-        for t in window_pos:
-            Rb[t, :] = True
-        Ra = np.zeros((n, V), dtype=bool)
-        for t, victims in trr_victims:
-            for v in victims:
-                j2 = vindex.get(v)
-                if j2 is not None:
-                    Ra[t, j2] = True
-                else:
-                    extra_refreshed.append(v)
-
-        # Approximate trajectories (screening only).  C is nondecreasing
-        # per column, so a running maximum over per-reset baselines picks
-        # the most recent segment start.
-        p0 = press[vrows_arr].copy()
-        C = np.cumsum(Wt, axis=0)
-        base = np.where(Rb, C - Wt, -np.inf)
-        if n > 1:
-            after = np.where(Ra[:-1], C[:-1], -np.inf)
-            np.maximum(base[1:], after, out=base[1:])
-        base[0] = np.maximum(base[0], -p0)
-        np.maximum.accumulate(base, axis=0, out=base)
-        approx = C - base
-        T = thresh[vrows_arr]  # finite: first-touch prefix drew them all
-        slack = _SCREEN_SLACK * (
-            float(C[-1].max(initial=0.0)) + float(p0.max(initial=0.0)) + 1.0
-        )
-        suspect_cols = np.nonzero((approx >= T[None, :] - slack).any(axis=0))[0]
-
-        # Exact final pressures for all victims: one padded cumsum over
-        # each victim's final segment (crossing-free by screening; any
-        # suspect victim is overridden by its exact walk below).
-        any_b = Rb.any(axis=0)
-        any_a = Ra.any(axis=0)
-        last_b = np.where(any_b, n - 1 - np.argmax(Rb[::-1], axis=0), -1)
-        last_a = np.where(any_a, n - 1 - np.argmax(Ra[::-1], axis=0), -1)
-        seg_start = np.maximum(np.maximum(last_b, last_a + 1), 0)
-        p_init = np.where(any_b | any_a, 0.0, p0)
-        seg_len = n - seg_start
-        max_len = int(seg_len.max())
-        pad = np.zeros((V, max_len + 1), dtype=np.float64)
-        pad[:, 0] = p_init
-        if max_len:
-            cols = seg_start[:, None] + np.arange(max_len)[None, :]
-            valid = cols < n
-            pad[:, 1:] = np.where(
-                valid, Wt[np.minimum(cols, n - 1), np.arange(V)[:, None]], 0.0
-            )
-        np.cumsum(pad, axis=1, out=pad)
-        finals = pad[np.arange(V), seg_len]
-
-        # Authoritative exact walk for screened victims: the pressure
-        # trajectory is RNG-free (crossings subtract the threshold
-        # deterministically), so each column replays independently and
-        # only the flip draws below need global ordering.
-        events: list[tuple[int, int, int, int]] = []  # (t, order, j, spills)
-        for j in suspect_cols.tolist():
-            col = Wt[:, j].tolist()
-            rb = Rb[:, j].tolist()
-            ra = Ra[:, j].tolist()
-            p = float(p0[j])
-            threshold = float(T[j])
-            for t in range(n):
-                if rb[t]:
-                    p = 0.0
-                w = col[t]
-                if w != 0.0:
-                    p = p + w
-                    if p >= threshold:
-                        spills = 0
-                        while p >= threshold:
-                            p -= threshold
-                            spills += 1
-                        events.append((t, int(order_lut[agg_idx[t], j]), j, spills))
-                if ra[t]:
-                    p = 0.0
-            finals[j] = p
-
-        if events:
-            flips_out.extend(
-                _emit_events(
-                    dram,
-                    dist,
-                    socket,
-                    bank,
-                    events,
-                    clk,
-                    lambda t: int(internal_arr[t]),
-                    vrows,
-                )
-            )
-    else:
-        for _t, victims in trr_victims:
-            extra_refreshed.extend(victims)
-
-    # State write-back.  A refresh window clears *every* bank (matching
-    # on_refresh_all); victim finals already account for the in-span
-    # resets, and rows whose last touch was a self-activation or a TRR
-    # refresh end at zero.
-    if window_pos:
-        dist.on_refresh_all()
-        counters.refresh_windows += len(window_pos)
-    if V:
-        press[vrows_arr] = finals
-    for r in distinct.tolist():
-        if int(r) not in vindex:
-            press[int(r)] = 0.0
-    for v in extra_refreshed:
-        if v not in vindex:
-            press[v] = 0.0
-    counters.activations += n
-    dram.clock = float(clk[-1])
-    dram._last_full_refresh = last_refresh
     return flips_out
 
 
@@ -948,10 +637,8 @@ def _build_tile_entry(
         "A": A,
         "V": V,
         "minrow0": minrow0,
-        "base_internal": base_internal,
         "base_idx": base_idx,
         "base_list": base_internal.tolist(),
-        "distinct": distinct,
         "nbs": nbs,
         "vrows": vrows,
         "vindex": vindex,
@@ -994,7 +681,6 @@ def _build_tile_entry(
         rank = np.arange(nzj.size, dtype=np.int64) - offs[nzj]
         comp[nzj, rank] = base_W[nzt, nzj]
     entry.update(
-        wlut=wlut,
         base_W=base_W,
         vrows_arr=vrows_arr,
         total_add_base=total_add_base,
@@ -1032,6 +718,7 @@ def _span_tiled(
     entry: dict[str, Any],
     rounds: int,
     shift: int,
+    clk: np.ndarray,
 ) -> list[BitFlip]:
     """Periodic-batch fast path: per-ACT math on the period only.
 
@@ -1040,38 +727,12 @@ def _span_tiled(
     rounding no-ops), seeded with the victim's entry pressure.  Victims
     reset by their own activations fold only the tail after the last
     self-ACT, and victims screened as possible threshold crossers are
-    re-walked with exact scalar arithmetic.  Spans that contain refresh
-    windows or TRR victim refreshes fall back to the generic matrix
-    path (same head state, so no RNG divergence).
+    re-walked with exact scalar arithmetic.  *clk* is the span's clock
+    (:func:`_span_clock`); the caller has checked that the span crosses
+    no refresh window and that TRR is off, so no pressure resets other
+    than the victims' own ACTs occur in it.
     """
     L: int = entry["L"]
-    n = L * rounds
-    clk = _span_clock(dram, n)
-    base_list: list[int] = entry["base_list"]
-    window_pos, trr_victims, last_refresh = _span_head(
-        dram, socket, bank, n, clk, lambda t: base_list[t % L] + shift
-    )
-    if window_pos or trr_victims:
-        internal_arr = np.tile(entry["base_internal"], rounds)
-        distinct: np.ndarray = entry["distinct"]
-        if shift:
-            internal_arr = internal_arr + shift
-            distinct = distinct + shift
-        agg_idx = np.tile(entry["base_idx"], rounds)
-        return _finals_generic(
-            dram,
-            dist,
-            socket,
-            bank,
-            internal_arr,
-            distinct,
-            agg_idx,
-            clk,
-            window_pos,
-            trr_victims,
-            last_refresh,
-        )
-
     counters = dram.counters
     _, _, press, thresh = dist._bank_tables(socket, bank)
     V: int = entry["V"]
@@ -1118,8 +779,8 @@ def _span_tiled(
                 p += w
             finals[j] = p
 
-        # Authoritative exact walk for screened victims (cf. the generic
-        # path); crossings never invalidate other victims' bulk math.
+        # Authoritative exact walk for screened victims; crossings never
+        # invalidate other victims' bulk math.
         events: list[tuple[int, int, int, int]] = []  # (t, order, j, spills)
         if suspect_js:
             base_W: np.ndarray = entry["base_W"]
@@ -1158,25 +819,17 @@ def _span_tiled(
                 finals[j] = p
         if events:
             vrows: list[int] = entry["vrows"]
+            period_rows: list[int] = entry["base_list"]
             if shift:
                 vrows = [v + shift for v in vrows]
+                period_rows = [r + shift for r in period_rows]
             flips_out.extend(
-                _emit_events(
-                    dram,
-                    dist,
-                    socket,
-                    bank,
-                    events,
-                    clk,
-                    lambda t: base_list[t % L] + shift,
-                    vrows,
-                )
+                _emit_events(dram, dist, socket, bank, events, clk, period_rows, vrows)
             )
 
         press[vrows_arr] = finals
     for r in entry["nonvictims"]:
         press[r + shift] = 0.0
-    counters.activations += n
+    counters.activations += L * rounds
     dram.clock = float(clk[-1])
-    dram._last_full_refresh = last_refresh
     return flips_out

@@ -4,7 +4,7 @@ The package splits cleanly in three:
 
 - :mod:`repro.faults.plan` — declarative, seed-resolved
   :class:`FaultPlan`/:class:`FaultSpec` schedules (what fails, where,
-  when), serialisable for replay;
+  when), rebuilt identically from their generator arguments;
 - :mod:`repro.faults.injector` — :class:`FaultInjector`, the
   :class:`~repro.dram.module.DramHook` that fires a plan against a live
   :class:`~repro.dram.module.SimulatedDram`, and :func:`run_ecc_storm`,

@@ -6,9 +6,8 @@ naming a fault kind, its media location, and its simulated-time trigger.
 Plans are built either by hand or from the seeded generators
 (:meth:`FaultPlan.ce_storm`), and every random choice is resolved at
 *plan-construction* time — the plan that comes out is deterministic
-data, so the injector replays it byte-identically and a plan can be
-serialised (``to_dict``/``from_dict``), stored next to a failing test,
-and rerun unchanged.
+data, so the injector replays it byte-identically and the same
+generator arguments rebuild the same plan.
 
 Fault kinds model the DRAM degradation modes a production host meets
 after boot (HammerSim-style system-level fault modeling):
@@ -123,39 +122,6 @@ class FaultSpec:
             return f"late repair row {self.row} -> spare {self.spare_row} {where}"
         return f"ecc-word w{self.word} bits {list(self.word_bits)} {where}"
 
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-serialisable) for storage/replay."""
-        return {
-            "kind": self.kind.value,
-            "socket": self.socket,
-            "bank": self.bank,
-            "row": self.row,
-            "at_clock": self.at_clock,
-            "bit": self.bit,
-            "stuck_value": self.stuck_value,
-            "retention_s": self.retention_s,
-            "spare_row": self.spare_row,
-            "word": self.word,
-            "word_bits": list(self.word_bits),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            kind=FaultKind(data["kind"]),
-            socket=data["socket"],
-            bank=data["bank"],
-            row=data["row"],
-            at_clock=data.get("at_clock", 0.0),
-            bit=data.get("bit"),
-            stuck_value=data.get("stuck_value", 1),
-            retention_s=data.get("retention_s", 0.0),
-            spare_row=data.get("spare_row"),
-            word=data.get("word"),
-            word_bits=tuple(data.get("word_bits", ())),
-        )
-
 
 @dataclass
 class FaultPlan:
@@ -181,18 +147,6 @@ class FaultPlan:
         self.specs.append(spec)
         self.specs.sort(key=lambda s: s.at_clock)
         return self
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-serialisable) of the whole plan."""
-        return {"seed": self.seed, "specs": [s.to_dict() for s in self.specs]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            specs=[FaultSpec.from_dict(d) for d in data.get("specs", [])],
-            seed=data.get("seed", 0),
-        )
 
     # ------------------------------------------------------------------
     # Generators (all randomness resolved here, at build time)

@@ -25,7 +25,6 @@ from repro.fleet.admission import (
     AdmissionController,
     AdmissionDecision,
     RejectReason,
-    generate_arrival_trace,
     iter_arrival_trace,
 )
 from repro.fleet.cluster import (
@@ -42,7 +41,6 @@ from repro.fleet.host import Fleet, Host, HostSpec, derive_host_seed
 from repro.fleet.migration import (
     MigrationError,
     MigrationRecord,
-    evacuate_degraded,
     evacuate_host,
     migrate_vm,
 )
@@ -81,9 +79,7 @@ __all__ = [
     "SpreadScheduler",
     "StreamingMerge",
     "derive_host_seed",
-    "evacuate_degraded",
     "evacuate_host",
-    "generate_arrival_trace",
     "host_fits",
     "iter_arrival_trace",
     "make_scheduler",

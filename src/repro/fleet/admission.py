@@ -284,9 +284,15 @@ def iter_arrival_trace(
     sockets: int = 1,
     name_prefix: str = "vm",
 ):
-    """Generator form of :func:`generate_arrival_trace` — identical
-    specs in identical order, but O(1) memory, so a 100k-VM cluster
-    trace streams through admission without ever materializing."""
+    """A deterministic tenant arrival trace: *count* VM requests with
+    sizes drawn (seeded) from *sizes_mib* and seeded sockets, yielded in
+    O(1) memory so a 100k-VM cluster trace streams through admission
+    without ever materializing.
+
+    Sizes are whole MiB so they satisfy every small-machine backing page
+    size; the same ``(seed, count)`` always yields the same trace — the
+    workers=1 vs workers=N determinism criterion depends on it.
+    """
     rng = random.Random(seed ^ 0x5F1EE7)
     for i in range(count):
         yield VmSpec(
@@ -294,29 +300,3 @@ def iter_arrival_trace(
             memory_bytes=rng.choice(sizes_mib) * MiB,
             socket=rng.randrange(sockets),
         )
-
-
-def generate_arrival_trace(
-    seed: int,
-    count: int,
-    *,
-    sizes_mib: tuple[int, ...] = (1, 2, 2, 3, 4),
-    sockets: int = 1,
-    name_prefix: str = "vm",
-) -> list[VmSpec]:
-    """A deterministic tenant arrival trace: *count* VM requests with
-    sizes drawn (seeded) from *sizes_mib* and round-robin-ish sockets.
-
-    Sizes are whole MiB so they satisfy every small-machine backing page
-    size; the same ``(seed, count)`` always yields the same trace — the
-    workers=1 vs workers=N determinism criterion depends on it.
-    """
-    return list(
-        iter_arrival_trace(
-            seed,
-            count,
-            sizes_mib=sizes_mib,
-            sockets=sockets,
-            name_prefix=name_prefix,
-        )
-    )

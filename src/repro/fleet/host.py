@@ -209,6 +209,3 @@ class Fleet:
             if h.host_id == host_id:
                 return h
         raise FleetError(f"no host {host_id} in fleet")
-
-    def degraded_hosts(self) -> list[Host]:
-        return [h for h in self.hosts if h.degraded]

@@ -27,8 +27,9 @@ the same gpa on the destination, and the digests compare guest-order
 contents on both sides.
 
 :func:`evacuate_host` is the one evacuation loop (rank, migrate, log);
-:func:`evacuate_degraded` runs it over every degraded host and then
-retries the parked offlinings.
+after it drains a degraded host, the host's
+:meth:`~repro.hv.health.HealthMonitor.retry_deferred` completes the
+parked offlinings.
 """
 
 from __future__ import annotations
@@ -254,20 +255,3 @@ def evacuate_host(
             )
     return records, incidents
 
-
-def evacuate_degraded(
-    fleet: Fleet, scheduler: PlacementScheduler
-) -> list[MigrationRecord]:
-    """Drain every degraded host (deferred offlinings pending) and retry
-    the parked remediations, which the evacuation unblocks.
-
-    Each host drains through :func:`evacuate_host` (placement order,
-    scheduler-chosen destinations, never back onto the degraded host);
-    a VM with no viable destination is left in place — graceful
-    degradation, matching the deferred-offline semantics underneath.
-    """
-    records: list[MigrationRecord] = []
-    for host in fleet.degraded_hosts():
-        records.extend(evacuate_host(fleet, host, scheduler)[0])
-        host.monitor.retry_deferred()
-    return records

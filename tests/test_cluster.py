@@ -30,7 +30,6 @@ from repro.fleet import (
     ClusterConfig,
     Fleet,
     StreamingMerge,
-    generate_arrival_trace,
     iter_arrival_trace,
     make_scheduler,
     run_cluster_campaign,
@@ -92,7 +91,7 @@ def _assert_twin_matches_real(
         logical_fleet,  # type: ignore[arg-type]
         make_scheduler(policy),
     )
-    for spec in generate_arrival_trace(seed, vms, sockets=sockets):
+    for spec in iter_arrival_trace(seed, vms, sockets=sockets):
         real.submit(spec)
         real.drain()
         logical.submit(spec)
@@ -150,7 +149,7 @@ class TestLogicalTwins:
         fast = ClusterShard(0, range(2), cfg, shape, fast_seen.append)
         slow_seen: list = []
         slow = ClusterShard(0, range(2), cfg, shape, slow_seen.append)
-        for spec in generate_arrival_trace(3, 80):
+        for spec in iter_arrival_trace(3, 80):
             fast.offer(spec)
             # The scanned reference path: same controller, no bypass.
             slow.controller.submit(spec)
@@ -202,9 +201,6 @@ class TestLogicalTwins:
             for h in s.fleet.hosts
         )
         assert fold.admitted > 4, "a pool host admits more than one tenant"
-
-    def test_iter_arrival_trace_matches_list_form(self):
-        assert list(iter_arrival_trace(7, 25)) == generate_arrival_trace(7, 25)
 
 
 class TestOnePlacementRule:
@@ -481,7 +477,7 @@ def _classic_stream(cfg: ClusterConfig) -> list:
         queue_depth=cfg.queue_depth,
         max_retries=cfg.max_retries,
     )
-    for spec in generate_arrival_trace(cfg.seed, cfg.vms):
+    for spec in iter_arrival_trace(cfg.seed, cfg.vms):
         if not ctl.submit(spec):
             ctl.drain()
             ctl.submit(spec)

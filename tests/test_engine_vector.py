@@ -22,14 +22,25 @@ from repro.dram.ecc import VECTOR_BITS_CUTOFF, WORD_BITS, EccEngine, _words_and_
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.mapping import DECODE_CACHE_SIZE, SkylakeMapping
 from repro.dram.module import SimulatedDram
+from repro.dram.trr import TrrConfig
 from repro.engine import BackendError, SimBackend
 from repro.errors import MappingError
 from repro.units import CACHE_LINE
 
 BACKENDS = ("scalar", "vectorized")
 
+#: TRR on sends every batch down the per-ACT loop; TRR off lets periodic
+#: batches reach the tile kernel.
+TRR_CONFIGS = (TrrConfig(), None)
 
-def _dram(backend: str, *, seed: int = 11, refresh_window: float | None = None):
+
+def _dram(
+    backend: str,
+    *,
+    seed: int = 11,
+    refresh_window: float | None = None,
+    trr_config: TrrConfig | None = TrrConfig(),
+):
     geom = DRAMGeometry.small(rows_per_bank=128, rows_per_subarray=16)
     kwargs = {} if refresh_window is None else {"refresh_window": refresh_window}
     return SimulatedDram(
@@ -37,6 +48,7 @@ def _dram(backend: str, *, seed: int = 11, refresh_window: float | None = None):
         profile=DisturbanceProfile.test_scale(threshold_mean=60.0),
         seed=seed,
         backend=backend,
+        trr_config=trr_config,
         **kwargs,
     )
 
@@ -52,20 +64,26 @@ def _snapshot(dram) -> dict:
 
 
 def _run_on_all_backends(ops, monkeypatch) -> None:
-    """Apply *ops* to one DRAM per backend; assert identical snapshots.
+    """Apply *ops* to one DRAM per backend and TRR config; assert
+    identical snapshots per config.
 
     The vector path is forced (``MIN_VECTOR_BATCH = 0``) so even tiny
-    batches exercise the numpy kernels instead of the per-ACT loop.
+    periodic batches reach the tile kernel when TRR is off.
     """
     monkeypatch.setattr(vec, "MIN_VECTOR_BATCH", 0)
-    snaps = {}
-    for backend in BACKENDS:
-        dram = _dram(backend, refresh_window=ops.get("refresh_window"))
-        for bank, rows in ops["batches"]:
-            dram.activate_batch(0, bank, rows)
-        snaps[backend] = _snapshot(dram)
-    for backend in BACKENDS[1:]:
-        assert snaps[backend] == snaps["scalar"], backend
+    for trr_config in TRR_CONFIGS:
+        snaps = {}
+        for backend in BACKENDS:
+            dram = _dram(
+                backend,
+                refresh_window=ops.get("refresh_window"),
+                trr_config=trr_config,
+            )
+            for bank, rows in ops["batches"]:
+                dram.activate_batch(0, bank, rows)
+            snaps[backend] = _snapshot(dram)
+        for backend in BACKENDS[1:]:
+            assert snaps[backend] == snaps["scalar"], (backend, trr_config)
 
 
 class TestBackendParse:
@@ -133,8 +151,8 @@ class TestBatchEdgeCases:
 
     def test_batch_spanning_refresh_window(self, monkeypatch):
         # 60 ns per ACT and a 12 µs window: a 600-ACT batch crosses the
-        # refresh-window boundary twice mid-batch, forcing the
-        # window-reset path inside the span.
+        # refresh-window boundary twice mid-batch, so with TRR off the
+        # window check sends the span down the per-ACT loop.
         _run_on_all_backends(
             {
                 "refresh_window": 200 * 60e-9,
@@ -147,6 +165,66 @@ class TestBatchEdgeCases:
         dram = _dram("vectorized")
         assert dram.activate_batch(0, 0, []) == []
         assert dram.clock == 0.0
+
+
+class TestDispatch:
+    """The one dispatch rule: which batches reach the tile kernel."""
+
+    def _spans(self, monkeypatch, dram, batches) -> list[int]:
+        """ACTs each ``_span_tiled`` call covered, in call order."""
+        spans: list[int] = []
+        tiled = vec._span_tiled
+
+        def spy(dram, dist, socket, bank, entry, rounds, shift, clk):
+            spans.append(entry["L"] * rounds)
+            return tiled(dram, dist, socket, bank, entry, rounds, shift, clk)
+
+        monkeypatch.setattr(vec, "_span_tiled", spy)
+        for bank, rows in batches:
+            dram.activate_batch(0, bank, rows)
+        return spans
+
+    def test_periodic_batch_without_trr_is_tiled(self, monkeypatch):
+        dram = _dram("vectorized", trr_config=None)
+        # The first period draws thresholds per ACT; the rest is tiled.
+        assert self._spans(monkeypatch, dram, [(0, [30, 32] * 300)]) == [598]
+
+    @pytest.mark.parametrize(
+        "kwargs, rows",
+        [
+            ({"trr_config": TrrConfig()}, [30, 32] * 300),
+            ({"trr_config": None}, [30, 31, 32] * 99 + [30]),
+            ({"trr_config": None, "refresh_window": 200 * 60e-9}, [30, 32] * 300),
+        ],
+        ids=["trr-on", "aperiodic", "crosses-window"],
+    )
+    def test_other_batches_run_per_act(self, monkeypatch, kwargs, rows):
+        dram = _dram("vectorized", **kwargs)
+        assert self._spans(monkeypatch, dram, [(0, rows)]) == []
+        assert dram.counters.activations == len(rows)
+
+    @pytest.mark.parametrize("last_act, tiled", [(399, True), (400, False)])
+    def test_window_check_is_exact_at_the_boundary(self, monkeypatch, last_act, tiled):
+        # The window closes exactly on ACT 400 (the scalar clock fold).
+        # A second batch ending on ACT 399 is tiled; one ending on ACT
+        # 400 runs per-ACT and takes the window there.
+        act_s = _dram("scalar").act_seconds
+        window = 0.0
+        for _ in range(400):
+            window += act_s
+        batches = [(0, [30, 32] * 100), (0, [30] * (last_act - 200))]
+        snaps = {}
+        for backend in BACKENDS:
+            dram = _dram(backend, trr_config=None, refresh_window=window)
+            if backend == "vectorized":
+                spans = self._spans(monkeypatch, dram, batches)
+                assert len(spans) == (2 if tiled else 1)
+            else:
+                for bank, rows in batches:
+                    dram.activate_batch(0, bank, rows)
+            assert dram.counters.refresh_windows == (0 if tiled else 1)
+            snaps[backend] = _snapshot(dram)
+        assert snaps["vectorized"] == snaps["scalar"]
 
 
 class TestVectorizedDecode:

@@ -16,9 +16,9 @@ from repro.fleet import (
     MigrationError,
     RejectReason,
     derive_host_seed,
-    evacuate_degraded,
-    generate_arrival_trace,
+    evacuate_host,
     host_fits,
+    iter_arrival_trace,
     make_scheduler,
     migrate_vm,
     run_cluster_campaign,
@@ -192,7 +192,7 @@ class TestSchedulers:
     def test_placement_preserves_isolation(self):
         fleet = boot_fleet(2)
         sched = make_scheduler("best-fit")
-        for spec in generate_arrival_trace(3, 6):
+        for spec in iter_arrival_trace(3, 6):
             try:
                 sched.place(fleet, spec)
             except PlacementError as exc:
@@ -204,7 +204,7 @@ class TestAdmission:
     def test_queue_full_backpressure(self):
         fleet = boot_fleet(1)
         ctl = AdmissionController(fleet, make_scheduler("first-fit"), queue_depth=2)
-        specs = generate_arrival_trace(0, 3)
+        specs = list(iter_arrival_trace(0, 3))
         assert ctl.submit(specs[0])
         assert ctl.submit(specs[1])
         assert not ctl.submit(specs[2])  # bounded queue rejects at the door
@@ -245,7 +245,7 @@ class TestAdmission:
     def test_acceptance_accounting(self):
         fleet = boot_fleet(2)
         ctl = AdmissionController(fleet, make_scheduler("best-fit"))
-        for spec in generate_arrival_trace(0, 4):
+        for spec in iter_arrival_trace(0, 4):
             ctl.submit(spec)
         ctl.drain()
         assert ctl.acceptance_rate == 1.0
@@ -388,18 +388,14 @@ class TestEvacuation:
         assert report.deferred, "expected the EPT table page to defer"
         assert src.degraded
 
-        records = evacuate_degraded(fleet, make_scheduler("best-fit"))
-        assert [r.vm for r in records] == ["tenant"]
+        records, incidents = evacuate_host(fleet, src, make_scheduler("best-fit"))
+        assert [r.vm for r in records] == ["tenant"] and incidents == []
         assert records[0].dst_host == dst.host_id
+        assert src.degraded  # the parked offlining waits for its retry
+        src.monitor.retry_deferred()
         assert not src.degraded  # retry completed after the evacuation
         assert "tenant" in dst.hv.vms
         assert_fleet_isolated(fleet)
-
-    def test_healthy_fleet_is_a_noop(self):
-        fleet = boot_fleet(2)
-        fleet.host(0).create_vm(VmSpec(name="a", memory_bytes=1 * MiB))
-        assert evacuate_degraded(fleet, make_scheduler("best-fit")) == []
-        assert "a" in fleet.host(0).hv.vms
 
 
 def _campaign(**kw):
@@ -464,8 +460,8 @@ class TestCampaignDriver:
         assert a.merge_digest() == b.merge_digest()
 
     def test_arrival_trace_is_deterministic(self):
-        assert generate_arrival_trace(5, 10) == generate_arrival_trace(5, 10)
-        assert generate_arrival_trace(5, 10) != generate_arrival_trace(6, 10)
+        assert list(iter_arrival_trace(5, 10)) == list(iter_arrival_trace(5, 10))
+        assert list(iter_arrival_trace(5, 10)) != list(iter_arrival_trace(6, 10))
 
 
 class TestFleetObservability:
@@ -477,7 +473,7 @@ class TestFleetObservability:
         try:
             fleet = boot_fleet(2)
             ctl = AdmissionController(fleet, make_scheduler("spread"))
-            for spec in generate_arrival_trace(0, 2):
+            for spec in iter_arrival_trace(0, 2):
                 ctl.submit(spec)
             ctl.drain()
             migrate_vm(fleet.host(0), fleet.host(1), ctl.decisions[0].vm)

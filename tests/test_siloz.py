@@ -13,6 +13,7 @@ from repro.core.groups import ept_block_rows, ept_row
 from repro.dram.geometry import DRAMGeometry
 from repro.errors import CgroupError, PlacementError
 from repro.hv import BaselineHypervisor, Machine, VmSpec
+from repro.hv.vm import VmState
 from repro.mm.numa import NodeKind
 from repro.mm.offline import OfflineReason
 from repro.units import GiB, KiB, MiB
@@ -301,6 +302,29 @@ class TestFlipAccounting:
         assert verdict.escaped == flips[1:]
         assert verdict.victim_flips == {"victim": 1}
 
+    def test_classify_flips_ignores_shut_down_vms(self):
+        from repro.attack.runner import rows_owned_by_vm
+        from repro.dram.disturbance import BitFlip
+
+        # A VM shut down but not released (the MCE handler's teardown)
+        # keeps its record; a new tenant reuses its freed backing.
+        hv = BaselineHypervisor(Machine.small(), backing_page_bytes=4 * KiB)
+        departed = hv.create_vm(spec("departed", 1 * MiB))
+        old_rows = rows_owned_by_vm(hv, departed)
+        hv.destroy_vm("departed")
+        hv.create_vm(spec("tenant", 1 * MiB))
+        attacker = hv.create_vm(spec("attacker", 1 * MiB))
+        new_rows = rows_owned_by_vm(hv, hv.vms["tenant"])
+        socket, rows = next(
+            (s, sorted(set(r) & set(old_rows.get(s, ()))))
+            for s, r in new_rows.items()
+            if set(r) & set(old_rows.get(s, ()))
+        )
+        assert rows, "the tenant should land in the departed VM's hole"
+        flips = [BitFlip(socket, 0, row, 0, row + 1, 0.0) for row in rows]
+        verdict = classify_flips(hv, attacker, flips)
+        assert verdict.victim_flips == {"tenant": len(flips)}
+
 
 def _per_flip_classify(hv, attacker, flips):
     """The per-flip reference: encode every flip's cache line and ask
@@ -322,7 +346,8 @@ def _per_flip_classify(hv, attacker, flips):
             )
         )
         for name, vm in hv.vms.items():
-            if name != attacker.name and vm.owns_hpa(hpa):
+            running = vm.state is VmState.RUNNING
+            if name != attacker.name and running and vm.owns_hpa(hpa):
                 victims[name] = victims.get(name, 0) + 1
     return groups, inside, escaped, victims
 
