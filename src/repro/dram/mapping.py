@@ -24,6 +24,7 @@ geometry exercises every branch.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 from repro.dram.geometry import DRAMGeometry
@@ -152,11 +153,15 @@ class SkylakeMapping:
         object.__setattr__(self, "_c_banks_per_channel", g.banks_per_channel)
         object.__setattr__(self, "_c_socket_bytes", g.socket_bytes)
         object.__setattr__(self, "_c_total_bytes", g.total_bytes)
+        # The LRU reaches the mapping through a weak reference: a strong
+        # one would make every mapping (and its up to DECODE_CACHE_SIZE
+        # entries) a cycle that only the cyclic collector frees.
+        mapping_ref = weakref.ref(self)
         object.__setattr__(
             self,
             "decode_flat",
             functools.lru_cache(maxsize=DECODE_CACHE_SIZE)(
-                lambda hpa: self._decode_flat(hpa)
+                lambda hpa: mapping_ref()._decode_flat(hpa)
             ),
         )
 

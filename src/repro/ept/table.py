@@ -21,11 +21,12 @@ detect-on-use behaviour instead.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Protocol
 
 from repro.ept.entry import ENTRIES_PER_PAGE, ENTRY_BYTES, EptEntry
 from repro.ept.integrity import SecureEptChecker
-from repro.errors import EptError, EptViolation
+from repro.errors import EptError, EptViolation, HvError
 from repro.units import PAGE_2M, PAGE_4K
 
 _LEVELS = 4
@@ -44,6 +45,24 @@ class Memory(Protocol):
     def read(self, addr: int, length: int, *, ecc: bool = True) -> bytes: ...
 
     def write(self, addr: int, data: bytes) -> None: ...
+
+
+def weak_table_page_source(owner, alloc: Callable, gone: str) -> Callable[[], int]:
+    """A table-page allocator that returns ``alloc(owner)``.
+
+    It holds *owner* (a hypervisor, a guest OS) weakly: the owner also
+    owns the table, so a strong back-reference would make the pair a
+    reference cycle that only the cyclic garbage collector frees.  A
+    table that outlives its owner gets :class:`HvError` (*gone*)."""
+    owner_ref = weakref.ref(owner)
+
+    def alloc_table_page() -> int:
+        live = owner_ref()
+        if live is None:
+            raise HvError(gone)
+        return alloc(live)
+
+    return alloc_table_page
 
 
 def ept_page_count(vm_bytes: int, page_size: int = PAGE_2M, *, contiguous: bool = True) -> int:

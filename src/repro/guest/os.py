@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ept.table import ExtendedPageTable
+from repro.ept.table import ExtendedPageTable, weak_table_page_source
 from repro.errors import HvError, OutOfMemoryError
 from repro.hv.vm import VirtualMachine
 from repro.units import PAGE_4K
@@ -96,7 +96,14 @@ class GuestOS:
             raise HvError(f"process {name!r} already exists")
         if heap_pages <= 0:
             raise HvError("heap_pages must be positive")
-        pagetable = ExtendedPageTable(self.vm, self.alloc_frame)
+        # The OS owns its processes, so their tables hold it weakly.
+        pagetable = ExtendedPageTable(
+            self.vm,
+            weak_table_page_source(
+                self, lambda guest: guest.alloc_frame(),
+                "no guest frame: the guest OS is gone",
+            ),
+        )
         process = GuestProcess(
             name=name, vm=self.vm, pagetable=pagetable, heap_top=base_gva
         )

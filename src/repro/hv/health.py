@@ -27,12 +27,13 @@ fault plan produces a byte-identical escalation timeline on every run.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 
 from repro import obs
 from repro.dram.ecc import EccEvent, EccOutcome
-from repro.errors import ReproError
+from repro.errors import HvError, ReproError
 from repro.log import get_logger
 
 _log = get_logger("hv.health")
@@ -108,13 +109,23 @@ class HealthMonitor:
     """
 
     def __init__(self, hv, *, policy: HealthPolicy | None = None, auto_remediate: bool = True):
-        self.hv = hv
+        self._hv = weakref.ref(hv)
         self.policy = policy or HealthPolicy()
         self.auto_remediate = auto_remediate
         self._groups: dict[tuple[int, int], RowGroupHealth] = {}
         self.timeline: list[str] = []
         self.reports: list = []
         self._attached = False
+
+    @property
+    def hv(self):
+        """The watched hypervisor.  Held weakly: the hypervisor owns its
+        monitor (``hv.health``), so a strong back-reference would make
+        every monitored host a reference cycle."""
+        hv = self._hv()
+        if hv is None:
+            raise HvError("health monitor: its hypervisor is gone")
+        return hv
 
     # ------------------------------------------------------------------
     # Wiring

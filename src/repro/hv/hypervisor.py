@@ -17,11 +17,11 @@ vulnerability Table 3 demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 from repro import obs
 from repro.dram.mapping import AddressRange, merge_ranges
-from repro.ept.table import ExtendedPageTable
+from repro.ept.table import ExtendedPageTable, weak_table_page_source
 from repro.errors import HvError, OutOfMemoryError, PlacementError
 from repro.hv.machine import Machine
 from repro.hv.memory_types import default_layout
@@ -202,6 +202,18 @@ class Hypervisor:
         homed on *socket*."""
         raise NotImplementedError
 
+    def _table_page_source(self, socket: int) -> Callable[[], int]:
+        """The table-page allocator of an EPT or IOMMU domain homed on
+        *socket*: this hypervisor held weakly (it owns its VMs, their
+        EPTs and devices) and the socket as a plain int.
+        ``_alloc_ept_page`` is looked up per call, so subclass placement
+        applies."""
+        return weak_table_page_source(
+            self,
+            lambda hv: hv._alloc_ept_page(socket),
+            f"no table page on socket {socket}: its hypervisor is gone",
+        )
+
     # -- common lifecycle ----------------------------------------------
 
     def _spawn_qemu(self, spec: VmSpec) -> Process:
@@ -309,7 +321,7 @@ class Hypervisor:
             raise
 
         ept = ExtendedPageTable(
-            self.machine.dram, lambda: self._alloc_ept_page(spec.socket)
+            self.machine.dram, self._table_page_source(spec.socket)
         )
         vm = VirtualMachine(
             name=spec.name,
@@ -377,7 +389,7 @@ class Hypervisor:
         if vm.state is not VmState.RUNNING:
             raise HvError(f"VM {vm_name!r} is not running")
         domain = IommuDomain(
-            self.machine.dram, lambda: self._alloc_ept_page(vm.home_socket)
+            self.machine.dram, self._table_page_source(vm.home_socket)
         )
         iova = 0
         for r in vm.backing:

@@ -292,6 +292,11 @@ def run_pipeline(
 
     bank_segs = _segments(bank_gid)
     chan_segs = _segments(chan_gid)
+    # Columns are dropped once dead (here and below): a trace holds
+    # dozens of n-long columns, and a smaller live set lets the heap
+    # reuse freed ones instead of growing into fresh, page-faulting
+    # memory on every run.
+    del sbank, chan
 
     # Pass 1: timing-free row-hit classification along each bank's
     # access sequence (bank_segs's stable order IS trace order per bank).
@@ -317,6 +322,8 @@ def run_pipeline(
             hit, t.hit_latency, np.where(first_touch, t.idle_latency, t.miss_latency)
         )
         hold = np.where(hit, t.t_burst, t.bank_hold)
+        del hit_s
+    del b_s, r_s, same_bank_prev, first_touch_s, first_touch, bank_gid, row
 
     def refresh_shift(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k = np.floor(s / t.t_refi)
@@ -336,6 +343,7 @@ def run_pipeline(
             throttle[k_lag:] = np.maximum.accumulate(d0)[:-k_lag]
         now = arrival + np.maximum(0.0, np.maximum.accumulate(throttle - arrival))
         measured_from = now
+        del shifted, begin_est, d0, throttle
     else:
         # FR-FCFS: no MLP throttle; the issue clock just never rewinds.
         now = np.maximum.accumulate(arrival)
@@ -345,6 +353,7 @@ def run_pipeline(
     shifted, stalled, k_win = refresh_shift(now + penalty)
     begin = _bank_chains(_bus_chains(shifted, chan_segs, t.t_burst), hold, bank_segs)
     done = begin + latency_ns
+    del begin, shifted
     latency = done - measured_from
 
     result = TraceResult()

@@ -10,6 +10,7 @@ require KVM privilege.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.errors import CgroupError
@@ -34,12 +35,14 @@ class Cgroup:
 
     ``exclusive_mems`` model cpuset's mem_exclusive for the guest-
     reserved nodes a VM owns; ``mems`` are shared nodes (the host pool
-    QEMU also needs, for mediated pages)."""
+    QEMU also needs, for mediated pages).  A process owns its membership
+    (``Process.cgroup``); ``tasks`` lists the live members weakly, so a
+    process and its group never form a reference cycle."""
 
     name: str
     mems: set[int] = field(default_factory=set)
     exclusive_mems: set[int] = field(default_factory=set)
-    tasks: set[Process] = field(default_factory=set)
+    tasks: "weakref.WeakSet[Process]" = field(default_factory=weakref.WeakSet)
 
     def attach(self, process: Process) -> None:
         if process.cgroup is not None and process.cgroup is not self:
