@@ -231,31 +231,40 @@ class SimulatedDram:
         """Issue one ACT to (socket, socket-flat bank, media row).
 
         Returns any disturbance flips caused (already applied to the
-        stored data and appended to :attr:`flips_log`)."""
-        self.geom.check_row(row)
+        stored data and appended to :attr:`flips_log`).  A bad row or a
+        negative or NaN *open_seconds* is refused before any state
+        changes.  The one single-ACT path on both backends."""
+        if not 0 <= row < self.geom.rows_per_bank:
+            self.geom.check_row(row)  # raises the canonical error
+        if not open_seconds >= 0.0:
+            raise DramError(f"open time must be non-negative, got {open_seconds}")
         self.counters.activations += 1
         self.clock += self.act_seconds
-        self._maybe_full_refresh()
-        for hook in self._hooks:
-            hook.on_activate(self, socket, bank, row)
-        internal = self._to_internal(socket, bank, row)
+        if self.clock - self._last_full_refresh >= self.refresh_window:
+            self._full_refresh()
+        if self._hooks:
+            for hook in self._hooks:
+                hook.on_activate(self, socket, bank, row)
+        repairs = self._repairs.get((socket, bank)) if self._repairs else None
+        internal = repairs.get(row, row) if repairs else row
 
-        if self.trr is not None:
-            self.trr.on_activate(socket, bank, internal, when=self.clock)
+        trr = self.trr
+        if trr is not None:
+            trr.on_activate(socket, bank, internal, when=self.clock)
         raw = self.disturbance.on_activate(socket, bank, internal, self.clock)
         if open_seconds:
             self.clock += open_seconds
             raw += self.disturbance.on_row_open_time(
                 socket, bank, internal, open_seconds, self.clock
             )
-        flips = self._apply_internal_flips(socket, bank, raw)
+        flips = self._apply_internal_flips(socket, bank, raw) if raw else raw
 
-        if self.trr is not None:
+        if trr is not None:
             acts = self._acts_by_bank.get((socket, bank), 0) + 1
             self._acts_by_bank[(socket, bank)] = acts
             if acts % self.trr_ref_every == 0:
                 self.counters.trr_refs += 1
-                for victim in self.trr.on_ref(socket, bank, when=self.clock):
+                for victim in trr.on_ref(socket, bank, when=self.clock):
                     self.disturbance.on_refresh_row(socket, bank, victim)
         return flips
 
@@ -354,13 +363,13 @@ class SimulatedDram:
         if not flips:
             del self._flips[key]
 
-    def _maybe_full_refresh(self) -> None:
-        if self.clock - self._last_full_refresh >= self.refresh_window:
-            self.disturbance.on_refresh_all()
-            self._last_full_refresh = self.clock
-            self.counters.refresh_windows += 1
-            if obs.ENABLED:
-                obs.emit(obs.RefreshWindowEvent(when=self.clock))
+    def _full_refresh(self) -> None:
+        """A full refresh window elapsed (the caller tested the clock)."""
+        self.disturbance.on_refresh_all()
+        self._last_full_refresh = self.clock
+        self.counters.refresh_windows += 1
+        if obs.ENABLED:
+            obs.emit(obs.RefreshWindowEvent(when=self.clock))
 
     def acts_until_trr_ref(self, socket: int, bank: int) -> int | None:
         """ACTs remaining until this bank's next TRR REF opportunity, or
@@ -374,24 +383,17 @@ class SimulatedDram:
 
     def advance_time(self, seconds: float) -> None:
         """Let simulated wall-clock pass (idle time, other work)."""
-        if seconds < 0:
+        if not seconds >= 0:  # NaN too: the clock only grows
             raise DramError("cannot advance time backwards")
         self.clock += seconds
-        self._maybe_full_refresh()
+        if self.clock - self._last_full_refresh >= self.refresh_window:
+            self._full_refresh()
         for hook in self._hooks:
             hook.on_clock(self)
 
     # ------------------------------------------------------------------
     # Data path (by host physical address, through the mapping)
     # ------------------------------------------------------------------
-
-    def _row_store(self, socket: int, bank: int, row: int) -> bytearray:
-        key = (socket, bank, row)
-        got = self._data.get(key)
-        if got is None:
-            got = bytearray(self.geom.row_bytes)
-            self._data[key] = got
-        return got
 
     def _effective_row(self, socket: int, bank: int, row: int) -> bytearray:
         """Stored bytes with current flips applied (what a read senses):
@@ -407,10 +409,11 @@ class SimulatedDram:
         ``(socket, socket_bank, row, col, offset, take)`` tuples.
 
         Spans longer than one line decode every line start in one
-        ``decode_media_batch`` call.  Shorter spans (at most two pieces —
-        the page-table entry accesses of placement) decode each line's
-        first byte once through the mapping's LRU (``decode_flat``) and
-        add the in-line offset to ``col``; out-of-range addresses raise
+        ``decode_media_batch`` call.  Shorter spans (one piece, or two
+        when they cross a line — the page-table entry accesses of
+        placement) decode each line's first byte once through the
+        mapping's LRU (``decode_flat``) and add the in-line offset to
+        ``col``; out-of-range addresses raise
         :class:`MappingError` and are never cached.  Both branches agree
         exactly with ``decode`` (``tests/test_engine_vector.py`` compares
         them)."""
@@ -439,33 +442,37 @@ class SimulatedDram:
                     (ends - starts).tolist(),
                 )
             )
-        out = []
         decode_flat = self.mapping.decode_flat
-        offset = 0
-        while offset < length:
-            line, line_off = divmod(hpa + offset, CACHE_LINE)
-            take = min(CACHE_LINE - line_off, length - offset)
-            socket, bank, _channel, row, col = decode_flat(line * CACHE_LINE)
-            out.append((socket, bank, row, col + line_off, offset, take))
-            offset += take
-        return out
+        line_off = hpa % CACHE_LINE
+        line = hpa - line_off
+        socket, bank, _channel, row, col = decode_flat(line)
+        if line_off + length <= CACHE_LINE:
+            return [(socket, bank, row, col + line_off, 0, length)]
+        take = CACHE_LINE - line_off
+        head = (socket, bank, row, col + line_off, 0, take)
+        socket, bank, _channel, row, col = decode_flat(line + CACHE_LINE)
+        return [head, (socket, bank, row, col, take, length - take)]
 
     def write(self, hpa: int, data: bytes) -> None:
         """Write bytes at *hpa*; clears any flips in the written bits."""
         self.counters.writes += 1
-        for socket, bank, row, col, offset, take in self._lines(hpa, len(data)):
+        length = len(data)
+        for socket, bank, row, col, offset, take in self._lines(hpa, length):
             self.activate(socket, bank, row)
-            store = self._row_store(socket, bank, row)
-            store[col : col + take] = data[offset : offset + take]
-            flips = self._flips.get((socket, bank, row))
+            key = (socket, bank, row)
+            store = self._data.get(key)
+            if store is None:
+                store = self._data[key] = bytearray(self.geom.row_bytes)
+            store[col : col + take] = data if take == length else data[offset : offset + take]
+            flips = self._flips.get(key)
             if flips:
                 low, high = col * 8, (col + take) * 8
                 for bit in [b for b in flips if low <= b < high]:
                     flips.remove(bit)
                 if not flips:
-                    del self._flips[(socket, bank, row)]
+                    del self._flips[key]
         for hook in self._hooks:
-            hook.on_write(self, hpa, len(data))
+            hook.on_write(self, hpa, length)
 
     def read(self, hpa: int, length: int, *, ecc: bool = True) -> bytes:
         """Read bytes at *hpa*.
@@ -484,15 +491,19 @@ class SimulatedDram:
             self.activate(socket, bank, row)
             key = (socket, bank, row)
             stored = self._data.get(key)
-            chunk = stored[col : col + take] if stored is not None else bytearray(take)
             flips = self._flips.get(key)
             if flips:
+                chunk = stored[col : col + take] if stored is not None else bytearray(take)
                 low, high = col * 8, (col + take) * 8
                 for bit in flips:
                     if low <= bit < high:
                         chunk[bit // 8 - col] ^= 1 << (bit % 8)
-            if ecc:
-                chunk = self._ecc_correct_chunk(socket, bank, row, col, take, chunk)
+                if ecc:
+                    chunk = self._ecc_correct_chunk(socket, bank, row, col, take, chunk)
+            else:
+                chunk = stored[col : col + take] if stored is not None else bytes(take)
+            if take == length:  # one piece: the whole read
+                return bytes(chunk)
             out[offset : offset + take] = chunk
         return bytes(out)
 

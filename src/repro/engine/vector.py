@@ -194,37 +194,44 @@ class VectorizedDisturbanceModel(DisturbanceModel):
         press: array,
         thresh: array,
     ) -> list[BitFlip]:
-        """Mirror of the scalar ``_add_pressure`` over the flat tables."""
+        """Mirror of the scalar ``_add_pressure`` over the flat tables: the
+        one spill loop of single ACTs and open time.  The RNG is drawn only
+        at a first touch or a crossing, in the scalar model's order."""
+        nb = self._neighbor_table[aggressor_row]
+        if nb is None:
+            nb = self._neighbor_tuple(aggressor_row)
         new_flips: list[BitFlip] = []
-        rng = self._rng
-        profile = self.profile
-        row_bits = self.geom.row_bytes * 8
-        inv_bits_mean = 1.0 / profile.flip_bits_mean
-        for victim, weight in self._neighbor_tuple(aggressor_row):
+        for victim, weight in nb:
             pressure = press[victim] + amount * weight
             threshold = thresh[victim]
             if threshold != threshold:  # NaN: first touch, draw like scalar
+                profile = self.profile
                 threshold = (
-                    rng.lognormvariate(0.0, profile.threshold_sigma)
+                    self._rng.lognormvariate(0.0, profile.threshold_sigma)
                     * profile.threshold_mean
                 )
                 thresh[victim] = threshold
-            while pressure >= threshold:
-                pressure -= threshold
-                n_bits = max(1, round(rng.expovariate(inv_bits_mean)))
-                for _ in range(n_bits):
-                    new_flips.append(
-                        BitFlip(
-                            socket=socket,
-                            bank=bank,
-                            row=victim,
-                            bit=rng.randrange(row_bits),
-                            aggressor_row=aggressor_row,
-                            when=when,
+            if pressure >= threshold:
+                rng = self._rng
+                inv_bits_mean = 1.0 / self.profile.flip_bits_mean
+                row_bits = self.geom.row_bytes * 8
+                while pressure >= threshold:
+                    pressure -= threshold
+                    n_bits = max(1, round(rng.expovariate(inv_bits_mean)))
+                    for _ in range(n_bits):
+                        new_flips.append(
+                            BitFlip(
+                                socket=socket,
+                                bank=bank,
+                                row=victim,
+                                bit=rng.randrange(row_bits),
+                                aggressor_row=aggressor_row,
+                                when=when,
+                            )
                         )
-                    )
             press[victim] = pressure
-        self.flips.extend(new_flips)
+        if new_flips:
+            self.flips.extend(new_flips)
         return new_flips
 
     # ------------------------------------------------------------------
@@ -232,11 +239,14 @@ class VectorizedDisturbanceModel(DisturbanceModel):
     # ------------------------------------------------------------------
 
     def on_activate(self, socket: int, bank: int, row: int, when: float) -> list[BitFlip]:
-        """One ACT: self-refresh the aggressor, spill unit pressure."""
-        self.geom.check_row(row)
-        press, thresh, _, _ = self._bank_tables(socket, bank)
+        """One ACT: self-refresh the aggressor, spill unit pressure
+        (:meth:`SimulatedDram.activate`, the caller, checked *row*)."""
+        tables = self._banks.get((socket, bank))
+        if tables is None:
+            tables = self._bank_tables(socket, bank)
+        press = tables[0]
         press[row] = 0.0  # the ACT refreshes the activated row itself
-        return self._add_pressure_flat(socket, bank, row, 1.0, when, press, thresh)
+        return self._add_pressure_flat(socket, bank, row, 1.0, when, press, tables[1])
 
     def on_row_open_time(
         self, socket: int, bank: int, row: int, seconds: float, when: float

@@ -18,9 +18,11 @@ READ = 1 << 0
 WRITE = 1 << 1
 EXECUTE = 1 << 2
 LARGE_PAGE = 1 << 7
+#: An entry is present (usable) when any of R/W/X is set.
+PRESENT = READ | WRITE | EXECUTE
 
 #: Physical frame number field, bits [51:12].
-_ADDR_MASK = ((1 << 52) - 1) & ~((1 << 12) - 1)
+ADDR_MASK = ((1 << 52) - 1) & ~((1 << 12) - 1)
 
 ENTRY_BYTES = 8
 ENTRIES_PER_PAGE = 512
@@ -44,9 +46,9 @@ class EptEntry:
     ) -> "EptEntry":
         if target_hpa % 4096 != 0:
             raise EptError(f"EPT target {target_hpa:#x} not 4 KiB aligned")
-        if target_hpa & ~_ADDR_MASK:
+        if target_hpa & ~ADDR_MASK:
             raise EptError(f"EPT target {target_hpa:#x} exceeds 52-bit space")
-        value = target_hpa & _ADDR_MASK
+        value = target_hpa & ADDR_MASK
         if readable:
             value |= READ
         if writable:
@@ -73,7 +75,7 @@ class EptEntry:
     @property
     def present(self) -> bool:
         """Intel semantics: an entry is usable if any of R/W/X is set."""
-        return bool(self.value & (READ | WRITE | EXECUTE))
+        return bool(self.value & PRESENT)
 
     @property
     def readable(self) -> bool:
@@ -93,7 +95,7 @@ class EptEntry:
 
     @property
     def target_hpa(self) -> int:
-        return self.value & _ADDR_MASK
+        return self.value & ADDR_MASK
 
     def __repr__(self) -> str:
         flags = "".join(

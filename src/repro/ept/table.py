@@ -24,19 +24,18 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Protocol
 
-from repro.ept.entry import ENTRIES_PER_PAGE, ENTRY_BYTES, EptEntry
+from repro.ept.entry import ADDR_MASK, ENTRIES_PER_PAGE, ENTRY_BYTES, LARGE_PAGE, PRESENT
+from repro.ept.entry import EptEntry
 from repro.ept.integrity import SecureEptChecker
 from repro.errors import EptError, EptViolation, HvError
 from repro.units import PAGE_2M, PAGE_4K
 
 _LEVELS = 4
 _GPA_BITS = 48
-
-
-def _index(gpa: int, level: int) -> int:
-    """Entry index at *level* (0 = root PML4, 3 = leaf PT)."""
-    shift = 12 + 9 * (_LEVELS - 1 - level)
-    return (gpa >> shift) & (ENTRIES_PER_PAGE - 1)
+#: Where each level's 9-bit entry index sits in a GPA (0 = root PML4,
+#: 3 = leaf PT).
+_SHIFTS = tuple(12 + 9 * (_LEVELS - 1 - level) for level in range(_LEVELS))
+_INDEX_MASK = ENTRIES_PER_PAGE - 1
 
 
 class Memory(Protocol):
@@ -120,11 +119,13 @@ class ExtendedPageTable:
         self.table_pages.append(addr)
         return addr
 
-    def _read_entry(self, addr: int) -> EptEntry:
+    def _read_value(self, addr: int) -> int:
+        """The raw 64-bit entry at *addr* (one 8-byte read, verified by
+        the checker if any); the walks test its bits directly."""
         raw = self.memory.read(addr, ENTRY_BYTES, ecc=self.ecc_reads)
         if self.checker is not None:
             self.checker.verify(addr, raw)
-        return EptEntry.unpack(raw)
+        return int.from_bytes(raw, "little")
 
     def _write_entry(self, addr: int, entry: EptEntry) -> None:
         raw = entry.pack()
@@ -143,14 +144,14 @@ class ExtendedPageTable:
         if not 0 <= gpa < 1 << _GPA_BITS:
             raise EptViolation(f"GPA {gpa:#x} outside the {_GPA_BITS}-bit address space")
         table = self.root
-        for level in range(_LEVELS):
-            addr = table + _index(gpa, level) * ENTRY_BYTES
-            entry = self._read_entry(addr)
-            if not entry.present:
+        for level, shift in enumerate(_SHIFTS):
+            addr = table + ((gpa >> shift) & _INDEX_MASK) * ENTRY_BYTES
+            value = self._read_value(addr)
+            if not value & PRESENT:
                 raise EptViolation(f"GPA {gpa:#x} not mapped (level {level})")
-            if level == _LEVELS - 1 or (entry.large and level == 2):
-                return addr, entry, level
-            table = entry.target_hpa
+            if level == _LEVELS - 1 or (value & LARGE_PAGE and level == 2):
+                return addr, EptEntry(value), level
+            table = value & ADDR_MASK
         raise EptError("unreachable")
 
     # ------------------------------------------------------------------
@@ -180,17 +181,18 @@ class ExtendedPageTable:
         down to the leaf."""
         table = self.root
         leaf_level = 2 if large else 3
-        for level in range(leaf_level):
-            addr = table + _index(gpa, level) * ENTRY_BYTES
-            entry = self._read_entry(addr)
-            if not entry.present:
-                entry = EptEntry.make(self._new_table_page())
-                self._write_entry(addr, entry)
-            elif entry.large:
+        for shift in _SHIFTS[:leaf_level]:
+            addr = table + ((gpa >> shift) & _INDEX_MASK) * ENTRY_BYTES
+            value = self._read_value(addr)
+            if not value & PRESENT:
+                table = self._new_table_page()
+                self._write_entry(addr, EptEntry.make(table))
+            elif value & LARGE_PAGE:
                 raise EptError(f"GPA {gpa:#x} already covered by a large mapping")
-            table = entry.target_hpa
-        addr = table + _index(gpa, leaf_level) * ENTRY_BYTES
-        if self._read_entry(addr).present:
+            else:
+                table = value & ADDR_MASK
+        addr = table + ((gpa >> _SHIFTS[leaf_level]) & _INDEX_MASK) * ENTRY_BYTES
+        if self._read_value(addr) & PRESENT:
             raise EptError(f"GPA {gpa:#x} already mapped")
         self._write_entry(addr, EptEntry.make(hpa, large=large))
 
@@ -278,7 +280,7 @@ class ExtendedPageTable:
         """Depth-first leaf scan; reads each table page with one memory
         access (not 512) so the walk itself barely disturbs the media."""
         page = self.memory.read(table, PAGE_4K, ecc=self.ecc_reads)
-        shift = 12 + 9 * (_LEVELS - 1 - level)
+        shift = _SHIFTS[level]
         for index in range(ENTRIES_PER_PAGE):
             raw = bytes(page[index * ENTRY_BYTES : (index + 1) * ENTRY_BYTES])
             entry = EptEntry.unpack(raw)

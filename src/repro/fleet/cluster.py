@@ -213,6 +213,18 @@ class _LogicalCapacity:
     vm_count: int
 
 
+class _FreeGroups:
+    """A shard's running count of guest nodes a new tenant may still be
+    placed on.  The twin fleet and each of its twins share one, so a
+    twin need not point back at the fleet that holds it (that pair
+    would be a reference cycle)."""
+
+    __slots__ = ("count",)
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+
+
 class LogicalHost:
     """Integer-bookkeeping twin of one unbooted fleet host.
 
@@ -228,15 +240,15 @@ class LogicalHost:
     hypervisor.
     """
 
-    __slots__ = ("spec", "shape", "hv", "fleet", "ids", "free", "open_ids", "vm_specs")
+    __slots__ = ("spec", "shape", "hv", "groups", "ids", "free", "open_ids", "vm_specs")
 
     def __init__(self, spec: HostSpec, shape: HostShape, hv: SimpleNamespace,
-                 fleet: "LogicalFleet"):
+                 groups: _FreeGroups):
         self.spec = spec
         self.shape = shape
         self.hv = hv
-        #: The shard's twin fleet, which keeps the free-node count.
-        self.fleet = fleet
+        #: The shard's free-node count, shared with its twin fleet.
+        self.groups = groups
         #: Guest node ids, in ``shape.nodes`` order.
         self.ids = tuple(node_id for node_id, _, _, _ in shape.nodes)
         #: Placeable free bytes per guest node, in ``shape.nodes`` order
@@ -278,7 +290,7 @@ class LogicalHost:
             for i in chosen:
                 self.free[i] = 0
             self.open_ids = tuple(n for n in self.open_ids if n not in chosen_ids)
-            self.fleet.free_groups -= len(chosen)
+            self.groups.count -= len(chosen)
         else:
             pages = -(-(spec.memory_bytes + spec.rom_bytes) // page)
             for i in chosen:
@@ -303,15 +315,19 @@ class LogicalFleet:
     #: (a shared pool withholds none).  A running count, kept by the
     #: twins' admissions: the saturation fast path reads it for every
     #: pruned arrival.
-    free_groups: int = 0
+    groups: _FreeGroups = field(default_factory=lambda: _FreeGroups(0))
+
+    @property
+    def free_groups(self) -> int:
+        return self.groups.count
 
     @classmethod
     def build(
         cls, host_ids: range, shape: HostShape, config: ClusterConfig
     ) -> "LogicalFleet":
         hv = _logical_hv(shape)  # shared: twins are stateless through hv
-        fleet = cls(free_groups=len(host_ids) * len(shape.nodes))
-        fleet.hosts = [
+        groups = _FreeGroups(len(host_ids) * len(shape.nodes))
+        hosts = [
             LogicalHost(
                 HostSpec(
                     host_id=i,
@@ -322,11 +338,11 @@ class LogicalFleet:
                 ),
                 shape,
                 hv,
-                fleet,
+                groups,
             )
             for i in host_ids
         ]
-        return fleet
+        return cls(hosts=hosts, groups=groups)
 
     def __len__(self) -> int:
         return len(self.hosts)

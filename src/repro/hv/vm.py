@@ -15,7 +15,7 @@ from typing import Iterator
 
 from repro.dram.mapping import AddressRange
 from repro.ept.table import ExtendedPageTable
-from repro.errors import HvError
+from repro.errors import DramError, HvError
 from repro.hv.machine import Machine
 from repro.hv.memory_types import MemoryRegion
 
@@ -104,7 +104,9 @@ class VirtualMachine:
         Only unmediated regions can be hammered: mediated accesses take a
         VM exit each, so the host mediates (and could rate-limit) them —
         the §5.1 argument for why mediated pages may stay host-side.
-        Returns the list of bit flips the hammering caused anywhere.
+        Returns the list of bit flips the hammering caused anywhere.  A
+        negative or NaN *open_seconds* is refused before the translation
+        touches DRAM, as :meth:`SimulatedDram.activate` refuses it.
         """
         self._check_running()
         region = self.region_at(gpa)
@@ -113,6 +115,8 @@ class VirtualMachine:
                 f"VM {self.name}: {region.name} is host-mediated; every access "
                 "exits, so it cannot be hammered at DRAM rates"
             )
+        if not open_seconds >= 0.0:
+            raise DramError(f"open time must be non-negative, got {open_seconds}")
         dram = self.machine.dram
         socket, bank, _channel, row, _col = dram.mapping.decode_flat(self.translate(gpa))
         if open_seconds == 0.0:

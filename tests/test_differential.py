@@ -21,6 +21,8 @@ enforce that contract on three levels:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from conftest import diff_transcripts, replay_program
@@ -512,3 +514,140 @@ class TestPageTableFuzz:
             assert scalar == _page_table_transcript(backend, seed), (
                 f"seed={seed} {backend}"
             )
+
+
+class _ClockHook:
+    """A DRAM hook that lets idle time pass every *every* ACTs, so a
+    refresh window can close inside another ACT."""
+
+    def __init__(self, every: int, seconds: float):
+        self.every, self.seconds, self.acts = every, seconds, 0
+
+    def on_activate(self, dram, socket, bank, row):
+        self.acts += 1
+        if self.acts % self.every == 0:
+            dram.advance_time(self.seconds)
+
+    def on_clock(self, dram):
+        pass
+
+    def on_write(self, dram, hpa, length):
+        pass
+
+
+def _single_act_transcript(backend: str) -> dict:
+    """Single ``activate``/``write``/``read`` calls, never a batch, over
+    every branch the single-ACT path inlines: a repaired aggressor and a
+    repaired victim, RowPress open time, data-dependent flips, TRR, a
+    hook that advances time and refresh windows closing mid-run."""
+    from repro.dram.disturbance import DisturbanceProfile
+    from repro.dram.geometry import DRAMGeometry
+    from repro.dram.media import MediaAddress
+    from repro.dram.module import SimulatedDram
+    from repro.dram.trr import TrrConfig
+    from repro.errors import UncorrectableError
+
+    geom = DRAMGeometry.small(rows_per_bank=128, rows_per_subarray=16)
+    dram = SimulatedDram(
+        geom,
+        profile=DisturbanceProfile.test_scale(threshold_mean=25.0),
+        trr_config=TrrConfig(),
+        seed=5,
+        refresh_window=2e-4,
+        data_dependent_flips=True,
+        backend=backend,
+    )
+    bank = 3
+    dram.add_repair(0, bank, 20, 52)  # aggressor 20 hammers around 52
+    dram.add_repair(0, bank, 40, 37)  # victim 40 lives in 37's neighbour
+
+    def hpa(row: int, col: int = 0) -> int:
+        return dram.mapping.encode(
+            MediaAddress.from_socket_bank(geom, 0, bank, row, col)
+        )
+
+    dram.register_hook(_ClockHook(every=97, seconds=3e-5))
+    for row in (19, 21, 39, 41, 51, 53):
+        dram.write(hpa(row, 64), bytes(range(256)) * 2)
+    log = []
+    for i in range(1200):
+        row = (20, 36, 38, 22, 18)[i % 5]
+        open_s = 4e-6 if i % 7 == 0 else 0.0
+        flips = dram.activate(0, bank, row, open_seconds=open_s)
+        log.append(("act", i, tuple(flips)))
+        if i % 150 == 149:
+            for victim in (19, 21, 37, 40, 51, 53):
+                dram.write(hpa(victim, 8), b"\xff" * 8)
+                try:
+                    log.append(("read", victim, dram.read(hpa(victim, 64), 48)))
+                except UncorrectableError as exc:
+                    log.append(("mce", victim, exc.address))
+                log.append(("raw", victim, dram.read(hpa(victim), 128, ecc=False)))
+            for flip in dram.flips_log[-4:]:  # sense each new flip's word
+                word = hpa(flip.row, flip.bit // 64 * 8)
+                try:
+                    log.append(("word", flip.row, dram.read(word, 8)))
+                except UncorrectableError as exc:
+                    log.append(("mce", flip.row, exc.address))
+    pressure = [
+        dram.disturbance.pressure_on(0, bank, row) for row in range(geom.rows_per_bank)
+    ]
+    return {
+        "log": log,
+        "flips": list(dram.flips_log),
+        "clock": dram.clock,
+        "counters": dram.counters,
+        "suppressed": dram.flips_suppressed,
+        "pressure": pressure,
+        "ecc": list(dram.ecc.stats.events),
+    }
+
+
+class TestSingleActs:
+    """The single-ACT path (``SimulatedDram.activate`` plus the model's
+    ``on_activate``) against the scalar reference, one call at a time."""
+
+    def test_single_act_edge_cases_replay_identically(self):
+        runs = {backend: _single_act_transcript(backend) for backend in BACKENDS}
+        scalar = runs["scalar"]
+        # Not vacuous: every inlined branch fired.
+        assert scalar["flips"], "no flips: raise pressure"
+        assert scalar["suppressed"] > 0
+        assert scalar["counters"].refresh_windows > 1
+        assert scalar["counters"].trr_refs > 0
+        assert scalar["ecc"], "no read sensed a flip"
+        rows = {f.row for f in scalar["flips"]}
+        assert 40 in rows, "the repaired victim never flipped"
+        assert rows & {51, 53}, "the repaired aggressor's victims never flipped"
+        for backend in BACKENDS[1:]:
+            for key in scalar:
+                assert runs[backend][key] == scalar[key], (backend, key)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("open_seconds", [-1e-6, float("nan")])
+    def test_refused_activate_changes_nothing(self, backend, open_seconds):
+        from repro.errors import DramError
+
+        hv = _siloz_host(backend, seed=300)
+        dram = hv.machine.dram
+        dram.activate(0, 0, 5)
+        before = (dram.clock, dataclasses.replace(dram.counters), list(dram.flips_log))
+        pressure = dram.disturbance.pressure_on(0, 0, 4)
+        with pytest.raises(DramError, match="open time"):
+            dram.activate(0, 0, 5, open_seconds=open_seconds)
+        with pytest.raises(DramError, match="backwards"):
+            dram.advance_time(open_seconds)
+        assert (dram.clock, dram.counters, dram.flips_log) == before
+        assert dram.disturbance.pressure_on(0, 0, 4) == pressure
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_refused_hammer_changes_nothing(self, backend):
+        from repro.errors import DramError
+
+        hv = _siloz_host(backend, seed=300)
+        vm = hv.create_vm(_vm_spec())
+        dram = hv.machine.dram
+        before = (dram.clock, dataclasses.replace(dram.counters), list(dram.flips_log))
+        with pytest.raises(DramError, match="open time"):
+            vm.hammer(0x3000, 50, open_seconds=-1e-6)
+        assert (dram.clock, dram.counters, dram.flips_log) == before

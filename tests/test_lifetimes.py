@@ -18,6 +18,8 @@ from repro.core import SilozHypervisor
 from repro.dram.disturbance import DisturbanceProfile
 from repro.errors import HvError
 from repro.eval.experiments import baseline_system, siloz_system
+from repro.fleet.admission import iter_arrival_trace
+from repro.fleet.cluster import ClusterConfig, ClusterShard, measure_host_shape
 from repro.fleet.host import Host, HostSpec
 from repro.guest import GuestOS
 from repro.hv import Machine, VmSpec
@@ -39,21 +41,18 @@ def _repro_types(objects) -> list[str]:
     )
 
 
-def assert_freed_by_refcount(build) -> None:
-    """Build a root with the collector off, drop it, and check the host
-    under it died by reference counting alone."""
+def drop_and_collect(build, watch) -> tuple[list[str], list[str]]:
+    """Build a root with the collector off, hold weak references to the
+    objects ``watch(root)`` names, and drop the root.  Returns the names
+    still alive, then the ``repro`` types a collection finds in cyclic
+    garbage."""
     gc.collect()  # earlier tests' garbage is not this workflow's
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         root = build()
-        hv = getattr(root, "hv", root)
-        refs = {
-            "hypervisor": weakref.ref(hv),
-            "dram": weakref.ref(hv.machine.dram),
-            "mapping": weakref.ref(hv.machine.mapping),
-        }
-        del root, hv
+        refs = {name: weakref.ref(obj) for name, obj in watch(root).items()}
+        del root
         alive = [name for name, ref in refs.items() if ref() is not None]
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
@@ -63,6 +62,18 @@ def assert_freed_by_refcount(build) -> None:
         gc.garbage.clear()
         if was_enabled:
             gc.enable()
+    return alive, cyclic
+
+
+def _host_parts(root) -> dict:
+    hv = getattr(root, "hv", root)
+    return {"hypervisor": hv, "dram": hv.machine.dram, "mapping": hv.machine.mapping}
+
+
+def assert_freed_by_refcount(build) -> None:
+    """Build a root with the collector off, drop it, and check the host
+    under it died by reference counting alone."""
+    alive, cyclic = drop_and_collect(build, _host_parts)
     assert not alive, f"still alive after del: {alive}"
     assert not cyclic, f"repro objects in cyclic garbage: {cyclic}"
 
@@ -128,6 +139,30 @@ class TestHostsDieByRefcount:
 
     def test_guest_os_and_its_processes(self):
         assert_freed_by_refcount(lambda: _guest_processes()[0])
+
+
+class TestAdmissionShardsDieByRefcount:
+    def test_dropped_admission_shard(self):
+        # Capacity twins share their shard's free-node count instead of
+        # pointing back at the twin fleet that holds them.
+        shape = measure_host_shape()
+        config = ClusterConfig(hosts=2, vms=40, seed=3, policy="first-fit", shards=1)
+        decisions: list = []
+
+        def build():
+            shard = ClusterShard(0, range(2), config, shape, decisions.append)
+            for spec in iter_arrival_trace(3, 40):
+                shard.offer(spec)
+            return shard
+
+        def watch(shard):
+            return {"shard": shard, "fleet": shard.fleet, "controller": shard.controller}
+
+        alive, cyclic = drop_and_collect(build, watch)
+        assert not alive, f"still alive after del: {alive}"
+        assert not cyclic, f"repro objects in cyclic garbage: {cyclic}"
+        assert any(d.admitted for d in decisions)
+        assert any(not d.admitted for d in decisions)
 
 
 class TestOrphanedTablesFailTyped:
