@@ -13,7 +13,7 @@ the same machinery against the simulated stack:
 """
 
 from repro.attack.patterns import HammerPattern
-from repro.attack.hammer import hammer_double_sided, hammer_pattern_rows, run_pattern
+from repro.attack.hammer import hammer_pattern_rows, run_pattern
 from repro.attack.blacksmith import BlacksmithFuzzer, FuzzReport
 from repro.attack.runner import AttackOutcome, attack_from_vm
 from repro.attack.mfit import infer_subarray_rows, verify_inference
@@ -27,7 +27,6 @@ __all__ = [
     "ProbeResult",
     "attack_from_vm",
     "drama_probe",
-    "hammer_double_sided",
     "hammer_pattern_rows",
     "infer_subarray_rows",
     "run_pattern",

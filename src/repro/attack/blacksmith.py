@@ -35,17 +35,6 @@ class FuzzReport:
     def flip_count(self) -> int:
         return len(self.flips)
 
-    def flips_by_subarray(self, geom) -> dict[tuple[int, int, int], int]:
-        """(socket, bank, subarray) -> flips, for containment checks."""
-        out: dict[tuple[int, int, int], int] = {}
-        for f in self.flips:
-            key = (f.socket, f.bank, geom.subarray_of_row(f.row))
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    def banks_with_flips(self) -> set[tuple[int, int]]:
-        return {(f.socket, f.bank) for f in self.flips}
-
 
 class BlacksmithFuzzer:
     """Randomized pattern search over a set of (bank, row-range) targets.
@@ -102,18 +91,4 @@ class BlacksmithFuzzer:
                     pattern_flips += len(flips)
             if pattern_flips:
                 report.effective_patterns.append((pattern, pattern_flips))
-        return report
-
-    def run_until_flips(
-        self, *, min_flips: int = 1, max_patterns: int = 200
-    ) -> FuzzReport:
-        """Keep fuzzing until at least *min_flips* flips were observed
-        (or the budget runs out)."""
-        report = FuzzReport()
-        while report.flip_count < min_flips and report.patterns_tried < max_patterns:
-            chunk = self.run(pattern_budget=10)
-            report.patterns_tried += chunk.patterns_tried
-            report.activations += chunk.activations
-            report.flips.extend(chunk.flips)
-            report.effective_patterns.extend(chunk.effective_patterns)
         return report

@@ -60,21 +60,6 @@ def run_pattern(
     return flips
 
 
-def hammer_double_sided(
-    dram: SimulatedDram,
-    socket: int,
-    bank: int,
-    victim_row: int,
-    *,
-    activations: int = 4096,
-) -> list[BitFlip]:
-    """Classic double-sided hammer around *victim_row*."""
-    geom = dram.geom
-    geom.check_row(victim_row)
-    pattern = HammerPattern.double_sided(rounds=max(1, activations // 2))
-    return run_pattern(dram, socket, bank, victim_row, pattern)
-
-
 def hammer_pattern_rows(
     dram: SimulatedDram,
     socket: int,

@@ -38,19 +38,12 @@ class HammerPattern:
         if self.rounds <= 0:
             raise AttackError("rounds must be positive")
         if not self.order:
-            object.__setattr__(self, "order", self.default_order())
+            # Default order: decoys first (landing in post-REF sampler
+            # slots), then the aggressors round-robin.
+            object.__setattr__(self, "order", tuple(self.decoys) + tuple(self.aggressors))
         known = set(self.aggressors) | set(self.decoys)
         if not set(self.order) <= known:
             raise AttackError("order references unknown offsets")
-
-    def default_order(self) -> tuple[int, ...]:
-        """Decoys first (landing in post-REF sampler slots), then the
-        aggressors round-robin."""
-        return tuple(self.decoys) + tuple(self.aggressors)
-
-    @property
-    def n_sided(self) -> int:
-        return len(self.aggressors)
 
     @property
     def acts_per_round(self) -> int:
@@ -58,47 +51,6 @@ class HammerPattern:
 
     def total_activations(self) -> int:
         return self.acts_per_round * self.rounds
-
-    # ------------------------------------------------------------------
-    # Canonical shapes
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def double_sided(cls, victim_offset: int = 0, *, rounds: int = 64) -> "HammerPattern":
-        """The classic: hammer the two rows sandwiching the victim."""
-        return cls(
-            aggressors=(victim_offset - 1, victim_offset + 1), rounds=rounds
-        )
-
-    @classmethod
-    def many_sided(
-        cls, sides: int, *, base_offset: int = 0, rounds: int = 64
-    ) -> "HammerPattern":
-        """N aggressors at every other row (victims in between)."""
-        if sides < 1:
-            raise AttackError("sides must be >= 1")
-        return cls(
-            aggressors=tuple(base_offset + 2 * i for i in range(sides)),
-            rounds=rounds,
-        )
-
-    @classmethod
-    def with_decoys(
-        cls,
-        sides: int,
-        decoy_count: int,
-        *,
-        base_offset: int = 0,
-        decoy_gap: int = 16,
-        rounds: int = 64,
-    ) -> "HammerPattern":
-        """Many-sided plus sampler decoys placed *decoy_gap* rows away
-        (far enough to disturb nothing the attacker cares about)."""
-        aggressors = tuple(base_offset + 2 * i for i in range(sides))
-        decoys = tuple(
-            base_offset + decoy_gap + 2 * i for i in range(decoy_count)
-        )
-        return cls(aggressors=aggressors, decoys=decoys, rounds=rounds)
 
     @classmethod
     def random(
@@ -130,19 +82,4 @@ class HammerPattern:
             decoys=decoys,
             order=order,
             rounds=rng.randint(8, max_rounds),
-        )
-
-    def shifted(self, delta: int) -> "HammerPattern":
-        """The same pattern translated by *delta* rows."""
-        return HammerPattern(
-            aggressors=tuple(a + delta for a in self.aggressors),
-            decoys=tuple(d + delta for d in self.decoys),
-            order=tuple(o + delta for o in self.order),
-            rounds=self.rounds,
-        )
-
-    def describe(self) -> str:
-        return (
-            f"{self.n_sided}-sided, {len(self.decoys)} decoys, "
-            f"{self.acts_per_round} acts/round x {self.rounds} rounds"
         )

@@ -14,6 +14,7 @@ both software schemes, none under guard rows (which need no scheduling).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -112,8 +113,8 @@ def simulate_refresh(
     GUARD_ROWS returns an empty, never-vulnerable log: there is nothing
     to schedule, which is precisely why Siloz chose it (§8.3).
     """
-    if duration_s <= 0 or deadline_ms <= 0:
-        raise ReproError("duration and deadline must be positive")
+    if not (0 < duration_s < math.inf and 0 < deadline_ms < math.inf):
+        raise ReproError("duration and deadline must be positive and finite")
     log = RefreshLog(scheme=scheme, deadline_ms=deadline_ms)
     if scheme is RefreshScheme.GUARD_ROWS:
         return log

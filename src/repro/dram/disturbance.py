@@ -104,9 +104,6 @@ class BitFlip:
     aggressor_row: int
     when: float  # simulation seconds
 
-    def subarray(self, geom: DRAMGeometry) -> int:
-        return geom.subarray_of_row(self.row)
-
 
 class DisturbanceModel:
     """Tracks per-victim pressure for one DRAM module and emits flips.
@@ -227,10 +224,3 @@ class DisturbanceModel:
 
     def pressure_on(self, socket: int, bank: int, row: int) -> float:
         return self._pressure.get((socket, bank, row), 0.0)
-
-    def flips_in_rows(self, socket: int, bank: int, rows: range) -> list[BitFlip]:
-        return [
-            f
-            for f in self.flips
-            if f.socket == socket and f.bank == bank and f.row in rows
-        ]

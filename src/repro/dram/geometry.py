@@ -200,10 +200,6 @@ class DRAMGeometry:
         return self.channels_per_socket * self.banks_per_channel
 
     @functools.cached_property
-    def total_banks(self) -> int:
-        return self.sockets * self.banks_per_socket
-
-    @functools.cached_property
     def bank_bytes(self) -> int:
         return self.rows_per_bank * self.row_bytes
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.media import MediaAddress
 from repro.errors import MappingError
-from repro.units import CACHE_LINE, MiB, is_aligned
+from repro.units import CACHE_LINE
 
 #: Entries kept in a mapping's decode LRU (:meth:`SkylakeMapping.decode_flat`),
 #: which serves the memory controllers, the simulated module's sub-line
@@ -189,17 +189,9 @@ class SkylakeMapping:
     def region_bytes(self) -> int:
         return self.region_row_groups * self.geom.row_group_bytes
 
-    @property
-    def regions_per_socket(self) -> int:
-        return self.geom.rows_per_bank // self.region_row_groups
-
     def socket_base(self, socket: int) -> int:
         self.geom.check_socket(socket)
         return self._socket_bases[socket]
-
-    def socket_of_hpa(self, hpa: int) -> int:
-        self._check_hpa(hpa)
-        return hpa // self.geom.socket_bytes
 
     def _check_hpa(self, hpa: int) -> None:
         if not 0 <= hpa < self.geom.total_bytes:
@@ -446,13 +438,3 @@ class SkylakeMapping:
             back = self.encode(self.decode(hpa))
             if back != hpa:
                 raise MappingError(f"decode/encode mismatch: {hpa:#x} -> {back:#x}")
-
-    def describe(self) -> str:
-        """One-line summary of the mapping shape (chunks/regions)."""
-        return (
-            f"chunk={self.chunk_row_groups} row groups "
-            f"({self.chunk_bytes // MiB if is_aligned(self.chunk_bytes, MiB) else self.chunk_bytes} "
-            f"{'MiB' if is_aligned(self.chunk_bytes, MiB) else 'B'}), "
-            f"region={self.region_row_groups} row groups, "
-            f"{self.regions_per_socket} regions/socket"
-        )

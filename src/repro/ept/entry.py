@@ -96,15 +96,3 @@ class EptEntry:
     @property
     def target_hpa(self) -> int:
         return self.value & ADDR_MASK
-
-    def __repr__(self) -> str:
-        flags = "".join(
-            c if on else "-"
-            for c, on in (
-                ("r", self.readable),
-                ("w", self.writable),
-                ("x", self.executable),
-                ("L", self.large),
-            )
-        )
-        return f"EptEntry({self.target_hpa:#x} {flags})"

@@ -93,12 +93,6 @@ class FaultInjector(DramHook):
             self.dram.unregister_hook(self)
             self._attached = False
 
-    @property
-    def exhausted(self) -> bool:
-        """True once every planned spec has fired (armed cells may still
-        be emitting errors)."""
-        return not self._pending
-
     # ------------------------------------------------------------------
     # DramHook interface
     # ------------------------------------------------------------------

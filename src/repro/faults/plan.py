@@ -27,6 +27,7 @@ after boot (HammerSim-style system-level fault modeling):
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -138,16 +139,6 @@ class FaultPlan:
     def __post_init__(self) -> None:
         self.specs = sorted(self.specs, key=lambda s: s.at_clock)
 
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def add(self, spec: FaultSpec) -> "FaultPlan":
-        """Insert a spec, keeping the schedule time-ordered; returns self
-        so plans can be built fluently."""
-        self.specs.append(spec)
-        self.specs.sort(key=lambda s: s.at_clock)
-        return self
-
     # ------------------------------------------------------------------
     # Generators (all randomness resolved here, at build time)
     # ------------------------------------------------------------------
@@ -177,8 +168,8 @@ class FaultPlan:
                 f"cannot place {errors} single-bit errors in {words_per_row} "
                 "distinct words"
             )
-        if interval <= 0:
-            raise FaultPlanError("interval must be positive")
+        if not 0 < interval < math.inf:
+            raise FaultPlanError("interval must be positive and finite")
         rng = random.Random(seed)
         first_word = rng.randrange(words_per_row)
         specs = [
@@ -222,8 +213,8 @@ class FaultPlan:
                 f"cannot place {errors} two-bit errors in {words_per_row} "
                 "distinct words"
             )
-        if interval <= 0:
-            raise FaultPlanError("interval must be positive")
+        if not 0 < interval < math.inf:
+            raise FaultPlanError("interval must be positive and finite")
         rng = random.Random(seed)
         first_word = rng.randrange(words_per_row)
         specs = []

@@ -120,13 +120,12 @@ class AdmissionController:
         #: When False, decisions are streamed to ``on_decision`` (if
         #: set) and **not** accumulated — cluster-scale campaigns fold
         #: 100k decisions without holding them.  Aggregate accounting
-        #: (acceptance rate, rejections by reason) stays exact either
+        #: (decision count, rejections by reason) stays exact either
         #: way via the running counters below.
         self.retain_decisions = retain_decisions
         self.on_decision = on_decision
         self.decisions: list[AdmissionDecision] = []
         self._decided = 0
-        self._admitted = 0
         self._rejected: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -230,9 +229,7 @@ class AdmissionController:
         if self.retain_decisions:
             self.decisions.append(decision)
         self._decided += 1
-        if decision.admitted:
-            self._admitted += 1
-        elif decision.reason is not None:
+        if not decision.admitted and decision.reason is not None:
             key = decision.reason.value
             self._rejected[key] = self._rejected.get(key, 0) + 1
         if self.on_decision is not None:
@@ -265,12 +262,6 @@ class AdmissionController:
     def decided(self) -> int:
         """Total decisions made (exact even with ``retain_decisions=False``)."""
         return self._decided
-
-    @property
-    def acceptance_rate(self) -> float:
-        if not self._decided:
-            return 0.0
-        return self._admitted / self._decided
 
     def rejected_by_reason(self) -> dict[str, int]:
         return dict(self._rejected)

@@ -299,12 +299,6 @@ class LogicalHost:
                 pages -= take
         self.vm_specs[spec.name] = spec
 
-    def __repr__(self) -> str:
-        return (
-            f"LogicalHost(id={self.host_id}, vms={len(self.vm_specs)}, "
-            f"free={sum(self.free)}/{self.shape.guest_capacity_bytes})"
-        )
-
 
 @dataclass
 class LogicalFleet:
@@ -343,12 +337,6 @@ class LogicalFleet:
             for i in host_ids
         ]
         return cls(hosts=hosts, groups=groups)
-
-    def __len__(self) -> int:
-        return len(self.hosts)
-
-    def __iter__(self):
-        return iter(self.hosts)
 
 
 # ----------------------------------------------------------------------

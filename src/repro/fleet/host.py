@@ -155,14 +155,6 @@ class Host:
         <repro.mitigations.base.Mitigation.audit>`."""
         self.mitigation.assert_isolation(self)
 
-    def __repr__(self) -> str:
-        cap = self.capacity()
-        return (
-            f"Host(id={self.host_id}, vms={cap.vm_count}, "
-            f"free_groups={len(cap.free_guest_node_ids)}/{cap.total_guest_nodes}, "
-            f"{'degraded' if self.degraded else 'healthy'})"
-        )
-
 
 @dataclass
 class Fleet:
@@ -197,12 +189,6 @@ class Fleet:
                 for i in range(n_hosts)
             ]
         )
-
-    def __len__(self) -> int:
-        return len(self.hosts)
-
-    def __iter__(self):
-        return iter(self.hosts)
 
     def host(self, host_id: int) -> Host:
         for h in self.hosts:

@@ -3,9 +3,10 @@
 A :class:`Machine` bundles the hardware a hypervisor boots on: DRAM
 geometry, the BIOS-fixed physical-to-media mapping, the simulated DRAM
 itself, and the CPU complement.  Two canonical shapes exist:
-``Machine.paper()`` (the Table 2 dual-socket Xeon) and
 ``Machine.small()`` (a few MiB, for tests and examples that simulate
-every bit).
+every bit) and ``Machine.medium()`` (32 banks, for the performance
+benches).  The Table 2 geometry itself is
+:meth:`~repro.dram.geometry.DRAMGeometry.paper_default`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class Machine:
     cores_per_socket: int = 40
 
     def __post_init__(self) -> None:
-        # Shape gauges: covers every factory (paper/small/medium) and
+        # Shape gauges: covers every factory (small/medium) and
         # direct construction alike.
         if obs.ENABLED:
             obs.METRICS.gauge("machine.sockets").set(self.geom.sockets)
@@ -43,22 +44,6 @@ class Machine:
             )
             obs.METRICS.gauge("machine.total_bytes").set(self.geom.total_bytes)
             obs.METRICS.gauge("machine.cores").set(self.total_cores)
-
-    @classmethod
-    def paper(
-        cls,
-        *,
-        profile: DisturbanceProfile | None = None,
-        seed: int = 0,
-        backend: SimBackend | str = SimBackend.SCALAR,
-    ) -> "Machine":
-        """Table 2: dual-socket, 40 logical cores and 192 GiB per socket."""
-        geom = DRAMGeometry.paper_default()
-        mapping = SkylakeMapping(geom)
-        dram = SimulatedDram(
-            geom, mapping, profile=profile, seed=seed, backend=backend
-        )
-        return cls(geom=geom, mapping=mapping, dram=dram, cores_per_socket=40)
 
     @classmethod
     def small(

@@ -2,9 +2,9 @@
 
 A :class:`VirtualMachine` owns an EPT, a set of memory regions, and the
 host pages backing them.  Guest accesses translate through the EPT and
-then hit the simulated DRAM — including the attack entry points
-(`hammer`, `hammer_pattern`) that the security experiments drive from
-*inside* the guest, exactly as Blacksmith runs inside a VM in §7.1.
+then hit the simulated DRAM — including the attack entry point
+(`hammer`) that guest code drives from *inside* the VM, exactly as
+Blacksmith runs inside a VM in §7.1.
 """
 
 from __future__ import annotations
@@ -128,31 +128,6 @@ class VirtualMachine:
             flips.extend(dram.activate(socket, bank, row, open_seconds=open_seconds))
         return flips
 
-    def hammer_pattern(self, gpas: list[int], rounds: int):
-        """Interleave activations across several aggressor GPAs (the
-        many-sided shape TRR evasion needs); returns all flips."""
-        self._check_running()
-        dram = self.machine.dram
-        targets = []
-        for gpa in gpas:
-            if not self.region_at(gpa).unmediated:
-                raise HvError(f"VM {self.name}: GPA {gpa:#x} is mediated")
-            socket, bank, _channel, row, _col = dram.mapping.decode_flat(
-                self.translate(gpa)
-            )
-            targets.append((socket, bank, row))
-        banks = {(socket, bank) for socket, bank, _ in targets}
-        if len(banks) == 1 and targets:
-            # All aggressors share one bank (the TRR-evasion shape):
-            # submit the whole interleaving as one batch.
-            (socket, bank), rows = banks.pop(), [row for _, _, row in targets]
-            return dram.activate_batch(socket, bank, rows * rounds)
-        flips = []
-        for _ in range(rounds):
-            for socket, bank, row in targets:
-                flips.extend(dram.activate(socket, bank, row))
-        return flips
-
     # ------------------------------------------------------------------
 
     @property
@@ -218,11 +193,4 @@ class VirtualMachine:
                     return
         raise HvError(
             f"VM {self.name}: range {old} is not part of this VM's backing"
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"VirtualMachine({self.name!r}, {self.vcpus} vcpus, "
-            f"{self.unmediated_bytes:#x} bytes, nodes={self.node_ids}, "
-            f"{self.state.value})"
         )

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 from repro import obs
@@ -130,18 +131,14 @@ class TraceResult:
             return 0.0
         return (self.bytes_transferred / 2**30) / (self.total_time_ns * 1e-9)
 
-    def tag_latency_ns(self, tag: int) -> float:
-        """Average latency of the accesses carrying *tag*."""
-        count, total = self.per_tag.get(tag, (0, 0.0))
-        if count == 0:
-            return 0.0
-        return total / count
-
 
 class MemoryController:
     """Replays traces through the bank/channel timing model."""
 
     LINE_BYTES = 64
+    #: Reorder window; ``None`` issues in arrival order under the MLP
+    #: throttle (:class:`~repro.memctrl.frfcfs.FrFcfsController` sets it).
+    window: int | None = None
 
     def __init__(
         self,
@@ -275,10 +272,19 @@ class MemoryController:
     # scalar reference
 
     def _run_scalar(self, accesses: list[MemoryAccess]) -> TraceResult:
+        """The per-access fold :func:`~repro.memctrl.pipeline.run_pipeline`
+        computes in closed form.  ``window is None`` issues in order
+        under the MLP throttle and measures latency from issue; an
+        integer issues in :meth:`_issue_order` (FR-FCFS) and measures
+        from arrival."""
         t = self.timings
         decoded = self._decode_all(a.hpa for a in accesses)
+        gaps = [quantize_ns(a.cpu_gap_ns) for a in accesses]
+        arrivals = list(accumulate(gaps))
+        in_order = self.window is None
         prev_row: dict[tuple[int, int], int] = {}
-        # Estimate-pass chains (discarded counters) and final chains.
+        # Estimate-pass chains (in order only; discarded counters) and
+        # final chains.
         chans_est: dict[tuple[int, int], ChannelState] = {}
         banks_est: dict[tuple[int, int], float] = {}
         chans: dict[tuple[int, int], ChannelState] = {}
@@ -289,31 +295,33 @@ class MemoryController:
         d0_hist: list[float] = []
         throttle = float("-inf")  # running max of D0 up to i - k_lag
         now = 0.0
-        arrival = 0.0
-        for i, (access, (socket, socket_bank, channel, row, _col)) in enumerate(
-            zip(accesses, decoded)
-        ):
-            gap = quantize_ns(access.cpu_gap_ns)
-            arrival += gap
+        for i in self._issue_order(decoded):
+            access = accesses[i]
+            socket, socket_bank, channel, row, _col = decoded[i]
             bank_key = (socket, socket_bank)
             chan_key = (socket, channel)
             remote = socket != access.home_socket
             penalty = t.t_remote if remote else 0.0
             hit, latency, hold = self._classify(prev_row, bank_key, row)
 
-            # Pass 2: unthrottled completion estimate D0.
-            chan_est = chans_est.get(chan_key)
-            if chan_est is None:
-                chan_est = chans_est[chan_key] = ChannelState(t)
-            bus_est = chan_est.claim_bus(chan_est.refresh_adjust(arrival + penalty))
-            begin_est = max(bus_est, banks_est.get(bank_key, 0.0))
-            banks_est[bank_key] = begin_est + hold
-            d0_hist.append(begin_est + latency)
-
-            # Pass 3: MLP-throttled issue, then the final service chains.
-            if i >= k_lag and d0_hist[i - k_lag] > throttle:
-                throttle = d0_hist[i - k_lag]
-            now = max(now + gap, throttle)
+            if in_order:
+                # Pass 2: unthrottled completion estimate D0.
+                chan_est = chans_est.get(chan_key)
+                if chan_est is None:
+                    chan_est = chans_est[chan_key] = ChannelState(t)
+                bus_est = chan_est.claim_bus(chan_est.refresh_adjust(arrivals[i] + penalty))
+                begin_est = max(bus_est, banks_est.get(bank_key, 0.0))
+                banks_est[bank_key] = begin_est + hold
+                d0_hist.append(begin_est + latency)
+                # Pass 3: MLP-throttled issue.
+                if i >= k_lag and d0_hist[i - k_lag] > throttle:
+                    throttle = d0_hist[i - k_lag]
+                now = max(now + gaps[i], throttle)
+                origin = now
+            else:
+                # FR-FCFS: no throttle; the issue clock never rewinds.
+                now = max(now, arrivals[i])
+                origin = arrivals[i]
             chan = chans.get(chan_key)
             if chan is None:
                 chan = chans[chan_key] = ChannelState(t)
@@ -333,9 +341,9 @@ class MemoryController:
                 result.row_misses += 1
             if remote:
                 result.remote_accesses += 1
-            result.total_latency_ns += done - now
+            result.total_latency_ns += done - origin
             count, total = per_tag.get(access.tag, (0, 0.0))
-            per_tag[access.tag] = (count + 1, total + (done - now))
+            per_tag[access.tag] = (count + 1, total + (done - origin))
             result.bytes_transferred += self.LINE_BYTES
             if done > result.total_time_ns:
                 result.total_time_ns = done
@@ -344,10 +352,14 @@ class MemoryController:
         result.refreshes = sum(c.refreshes for c in chans.values())
         return result
 
+    def _issue_order(self, decoded: list[DecodedAddress]) -> list[int]:
+        """Arrival order; reordering controllers override it."""
+        return list(range(len(decoded)))
+
     # ------------------------------------------------------------------
     # vectorized fast path
 
     def _run_vectorized(self, batch: "AccessBatch") -> TraceResult:
         from repro.memctrl import pipeline
 
-        return pipeline.run_pipeline(self, batch, window=None)
+        return pipeline.run_pipeline(self, batch, window=self.window)

@@ -17,30 +17,17 @@ not interleave.  The rule is timing-independent — a pure function of
 the decoded trace — which is exactly what lets the vectorized backend
 compute the same permutation with a couple of ``lexsort`` calls
 (:func:`repro.memctrl.pipeline.frfcfs_permutation`) and stay
-bit-identical to this scalar loop.  Latency is measured from arrival
+bit-identical to the scalar loop.  Latency is measured from arrival
 (queueing included): the FR-FCFS read queue is fed by a request
 firehose, so there is no per-core MLP throttle here.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.engine.backend import SimBackend
 from repro.errors import MemCtrlError
-from repro.memctrl.controller import (
-    AccessKind,
-    DecodedAddress,
-    DecodesToMedia,
-    MemoryAccess,
-    MemoryController,
-    TraceResult,
-)
-from repro.memctrl.scheduler import ChannelState
-from repro.memctrl.timings import DDR4Timings, quantize_ns
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import (numpy layer)
-    from repro.memctrl.pipeline import AccessBatch
+from repro.memctrl.controller import DecodedAddress, DecodesToMedia, MemoryController
+from repro.memctrl.timings import DDR4Timings
 
 
 class FrFcfsController(MemoryController):
@@ -64,7 +51,7 @@ class FrFcfsController(MemoryController):
         )
         if window < 1:
             raise MemCtrlError("window must be >= 1")
-        self.window = window
+        self.window: int = window
 
     def _issue_order(
         self, decoded: list[DecodedAddress]
@@ -80,63 +67,3 @@ class FrFcfsController(MemoryController):
             for members in groups.values():
                 order.extend(members)
         return order
-
-    def _run_scalar(self, accesses: list[MemoryAccess]) -> TraceResult:
-        t = self.timings
-        decoded = self._decode_all(a.hpa for a in accesses)
-        arrivals: list[float] = []
-        arrival = 0.0
-        for access in accesses:
-            arrival += quantize_ns(access.cpu_gap_ns)
-            arrivals.append(arrival)
-
-        prev_row: dict[tuple[int, int], int] = {}
-        chans: dict[tuple[int, int], ChannelState] = {}
-        banks_free: dict[tuple[int, int], float] = {}
-        result = TraceResult()
-        per_tag = result.per_tag
-        now = 0.0
-        for i in self._issue_order(decoded):
-            access = accesses[i]
-            socket, socket_bank, channel, row, _col = decoded[i]
-            bank_key = (socket, socket_bank)
-            chan_key = (socket, channel)
-            remote = socket != access.home_socket
-            penalty = t.t_remote if remote else 0.0
-            hit, latency, hold = self._classify(prev_row, bank_key, row)
-
-            now = max(now, arrivals[i])
-            chan = chans.get(chan_key)
-            if chan is None:
-                chan = chans[chan_key] = ChannelState(t)
-            bus = chan.claim_bus(chan.refresh_adjust(now + penalty))
-            begin = max(bus, banks_free.get(bank_key, 0.0))
-            banks_free[bank_key] = begin + hold
-            done = begin + latency
-
-            result.accesses += 1
-            if access.kind is AccessKind.READ:
-                result.reads += 1
-            else:
-                result.writes += 1
-            if hit:
-                result.row_hits += 1
-            else:
-                result.row_misses += 1
-            if remote:
-                result.remote_accesses += 1
-            result.total_latency_ns += done - arrivals[i]
-            count, total = per_tag.get(access.tag, (0, 0.0))
-            per_tag[access.tag] = (count + 1, total + (done - arrivals[i]))
-            result.bytes_transferred += self.LINE_BYTES
-            if done > result.total_time_ns:
-                result.total_time_ns = done
-
-        result.banks_touched = len(prev_row)
-        result.refreshes = sum(c.refreshes for c in chans.values())
-        return result
-
-    def _run_vectorized(self, batch: "AccessBatch") -> TraceResult:
-        from repro.memctrl import pipeline
-
-        return pipeline.run_pipeline(self, batch, window=self.window)

@@ -1,7 +1,7 @@
 """Vectorized controller pipeline (numpy), bit-identical to the scalar loop.
 
 The scalar reference (:meth:`~repro.memctrl.controller.MemoryController.
-_run_scalar` and the FR-FCFS loop) folds max-plus recurrences access by
+_run_scalar`, in order or FR-FCFS) folds max-plus recurrences access by
 access.  Because every operand is dyadic — a multiple of the
 :data:`~repro.memctrl.timings.TICKS_PER_NS` grid, far below the 2**53
 exactness horizon — float64 arithmetic on them never rounds, addition is

@@ -85,11 +85,6 @@ class DDR4Timings:
                 )
 
     @property
-    def t_rc(self) -> float:
-        """Row cycle time: back-to-back ACTs to one bank."""
-        return self.t_ras + self.t_rp
-
-    @property
     def hit_latency(self) -> float:
         """Row-buffer hit: column access + burst."""
         return self.t_cl + self.t_burst
@@ -110,17 +105,7 @@ class DDR4Timings:
         command may issue (tRCD+burst, bounded below by tRAS-tRP)."""
         return max(self.t_rcd + self.t_burst, self.t_ras - self.t_rp)
 
-    @property
-    def refresh_utilization(self) -> float:
-        """Fraction of time a rank is unavailable due to refresh."""
-        return self.t_rfc / self.t_refi
-
     @classmethod
     def ddr4_2933(cls) -> "DDR4Timings":
         """Table 2's speed bin (the default)."""
         return cls()
-
-    @classmethod
-    def ddr4_2400(cls) -> "DDR4Timings":
-        """A slower common server bin, for sensitivity tests."""
-        return cls(t_rcd=14.25, t_rp=14.25, t_cl=14.25, t_burst=3.25)

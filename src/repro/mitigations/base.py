@@ -206,9 +206,6 @@ class Mitigation:
             "refresh_ops": self.refresh_ops(host.hv),
         }
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 # ---------------------------------------------------------------------------
 # Registry

@@ -257,9 +257,3 @@ class BuddyAllocator:
 
     def contains(self, addr: int) -> bool:
         return any(addr in r for r in self.ranges)
-
-    def __repr__(self) -> str:
-        return (
-            f"BuddyAllocator({len(self.ranges)} ranges, "
-            f"{self.free_bytes:#x}/{self.total_bytes:#x} free)"
-        )

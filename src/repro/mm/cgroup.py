@@ -98,15 +98,6 @@ class CgroupManager:
             task.cgroup = self.root
             self.root.tasks.add(task)
 
-    def group(self, name: str) -> Cgroup:
-        try:
-            return self._groups[name]
-        except KeyError:
-            raise CgroupError(f"no such cgroup {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._groups
-
     def check_allocation(
         self, process: Process, node_id: int, *, node_is_guest_reserved: bool
     ) -> None:

@@ -80,13 +80,6 @@ class NumaNode:
         migration must relocate before the range can be offlined."""
         return self.allocator.allocated_blocks_within(target)
 
-    def __repr__(self) -> str:
-        return (
-            f"NumaNode(id={self.node_id}, {self.kind.value}, "
-            f"phys={self.physical_node}, groups={self.subarray_groups}, "
-            f"free={self.free_bytes:#x}/{self.total_bytes:#x})"
-        )
-
 
 class NumaTopology:
     """Registry of nodes with Linux-style allocation helpers."""

@@ -124,10 +124,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def bucket_bounds(self) -> List[Tuple[float, float]]:
         """(low, high] bounds per bucket; the last high is +Inf."""
         bounds: List[Tuple[float, float]] = []

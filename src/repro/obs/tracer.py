@@ -15,7 +15,7 @@ tracing free.
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.obs.events import SpanEvent, TraceEvent
@@ -62,12 +62,6 @@ class Tracer:
     def events(self) -> List[TraceEvent]:
         """Buffered events, oldest first."""
         return self._ring[self._next :] + self._ring[: self._next]
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events())
 
     def clear(self) -> None:
         """Empty the ring and reset the counters."""

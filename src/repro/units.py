@@ -34,27 +34,6 @@ US: float = 1e-6
 NS: float = 1e-9
 
 
-def align_down(value: int, alignment: int) -> int:
-    """Return the largest multiple of *alignment* that is <= *value*."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return (value // alignment) * alignment
-
-
-def align_up(value: int, alignment: int) -> int:
-    """Return the smallest multiple of *alignment* that is >= *value*."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return -(-value // alignment) * alignment
-
-
-def is_aligned(value: int, alignment: int) -> bool:
-    """True when *value* is a multiple of *alignment*."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return value % alignment == 0
-
-
 def is_power_of_two(value: int) -> bool:
     """True for 1, 2, 4, 8, ...; False for zero, negatives and the rest."""
     return value > 0 and (value & (value - 1)) == 0

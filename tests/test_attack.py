@@ -8,7 +8,6 @@ from repro.attack import (
     BlacksmithFuzzer,
     HammerPattern,
     attack_from_vm,
-    hammer_double_sided,
     hammer_pattern_rows,
     run_pattern,
 )
@@ -35,17 +34,8 @@ def make_dram(threshold=48.0, trr=None, seed=0):
 
 
 class TestPatterns:
-    def test_double_sided_shape(self):
-        p = HammerPattern.double_sided()
-        assert p.aggressors == (-1, 1)
-        assert p.n_sided == 2
-
-    def test_many_sided(self):
-        p = HammerPattern.many_sided(4)
-        assert p.aggressors == (0, 2, 4, 6)
-
     def test_with_decoys_disjoint(self):
-        p = HammerPattern.with_decoys(3, 2)
+        p = HammerPattern(aggressors=(0, 2, 4), decoys=(16, 18))
         assert not set(p.aggressors) & set(p.decoys)
         # Decoys come first in the default order (sampler slots).
         assert p.order[: len(p.decoys)] == p.decoys
@@ -73,21 +63,8 @@ class TestPatterns:
             assert p.aggressors
             assert p.total_activations() > 0
 
-    def test_shifted(self):
-        p = HammerPattern.double_sided().shifted(10)
-        assert p.aggressors == (9, 11)
-
-    def test_describe(self):
-        assert "2-sided" in HammerPattern.double_sided().describe()
-
 
 class TestHammerPrimitives:
-    def test_double_sided_flips_victim(self):
-        dram = make_dram()
-        flips = hammer_double_sided(dram, 0, 0, victim_row=4, activations=6000)
-        assert flips
-        assert any(f.row == 4 for f in flips)
-
     def test_pattern_rows_validated(self):
         dram = make_dram()
         with pytest.raises(Exception):
@@ -97,7 +74,7 @@ class TestHammerPrimitives:
 
     def test_run_pattern_clamps_to_bank(self):
         dram = make_dram()
-        pattern = HammerPattern.double_sided()  # offsets -1, +1
+        pattern = HammerPattern(aggressors=(-1, 1))
         flips = run_pattern(dram, 0, 0, 0, pattern)  # -1 clamped away
         assert all(0 <= f.row < GEOM.rows_per_bank for f in flips)
 
@@ -109,7 +86,7 @@ class TestHammerPrimitives:
 
     def test_flips_confined_to_subarray(self):
         dram = make_dram()
-        pattern = HammerPattern.many_sided(3, rounds=3000)
+        pattern = HammerPattern(aggressors=(0, 2, 4), rounds=3000)
         flips = run_pattern(dram, 0, 0, 2, pattern)  # aggressors 2,4,6
         assert flips
         assert all(f.row < 8 for f in flips)
@@ -127,7 +104,7 @@ class TestBlacksmithFuzzer:
         """The §7.1 premise: Blacksmith flips bits despite TRR."""
         dram = make_dram(trr=TrrConfig(), seed=2)
         fuzzer = BlacksmithFuzzer(dram, [(0, 0, range(0, 32))], seed=2)
-        report = fuzzer.run_until_flips(min_flips=1, max_patterns=120)
+        report = fuzzer.run(pattern_budget=120)
         assert report.flip_count > 0
 
     def test_flips_stay_in_target_subarrays(self):
@@ -147,8 +124,6 @@ class TestBlacksmithFuzzer:
         report = fuzzer.run(pattern_budget=5)
         assert report.patterns_tried == 5
         assert report.activations > 0
-        by_sub = report.flips_by_subarray(GEOM)
-        assert sum(by_sub.values()) == report.flip_count
 
     def test_small_target_ranges_skipped(self):
         dram = make_dram()

@@ -262,6 +262,14 @@ class TestTypedErrors:
             pytest.param(
                 ["perf", "--figure", "5", "--trials", "0"], id="perf-no-trials"
             ),
+            pytest.param(
+                ["softrefresh", "--duration", "nan"], id="softrefresh-duration-nan"
+            ),
+            pytest.param(
+                ["softrefresh", "--duration", "inf"], id="softrefresh-duration-inf"
+            ),
+            pytest.param(["health", "--interval", "inf"], id="health-interval-inf"),
+            pytest.param(["health", "--interval", "nan"], id="health-interval-nan"),
         ],
     )
     def test_exits_2_without_traceback(self, argv):

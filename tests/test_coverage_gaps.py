@@ -3,24 +3,18 @@
 import pytest
 
 from repro.core import SilozHypervisor
-from repro.dram.disturbance import DisturbanceModel, DisturbanceProfile
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.mapping import SkylakeMapping
 from repro.dram.module import SimulatedDram
 from repro.dram.trr import TrrConfig
-from repro.errors import HvError, MappingError
-from repro.hv import BaselineHypervisor, Machine, VmSpec
-from repro.memctrl.controller import TraceResult
+from repro.errors import MappingError
+from repro.hv import Machine
 from repro.units import KiB, MiB
 
 GEOM = DRAMGeometry.small()
 
 
 class TestMappingMisc:
-    def test_describe(self):
-        text = SkylakeMapping(DRAMGeometry.paper_default()).describe()
-        assert "chunk" in text and "region" in text
-
     def test_verify_invertible_passes_small(self):
         SkylakeMapping.for_small_geometry(GEOM).verify_invertible(stride=8 * KiB)
 
@@ -28,26 +22,6 @@ class TestMappingMisc:
         mapping = SkylakeMapping.for_small_geometry(GEOM)
         with pytest.raises(MappingError):
             mapping.fraction_of_pages_isolated(2 * GEOM.socket_bytes)
-
-    def test_socket_of_hpa(self):
-        two = DRAMGeometry.small(sockets=2)
-        mapping = SkylakeMapping.for_small_geometry(two)
-        assert mapping.socket_of_hpa(0) == 0
-        assert mapping.socket_of_hpa(two.socket_bytes) == 1
-        with pytest.raises(MappingError):
-            mapping.socket_of_hpa(-1)
-
-
-class TestDisturbanceQueries:
-    def test_flips_in_rows(self):
-        model = DisturbanceModel(
-            GEOM, DisturbanceProfile.test_scale(threshold_mean=16.0), seed=1
-        )
-        for i in range(300):
-            model.on_activate(0, 0, 3, float(i))
-        hits = model.flips_in_rows(0, 0, range(0, 8))
-        assert hits and all(f.row in range(0, 8) for f in hits)
-        assert model.flips_in_rows(0, 1, range(0, 8)) == []
 
 
 class TestModuleQueries:
@@ -62,36 +36,6 @@ class TestModuleQueries:
         assert dram.acts_until_trr_ref(0, 0) is None
 
 
-class TestVmHammerPattern:
-    def setup_method(self):
-        self.hv = SilozHypervisor.boot(Machine.small(seed=91))
-        self.vm = self.hv.create_vm(VmSpec(name="v", memory_bytes=2 * MiB))
-
-    def test_many_sided_via_gpas(self):
-        gpas = [i * 64 * KiB for i in range(4)]  # distinct row groups
-        flips = self.vm.hammer_pattern(gpas, rounds=2000)
-        assert isinstance(flips, list)
-        # Containment as always.
-        groups = {g for _, g in self.vm.reserved_groups}
-        geom = self.hv.machine.geom
-        for f in self.hv.machine.dram.flips_log:
-            assert f.row // geom.rows_per_subarray in groups
-
-    def test_mediated_gpa_rejected(self):
-        mmio = next(r for r in self.vm.regions if r.name == "mmio")
-        with pytest.raises(HvError):
-            self.vm.hammer_pattern([0x0, mmio.gpa], rounds=1)
-
-    def test_repr(self):
-        assert "VirtualMachine" in repr(self.vm)
-        assert "running" in repr(self.vm)
-
-
-class TestTraceResultMisc:
-    def test_tag_latency_empty(self):
-        assert TraceResult().tag_latency_ns(0) == 0.0
-
-
 class TestProvisionResult:
     def test_guest_node_ids_filter_by_socket(self):
         hv = SilozHypervisor.boot(Machine.small(sockets=2, seed=92))
@@ -100,13 +44,6 @@ class TestProvisionResult:
         s1 = hv.provision_result.guest_node_ids(1)
         assert sorted(s0 + s1) == sorted(all_ids)
         assert s0 and s1
-
-
-class TestBaselineRepr:
-    def test_node_repr(self):
-        hv = BaselineHypervisor(Machine.small(seed=93), backing_page_bytes=64 * KiB)
-        assert "NumaNode" in repr(hv.topology.node(0))
-        assert "BuddyAllocator" in repr(hv.topology.node(0).allocator)
 
 
 class TestOfflineIndexMerging:

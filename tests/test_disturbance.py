@@ -193,7 +193,7 @@ class TestPropertyContainment:
         )
         hammer(model, row=row, count=count)
         subarray = GEOM.subarray_of_row(row)
-        assert all(f.subarray(GEOM) == subarray for f in model.flips)
+        assert all(GEOM.subarray_of_row(f.row) == subarray for f in model.flips)
 
     @given(st.integers(0, GEOM.rows_per_bank - 1))
     def test_flip_bit_range(self, row):

@@ -62,9 +62,6 @@ class TestEptEntry:
         with pytest.raises(EptError):
             EptEntry.unpack(b"\x00" * 7)
 
-    def test_repr_flags(self):
-        assert "rwx" in repr(EptEntry.make(0x1000))
-
 
 class TestEptPageCount:
     def test_2m_backed_160gib_vm(self):

@@ -72,7 +72,7 @@ class TestFaultPlan:
                          spare_row=2, at_clock=5.0)
         early = FaultSpec(kind=FaultKind.LATE_REPAIR, socket=0, bank=0, row=3,
                           spare_row=4, at_clock=1.0)
-        plan = FaultPlan([late]).add(early)
+        plan = FaultPlan([late, early])
         assert [s.at_clock for s in plan.specs] == [1.0, 5.0]
 
     def test_ce_storm_distinct_words(self):
@@ -162,12 +162,10 @@ class TestInjector:
             FaultSpec(kind=FaultKind.LATE_REPAIR, socket=0, bank=0, row=9,
                       spare_row=60, at_clock=0.005)
         ])
-        injector = FaultInjector(dram, plan).attach()
+        FaultInjector(dram, plan).attach()
         assert dram._to_internal(0, 0, 9) == 9
-        assert not injector.exhausted
         dram.advance_time(0.006)
         assert dram._to_internal(0, 0, 9) == 60
-        assert injector.exhausted
 
     def test_ecc_word_correctable_on_scrub(self):
         dram = make_dram()
@@ -189,7 +187,6 @@ class TestInjector:
         injector.detach()
         dram.advance_time(1.0)
         assert not dram.flip_bits_at(0, 0, 9)
-        assert not injector.exhausted
 
     def test_replay_determinism(self):
         def run(seed):

@@ -40,7 +40,7 @@ def boot_fleet(n=2, **kw):
 
 
 def assert_fleet_isolated(fleet):
-    for host in fleet:
+    for host in fleet.hosts:
         host.assert_isolation()
 
 
@@ -131,7 +131,7 @@ class TestSeedDerivation:
 
     def test_fleet_boot_uses_derived_seeds(self):
         fleet = boot_fleet(3, seed=42)
-        for i, host in enumerate(fleet):
+        for i, host in enumerate(fleet.hosts):
             assert host.spec.seed == derive_host_seed(42, i)
 
     def test_independent_of_pool_order(self):
@@ -248,10 +248,9 @@ class TestAdmission:
         for spec in iter_arrival_trace(0, 4):
             ctl.submit(spec)
         ctl.drain()
-        assert ctl.acceptance_rate == 1.0
+        assert ctl.rejected_by_reason() == {}
         ctl.submit(VmSpec(name="odd", memory_bytes=3 * KiB))
         ctl.drain()
-        assert 0.0 < ctl.acceptance_rate < 1.0
         assert ctl.rejected_by_reason() == {"invalid-spec": 1}
 
 

@@ -120,6 +120,5 @@ class TestHbm2:
 
     def test_mapping_constructs(self):
         mapping = SkylakeMapping(self.geom)
-        assert mapping.regions_per_socket >= 1
         hpa = self.geom.row_group_bytes * 3 + 64
         assert mapping.encode(mapping.decode(hpa)) == hpa

@@ -72,7 +72,6 @@ class TestTracer:
         assert [e.row for e in tr.events()] == [3, 4, 5, 6]
         assert tr.emitted == 7
         assert tr.dropped == 3
-        assert len(tr) == 4
 
     def test_last_clock_tracks_when(self):
         tr = Tracer()
@@ -102,7 +101,6 @@ class TestHistogram:
         assert h.count == 7
         assert h.total == pytest.approx(117.0)
         assert h.min == 0.5 and h.max == 100
-        assert h.mean == pytest.approx(117.0 / 7)
 
     def test_bucket_bounds(self):
         h = Histogram("t", (1, 2))

@@ -35,10 +35,7 @@ from repro.units import (
     PAGE_2M,
     PAGE_4K,
     TiB,
-    align_down,
-    align_up,
     fmt_bytes,
-    is_aligned,
     is_power_of_two,
 )
 
@@ -50,24 +47,6 @@ class TestUnits:
         assert TiB == 1024 * GiB
         assert PAGE_2M == 512 * PAGE_4K
         assert CACHE_LINE == 64
-
-    def test_align_down_up(self):
-        assert align_down(4097, 4096) == 4096
-        assert align_up(4097, 4096) == 8192
-        assert align_up(4096, 4096) == 4096
-        assert align_down(0, 4096) == 0
-
-    def test_align_rejects_bad_alignment(self):
-        with pytest.raises(ValueError):
-            align_down(10, 0)
-        with pytest.raises(ValueError):
-            align_up(10, -1)
-        with pytest.raises(ValueError):
-            is_aligned(10, 0)
-
-    def test_is_aligned(self):
-        assert is_aligned(8192, 4096)
-        assert not is_aligned(8191, 4096)
 
     def test_is_power_of_two(self):
         assert is_power_of_two(1)
@@ -132,12 +111,6 @@ class TestErrorHierarchy:
 class TestVersionAndMachines:
     def test_version_string(self):
         assert __version__.count(".") == 2
-
-    def test_paper_machine_shape(self):
-        machine = Machine.paper()
-        assert machine.total_cores == 80
-        assert machine.socket_cores(1) == tuple(range(40, 80))
-        assert machine.geom.total_bytes == 384 * GiB
 
     def test_medium_machine_shape(self):
         machine = Machine.medium()
