@@ -22,6 +22,7 @@ the containment result is threshold-agnostic, as the paper stresses.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -57,10 +58,32 @@ class DisturbanceProfile:
     flip_bits_mean: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.threshold_mean <= 0:
-            raise DramError("threshold_mean must be positive")
-        if not self.distance_weights or self.distance_weights[0] <= 0:
-            raise DramError("distance_weights must start with a positive weight")
+        # Every bound is written so that NaN fails it.  Non-negative
+        # weights are physics (a spill never drains a victim) and the
+        # vectorized engine's crossing screen relies on them: entry
+        # pressure plus all the pressure a span adds bounds a victim's
+        # whole trajectory only when no weight is negative.
+        weights = self.distance_weights
+        if not weights or not 0 < weights[0] < math.inf:
+            raise DramError(
+                f"distance_weights must start with a finite positive weight, got {weights}"
+            )
+        if not all(0 <= w < math.inf for w in weights):
+            raise DramError(
+                f"distance_weights must be finite and non-negative, got {weights}"
+            )
+        for name in ("threshold_mean", "flip_bits_mean"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DramError(f"{name} must be finite and positive, got {value}")
+        if not 0 <= self.threshold_sigma < math.inf:
+            raise DramError(
+                f"threshold_sigma must be finite and non-negative, got {self.threshold_sigma}"
+            )
+        if self.rowpress_rate is not None and not 0 <= self.rowpress_rate < math.inf:
+            raise DramError(
+                f"rowpress_rate must be None or finite and non-negative, got {self.rowpress_rate}"
+            )
 
     @property
     def blast_radius(self) -> int:

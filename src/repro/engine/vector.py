@@ -32,12 +32,19 @@ tiled cumsum:
 
 2. **Rare RNG-consuming events (exact scalar code).**  First-touch
    threshold draws are handled by running the per-ACT loop over the
-   batch's first period, which touches every victim; threshold-crossing
-   flip emission replays the scalar draw sequence in global
-   ``(ACT index, neighbor order)`` order.  Crucially the pressure
-   trajectory itself is RNG-free (the crossing loop subtracts the
-   threshold deterministically; randomness only picks flipped bits), so
-   crossings never invalidate the bulk math of other victims.
+   batch's first period, which touches every victim.  A victim the
+   screen flags as a possible crosser is walked with scalar arithmetic
+   over its own touch list — the ACTs in the period that spill onto it,
+   plus its own ACTs' resets — not over every ACT of the span.  A
+   victim that never activates itself is walked from its first
+   crossing only: up to there its tiled cumsum is its exact trajectory,
+   and one that never reaches its threshold keeps that cumsum's final.
+   Threshold-crossing flip emission then replays the scalar draw
+   sequence in global ``(ACT index, neighbor order)`` order.  Crucially
+   the pressure trajectory itself is RNG-free (the crossing loop
+   subtracts the threshold deterministically; randomness only picks
+   flipped bits), so crossings never invalidate the bulk math of other
+   victims.
 
 The per-bank tables are ``array('d')`` so the per-ACT loop indexes
 plain Python floats; the tile kernel works on cached zero-copy
@@ -77,7 +84,7 @@ _PERIOD_WINDOW: int = 128
 #: the exact fold by accumulated rounding of order
 #: ``n * eps * max|cumsum|``; the screen widens the threshold test by a
 #: far larger slack so no exact crossing is ever missed, and every
-#: screened victim is re-walked with exact scalar arithmetic anyway.
+#: screened victim's crossings are found with exact arithmetic anyway.
 _SCREEN_SLACK: float = 1e-9
 
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
@@ -628,7 +635,8 @@ def _build_tile_entry(
     static neighbor table, so it is reused across every batch replaying
     the same pattern — on any bank and (via a row shift) at any base row
     with the same subarray alignment: victim tables, the compressed
-    per-period touch matrix, self-reset gap statistics and tail folds.
+    per-period touch matrix, self-reset gap statistics, tail folds and
+    (built on first use) the per-victim touch lists.
     Per-call state (pressures, thresholds, clock, TRR phase) stays out.
     """
     L = int(base_internal.size)
@@ -653,7 +661,7 @@ def _build_tile_entry(
         "vrows": vrows,
         "vindex": vindex,
         "nonvictims": [int(r) for r in distinct.tolist() if int(r) not in vindex],
-        "order_lut": None,  # built lazily on the first screened victim
+        "touches": None,  # built lazily on the first screened victim
         "pads": {},  # rounds -> tiled fold template
     }
     if not V:
@@ -720,6 +728,29 @@ def _tile_pad_template(entry: dict[str, Any], rounds: int) -> np.ndarray:
     return tmpl
 
 
+def _touch_lists(entry: dict[str, Any]) -> list[list[tuple[int, float, int]]]:
+    """Per victim, its touches in one period in ACT order:
+    ``(ACT index in period, weight, neighbor order)`` for every nonzero
+    weight, plus ``(ACT index, 0.0, -1)`` at each of a self-activating
+    victim's own ACTs (the reset).  Pure victims' lists hold exactly the
+    touches of their ``comp`` row, in the same order, so touch ``i``
+    of a list is column ``i`` of that row.  State-free, so the lists
+    hold at any base-row shift."""
+    base_W: np.ndarray = entry["base_W"]
+    base_idx: list[int] = entry["base_idx"].tolist()
+    vindex: dict[int, int] = entry["vindex"]
+    orders = [{vindex[v]: no_ for no_, (v, _w) in enumerate(nb)} for nb in entry["nbs"]]
+    touches: list[list[tuple[int, float, int]]] = [[] for _ in range(entry["V"])]
+    nzj, nzt = np.nonzero(base_W.T)  # victim-major, ACT order within
+    for j, ti, w in zip(nzj.tolist(), nzt.tolist(), base_W[nzt, nzj].tolist()):
+        touches[j].append((ti, w, orders[base_idx[ti]][j]))
+    self_ai: np.ndarray = entry["self_ai"]
+    for j in np.nonzero(entry["has_self"])[0].tolist():
+        own = [(ti, 0.0, -1) for ti, ai in enumerate(base_idx) if ai == self_ai[j]]
+        touches[j] = sorted(touches[j] + own)
+    return touches
+
+
 def _span_tiled(
     dram: "SimulatedDram",
     dist: VectorizedDisturbanceModel,
@@ -736,8 +767,12 @@ def _span_tiled(
     per-period touch sequence tiled ``rounds`` times (zero pads are
     rounding no-ops), seeded with the victim's entry pressure.  Victims
     reset by their own activations fold only the tail after the last
-    self-ACT, and victims screened as possible threshold crossers are
-    re-walked with exact scalar arithmetic.  *clk* is the span's clock
+    self-ACT.  Victims screened as possible threshold crossers are
+    walked with exact scalar arithmetic over their cached touch lists
+    (:func:`_touch_lists`), ``rounds`` times round: a self-activating
+    victim from the span's first ACT, any other victim from the touch
+    where its cumsum row first reaches its threshold, starting from the
+    row's value just before that touch.  *clk* is the span's clock
     (:func:`_span_clock`); the caller has checked that the span crosses
     no refresh window and that TRR is off, so no pressure resets other
     than the victims' own ACTs occur in it.
@@ -789,43 +824,49 @@ def _span_tiled(
                 p += w
             finals[j] = p
 
-        # Authoritative exact walk for screened victims; crossings never
-        # invalidate other victims' bulk math.
+        # Authoritative exact walk for screened victims over their own
+        # touch lists; crossings never invalidate other victims' bulk
+        # math.  A pure victim's padded cumsum is its exact trajectory
+        # up to its first crossing, so its walk starts at the touch
+        # whose fold first reaches the threshold (one that never does
+        # keeps its exact final).  Self-activating victims walk the
+        # whole span, resets included.
         events: list[tuple[int, int, int, int]] = []  # (t, order, j, spills)
         if suspect_js:
-            base_W: np.ndarray = entry["base_W"]
-            base_idx: np.ndarray = entry["base_idx"]
-            order_lut = entry["order_lut"]
-            if order_lut is None:
-                A: int = entry["A"]
-                vindex: dict[int, int] = entry["vindex"]
-                order_lut = np.zeros((A, V), dtype=np.int64)
-                for ai, nb in enumerate(entry["nbs"]):
-                    for no_, (v, _w) in enumerate(nb):
-                        order_lut[ai, vindex[v]] = no_
-                entry["order_lut"] = order_lut
+            touches = entry["touches"]
+            if touches is None:
+                touches = entry["touches"] = _touch_lists(entry)
             has_self: np.ndarray = entry["has_self"]
-            self_ai: np.ndarray = entry["self_ai"]
-            for j in suspect_js:
-                col = base_W[:, j].tolist()
-                ocol = order_lut[base_idx, j].tolist()
-                own = (base_idx == int(self_ai[j])).tolist() if has_self[j] else None
-                p = float(p0[j])
+            starts: list[tuple[int, int, float]] = []  # (j, tiled touch, p)
+            pure = [j for j in suspect_js if not has_self[j]]
+            if pure:
+                pj = np.asarray(pure, dtype=np.int64)
+                hit = pad[pj, 1:] >= T[pj, None]
+                first = hit.argmax(axis=1)
+                crosses = hit[np.arange(pj.size), first]
+                for j, m in zip(pj[crosses].tolist(), first[crosses].tolist()):
+                    starts.append((j, m, float(pad[j, m])))
+            starts.extend((j, 0, float(p0[j])) for j in suspect_js if has_self[j])
+            P: int = entry["P"]
+            for j, m, p in starts:
+                tl = touches[j]
                 threshold = float(T[j])
-                for r in range(rounds):
+                r0, i0 = divmod(m, P)
+                seq = tl[i0:]
+                for r in range(r0, rounds):
                     toff = r * L
-                    for ti in range(L):
-                        if own is not None and own[ti]:
+                    for ti, w, o in seq:
+                        if o < 0:  # the victim's own ACT: reset-before
                             p = 0.0
-                        w = col[ti]
-                        if w != 0.0:
-                            p = p + w
-                            if p >= threshold:
-                                spills = 0
-                                while p >= threshold:
-                                    p -= threshold
-                                    spills += 1
-                                events.append((toff + ti, ocol[ti], j, spills))
+                            continue
+                        p = p + w
+                        if p >= threshold:
+                            spills = 0
+                            while p >= threshold:
+                                p -= threshold
+                                spills += 1
+                            events.append((toff + ti, o, j, spills))
+                    seq = tl
                 finals[j] = p
         if events:
             vrows: list[int] = entry["vrows"]

@@ -10,10 +10,11 @@ Linux-flavoured allocation entry points.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.dram.mapping import AddressRange
+from repro.dram.mapping import AddressRange, merge_ranges
 from repro.errors import MmError, OutOfMemoryError
 from repro.mm.buddy import BuddyAllocator
 
@@ -86,10 +87,28 @@ class NumaTopology:
 
     def __init__(self) -> None:
         self._nodes: dict[int, NumaNode] = {}
+        # Address index: every node's non-empty ranges, coalesced and
+        # sorted by start; ``_starts`` mirrors it for bisection.
+        self._starts: list[int] = []
+        self._spans: list[tuple[int, int, NumaNode]] = []
 
     def add(self, node: NumaNode) -> NumaNode:
+        """Register *node*; its ranges may not overlap another node's."""
         if node.node_id in self._nodes:
             raise MmError(f"duplicate node id {node.node_id}")
+        spans = [(r.start, r.end, node) for r in merge_ranges(node.ranges) if r.size]
+        for start, end, _node in spans:
+            i = bisect_right(self._starts, start)
+            for other in self._spans[max(i - 1, 0) : i + 1]:
+                if other[0] < end and start < other[1]:
+                    raise MmError(
+                        f"node {node.node_id} range {AddressRange(start, end)} overlaps "
+                        f"node {other[2].node_id}"
+                    )
+        for span in spans:
+            i = bisect_right(self._starts, span[0])
+            self._starts.insert(i, span[0])
+            self._spans.insert(i, span)
         self._nodes[node.node_id] = node
         return node
 
@@ -113,8 +132,11 @@ class NumaTopology:
         return [n for n in self.nodes if n.kind is kind]
 
     def node_of_addr(self, hpa: int) -> NumaNode:
-        for node in self.nodes:
-            if any(hpa in r for r in node.ranges):
+        """The node whose ranges hold *hpa* (one bisection)."""
+        i = bisect_right(self._starts, hpa) - 1
+        if i >= 0:
+            _start, end, node = self._spans[i]
+            if hpa < end:
                 return node
         raise MmError(f"address {hpa:#x} not on any node")
 

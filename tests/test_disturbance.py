@@ -31,6 +31,50 @@ class TestProfiles:
         with pytest.raises(DramError):
             DisturbanceProfile(distance_weights=())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("distance_weights", (0.0, 0.2)),
+            ("distance_weights", (-1.0,)),
+            ("distance_weights", (float("nan"), 0.2)),
+            ("distance_weights", (float("inf"),)),
+            ("distance_weights", (1.0, -0.3)),
+            ("distance_weights", (1.0, -0.6)),
+            ("distance_weights", (1.0, -0.9)),
+            ("distance_weights", (1.0, float("nan"))),
+            ("distance_weights", (1.0, 0.2, float("inf"))),
+            ("threshold_mean", 0.0),
+            ("threshold_mean", -1.0),
+            ("threshold_mean", float("nan")),
+            ("threshold_mean", float("inf")),
+            ("flip_bits_mean", 0.0),
+            ("flip_bits_mean", -1.5),
+            ("flip_bits_mean", float("nan")),
+            ("flip_bits_mean", float("inf")),
+            ("threshold_sigma", -0.1),
+            ("threshold_sigma", float("nan")),
+            ("threshold_sigma", float("inf")),
+            ("rowpress_rate", -1.0),
+            ("rowpress_rate", float("nan")),
+            ("rowpress_rate", float("inf")),
+        ],
+    )
+    def test_rejects_out_of_range_parameters(self, field, value):
+        with pytest.raises(DramError, match=field):
+            DisturbanceProfile(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("distance_weights", (1.0, 0.0)),
+            ("threshold_sigma", 0.0),
+            ("rowpress_rate", 0.0),
+            ("rowpress_rate", None),
+        ],
+    )
+    def test_accepts_boundary_parameters(self, field, value):
+        assert getattr(DisturbanceProfile(**{field: value}), field) == value
+
     def test_fleet_has_six_distinct_dimms(self):
         fleet = DisturbanceProfile.dimm_fleet()
         assert [p.name for p in fleet] == ["A", "B", "C", "D", "E", "F"]

@@ -227,6 +227,133 @@ class TestDispatch:
         assert snaps["vectorized"] == snaps["scalar"]
 
 
+#: Programs for the touch-list walk: (profile, repairs, batches).  The
+#: "edges" profile draws every threshold as exactly 10.0 (sigma 0), so
+#: pressures are sums of 1.0s and 0.1s: a distance-2 victim of a 100-ACT
+#: hammer folds to 9.99999999999998, inside the screen but never across.
+_WALK_PROGRAMS = {
+    "edges": (
+        DisturbanceProfile(
+            name="edges",
+            threshold_mean=10.0,
+            threshold_sigma=0.0,
+            distance_weights=(1.0, 0.1),
+        ),
+        [(5, 100, 84)],
+        [
+            (0, [30] * 100),  # 29/31 cross ten times; 28/32 never cross
+            (1, [30] * 99),  # leaves 29 and 31 at 9.0 ...
+            (1, [30] * 100),  # ... so their first touch here crosses
+            (2, [20] * 100),
+            (2, [24] * 100),  # the [20] entry, shifted by 4 rows
+            (3, ([50] + [51] * 40) * 5),  # 50 crosses between own ACTs
+            (5, [100] * 100),  # media 100 lives in internal row 84
+        ],
+    ),
+    "spills": (
+        DisturbanceProfile(name="spills", threshold_mean=0.4, threshold_sigma=0.15),
+        [],
+        [(0, [30, 33] * 60), (0, [31, 33, 35] * 40), (4, [70, 72] * 50)],
+    ),
+}
+
+
+def _walk_transcript(backend: str, program: str, monkeypatch) -> tuple[dict, set]:
+    """Run one walk program; return the end state and, on the vectorized
+    backend, the walk cases its tiled spans reached."""
+    profile, repairs, batches = _WALK_PROGRAMS[program]
+    geom = DRAMGeometry.small(rows_per_bank=128, rows_per_subarray=16)
+    dram = SimulatedDram(geom, profile=profile, seed=3, backend=backend, trr_config=None)
+    for bank, media, internal in repairs:
+        dram.add_repair(0, bank, media, internal)
+    cases: set[str] = set()
+    seen: set[int] = set()
+    calls: list[list] = []
+    tiled, emit = vec._span_tiled, vec._emit_events
+
+    def spy_emit(dram, dist, socket, bank, events, *args):
+        calls[-1].extend(events)
+        return emit(dram, dist, socket, bank, events, *args)
+
+    def spy_span(dram, dist, socket, bank, entry, rounds, shift, clk):
+        calls.append([])
+        vr = entry["vrows_arr"] + shift
+        _, _, press, thresh = dist._bank_tables(socket, bank)
+        bound = press[vr] + entry["total_add_base"] * rounds
+        T = thresh[vr].copy()
+        out = tiled(dram, dist, socket, bank, entry, rounds, shift, clk)
+        events = calls[-1]
+        crossed = {j for _t, _o, j, _s in events}
+        pure = [j for j in range(entry["V"]) if not entry["has_self"][j]]
+        for t, _o, j, spills in events:
+            if entry["has_self"][j]:
+                cases.add("self-activating victim crosses")
+            elif t == entry["touches"][j][0][0]:
+                cases.add("crossing on the first touch")
+            if spills > 1:
+                cases.add("multi-spill crossing")
+        if any(sum(e[2] == j for e in events) > 1 for j in pure):
+            cases.add("pure victim crosses more than once")
+        if any(bound[j] >= T[j] and j not in crossed for j in pure):
+            cases.add("screened victim never crosses")
+        if events and shift and id(entry) in seen:
+            cases.add("cached entry reused at a shifted base row")
+        if events and dram._repairs.get((socket, bank)):
+            cases.add("repaired row")
+        seen.add(id(entry))
+        return out
+
+    monkeypatch.setattr(vec, "_span_tiled", spy_span)
+    monkeypatch.setattr(vec, "_emit_events", spy_emit)
+    for bank, rows in batches:
+        dram.activate_batch(0, bank, rows)
+    dist = dram.disturbance
+    banks = sorted({bank for bank, _rows in batches})
+    rows = range(geom.rows_per_bank)
+    if backend == "scalar":
+        thresholds = [[dist._threshold.get((0, b, r)) for r in rows] for b in banks]
+    else:
+        thresholds = [
+            [None if t != t else t for t in dist._bank_tables(0, b)[1]] for b in banks
+        ]
+    state = {
+        "flips": list(dram.flips_log),
+        "stored": {k: sorted(v) for k, v in dram._flips.items()},
+        "pressure": [[dist.pressure_on(0, b, r) for r in rows] for b in banks],
+        "thresholds": thresholds,
+        "clock": dram.clock,
+        "counters": vars(dram.counters).copy(),
+        "rng": dist._rng.getstate(),
+    }
+    return state, cases
+
+
+class TestTouchListWalk:
+    """The screened-victim walk in ``_span_tiled`` — each victim over its
+    own touch list, a pure victim from its first crossing — replays the
+    scalar reference exactly on every case it distinguishes."""
+
+    def test_walk_cases_replay_identically(self, monkeypatch):
+        reached: set[str] = set()
+        for program in _WALK_PROGRAMS:
+            scalar, _ = _walk_transcript("scalar", program, monkeypatch)
+            vector, cases = _walk_transcript("vectorized", program, monkeypatch)
+            assert scalar["flips"], program
+            for key in scalar:
+                assert vector[key] == scalar[key], (program, key)
+            reached |= cases
+        # Not vacuous: every case of the walk ran in a tiled span.
+        assert reached == {
+            "pure victim crosses more than once",
+            "crossing on the first touch",
+            "multi-spill crossing",
+            "screened victim never crosses",
+            "self-activating victim crosses",
+            "cached entry reused at a shifted base row",
+            "repaired row",
+        }
+
+
 class TestVectorizedDecode:
     def setup_method(self):
         self.geom = DRAMGeometry.small(rows_per_bank=128, rows_per_subarray=16)

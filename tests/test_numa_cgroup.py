@@ -105,6 +105,80 @@ class TestTopology:
         assert len(self.topo) == 3
         assert 1 in self.topo and 9 not in self.topo
 
+    def test_overlapping_node_rejected(self):
+        with pytest.raises(MmError, match="overlaps node 1"):
+            self.topo.add(make_node(3, base=12 * MiB))
+        assert 3 not in self.topo
+        assert self.topo.node_of_addr(12 * MiB).node_id == 1
+
+
+def _linear_node_of_addr(topo: NumaTopology, hpa: int):
+    """The reference lookup: scan every node's ranges in id order."""
+    for node in topo.nodes:
+        if any(hpa in r for r in node.ranges):
+            return node
+    return None
+
+
+def _gappy_topology() -> NumaTopology:
+    """Nodes added out of address order, with multi-range, adjacent,
+    empty and gapped ranges."""
+    topo = NumaTopology()
+    layout = {
+        2: [(40, 48), (8, 16)],
+        0: [(0, 8), (16, 17), (17, 24), (30, 30)],
+        1: [(24, 28), (64, 96)],
+    }
+    for node_id, spans in layout.items():
+        topo.add(
+            NumaNode(
+                node_id=node_id,
+                kind=NodeKind.GUEST_RESERVED,
+                physical_node=0,
+                ranges=[AddressRange(a * MiB, b * MiB) for a, b in spans],
+            )
+        )
+    return topo
+
+
+def _siloz_topology() -> NumaTopology:
+    from repro.core import SilozHypervisor
+    from repro.hv import Machine
+
+    return SilozHypervisor.boot(Machine.small(seed=3)).topology
+
+
+class TestNodeOfAddrIndex:
+    """``node_of_addr`` bisects an address index; it must answer as the
+    linear scan over every node's ranges does."""
+
+    @pytest.mark.parametrize("build", [_gappy_topology, _siloz_topology])
+    def test_matches_linear_scan_at_every_boundary(self, build):
+        topo = build()
+        probes = {
+            edge + delta
+            for node in topo.nodes
+            for r in node.ranges
+            for edge in (r.start, r.end)
+            for delta in (-1, 0, 1)
+            if edge + delta >= 0
+        }
+        owned = unowned = 0
+        for hpa in sorted(probes):
+            expected = _linear_node_of_addr(topo, hpa)
+            if expected is None:
+                unowned += 1
+                with pytest.raises(MmError, match="not on any node"):
+                    topo.node_of_addr(hpa)
+            else:
+                owned += 1
+                assert topo.node_of_addr(hpa) is expected, hex(hpa)
+        assert owned and unowned
+
+    def test_empty_topology_owns_nothing(self):
+        with pytest.raises(MmError, match="not on any node"):
+            NumaTopology().node_of_addr(0)
+
 
 class TestCgroups:
     def setup_method(self):
