@@ -652,7 +652,6 @@ def _build_tile_entry(
     V = len(vrows)
     entry: dict[str, Any] = {
         "L": L,
-        "A": A,
         "V": V,
         "minrow0": minrow0,
         "base_idx": base_idx,
@@ -769,10 +768,10 @@ def _span_tiled(
     reset by their own activations fold only the tail after the last
     self-ACT.  Victims screened as possible threshold crossers are
     walked with exact scalar arithmetic over their cached touch lists
-    (:func:`_touch_lists`), ``rounds`` times round: a self-activating
-    victim from the span's first ACT, any other victim from the touch
-    where its cumsum row first reaches its threshold, starting from the
-    row's value just before that touch.  *clk* is the span's clock
+    (:func:`_touch_lists`), once per round: a self-activating victim
+    from the span's first ACT, any other victim from the touch where its
+    cumsum row first reaches its threshold, starting from the row's
+    value just before that touch.  *clk* is the span's clock
     (:func:`_span_clock`); the caller has checked that the span crosses
     no refresh window and that TRR is off, so no pressure resets other
     than the victims' own ACTs occur in it.
